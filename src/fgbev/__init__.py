@@ -81,7 +81,6 @@ from .view_transform import (
     Frustum,
     build_frustum,
     sa_bev_pool,
-    student_bev,
     teacher_bev,
 )
 

@@ -31,7 +31,7 @@ from .arrayio import (
 )
 from .labels import DepthBinConfig, generate_hard_labels
 from .msfe import elliptical_gaussian_heatmap, threshold_filter
-from .pci import pci_statistics
+from .pci import frame_combination, pci_statistics, pseudo_point_assignment
 from .pipeline import (
     PipelineConfig,
     PipelineStageError,
@@ -163,9 +163,11 @@ def _cmd_pci_stats(args) -> int:
     frame = scene.current
     if not 0 <= args.cam < len(frame.cameras):
         raise ValueError(f"camera index {args.cam} out of range (scene has {len(frame.cameras)})")
-    report = pci_statistics(
-        scene, frame.cameras[args.cam], (args.d_min, args.d_max)
+    combined = frame_combination(frame, scene.past)
+    pseudo = pseudo_point_assignment(
+        combined, frame.boxes, frame.cameras[args.cam], (args.d_min, args.d_max)
     )
+    report = pci_statistics(frame, combined, pseudo)
     if args.format == "csv":
         print(pci_report_csv(report), end="")
     else:

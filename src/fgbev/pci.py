@@ -27,7 +27,7 @@ from .labels import (
     HardLabels,
     SegmentationMap,
 )
-from .scene import Frame, Scene
+from .scene import Frame
 
 log = logging.getLogger(__name__)
 
@@ -156,29 +156,21 @@ def pseudo_point_assignment(
 
 
 def pci_statistics(
-    scene: Scene,
-    cam: CameraModel,
-    depth_range: tuple[float, float],
-    fc_enabled: bool = True,
-    ppa_enabled: bool = True,
+    current: Frame, combined: PointCloud, pseudo: list[PseudoPoint]
 ) -> PciReport:
-    """Count how many current-frame boxes each densification stage rescued."""
-    current = scene.current
+    """Count how many current-frame boxes each densification stage rescued.
+
+    combined is the frame-combination output (the current cloud when it is
+    off) and pseudo the points assigned to it (empty when assignment is off).
+    """
     before = int(_empty_box_mask(current.lidar.points, current.boxes).sum())
-    combined = frame_combination(current, scene.past) if fc_enabled else current.lidar
     after_fc = int(_empty_box_mask(combined.points, current.boxes).sum())
-    pseudo = (
-        pseudo_point_assignment(combined, current.boxes, cam, depth_range)
-        if ppa_enabled
-        else []
-    )
-    assigned = len(pseudo)
     return PciReport(
         total_boxes=len(current.boxes),
         boxes_without_points_before=before,
         boxes_without_points_after_fc=after_fc,
-        boxes_assigned_pseudo=assigned,
-        boxes_unrecoverable=after_fc - assigned,
+        boxes_assigned_pseudo=len(pseudo),
+        boxes_unrecoverable=after_fc - len(pseudo),
     )
 
 

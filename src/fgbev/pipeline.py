@@ -1,14 +1,16 @@
 """End-to-end orchestration of one frame through the full data path.
 
-scene -> synthetic features -> foreground fusion diagnostics -> soft labels
--> hard labels on the densified cloud -> pseudo points -> student/teacher
-pooling -> joint encoding -> distillation loss. Deterministic per seed; each
-stage is timed with a monotonic clock.
+prepare: scene -> synthetic features -> foreground fusion diagnostics -> soft
+labels -> frustum -> student pooling. teacher_branch: hard labels on the
+densified cloud -> pseudo points -> teacher pooling -> joint encoding ->
+distillation loss. Only the teacher branch depends on fc_enabled/ppa_enabled.
+Deterministic per seed; each stage is timed with a monotonic clock.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -16,7 +18,7 @@ import numpy as np
 
 from .distill import distillation_loss, encode_joint, get_encoder
 from .geometry import project_box3d_to_box2d
-from .labels import DepthBinConfig, generate_hard_labels
+from .labels import DepthBinConfig, DepthDistributionMap, SegmentationMap, generate_hard_labels
 from .msfe import ForegroundHeatmap, elliptical_gaussian_heatmap, gaussian_focal_loss, msfe_fuse
 from .pci import (
     PciReport,
@@ -27,8 +29,10 @@ from .pci import (
 )
 from .scene import Scene, SceneConfig, generate_scene, soft_labels_from_frame, synth_feature_pyramid
 from .view_transform import (
+    BevFeatureGrid,
     BevGridConfig,
     ContextFeatureMap,
+    Frustum,
     build_frustum,
     sa_bev_pool,
     teacher_bev,
@@ -77,20 +81,7 @@ class PipelineConfig:
 
 
 def config_to_dict(cfg: PipelineConfig) -> dict:
-    return {
-        "scene": dataclasses.asdict(cfg.scene),
-        "bins": dataclasses.asdict(cfg.bins),
-        "bev": dataclasses.asdict(cfg.bev),
-        "seg_threshold": cfg.seg_threshold,
-        "beta": cfg.beta,
-        "eps": cfg.eps,
-        "encoder_kind": cfg.encoder_kind,
-        "fc_enabled": cfg.fc_enabled,
-        "ppa_enabled": cfg.ppa_enabled,
-        "seed": cfg.seed,
-        "soft_label_noise": cfg.soft_label_noise,
-        "context_channels": cfg.context_channels,
-    }
+    return dataclasses.asdict(cfg)
 
 
 def _coerce_value(field: dataclasses.Field, value, context: str):
@@ -192,19 +183,33 @@ def _predicted_heatmap(f4: np.ndarray) -> ForegroundHeatmap:
     return ForegroundHeatmap((mag - lo) / (hi - lo))
 
 
-def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
-    """Run one frame end to end; see the module docstring for the stage order."""
-    timing: dict[str, float] = {}
+def _stage(timing: dict, name: str, fn):
+    """Run one stage, recording its wall time; a failure names the stage."""
+    t0 = time.perf_counter()
+    try:
+        out = fn()
+    except Exception as exc:
+        raise PipelineStageError(f"stage {name!r} failed: {exc}") from exc
+    timing[name] = time.perf_counter() - t0
+    return out
 
-    def stage(name, fn):
-        t0 = time.perf_counter()
-        try:
-            out = fn()
-        except Exception as exc:
-            raise PipelineStageError(f"stage {name!r} failed: {exc}") from exc
-        timing[name] = time.perf_counter() - t0
-        return out
 
+@dataclass(frozen=True)
+class PreparedFrame:
+    """Outputs of the stages the fc/ppa toggles leave untouched."""
+
+    scene: Scene
+    ctx: ContextFeatureMap
+    soft_depth: DepthDistributionMap
+    soft_seg: SegmentationMap
+    frustum: Frustum
+    student: BevFeatureGrid
+    msfe_metrics: dict
+
+
+def prepare(cfg: PipelineConfig, timing: dict) -> PreparedFrame:
+    """Scene, features, MSFE metrics, soft labels, frustum and student pooling."""
+    stage = functools.partial(_stage, timing)
     scene: Scene = stage("generate_scene", lambda: generate_scene(cfg.scene, cfg.seed))
     current = scene.current
     cam = current.cameras[0]
@@ -237,7 +242,26 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
             current, 0, cfg.bins, cfg.soft_label_noise, cfg.seed + 2, FEATURE_STRIDE
         ),
     )
+    frustum = stage("frustum", lambda: build_frustum(cam, cfg.bins, FEATURE_STRIDE))
+    ctx = ContextFeatureMap(pyramid.f16)
+    student = stage(
+        "student_pooling",
+        lambda: sa_bev_pool(ctx, soft_depth, soft_seg, frustum, cfg.bev, cfg.seg_threshold),
+    )
+    return PreparedFrame(scene, ctx, soft_depth, soft_seg, frustum, student, msfe_metrics)
 
+
+def teacher_branch(
+    cfg: PipelineConfig, prep: PreparedFrame, timing: dict
+) -> tuple[float, int, PciReport, BevFeatureGrid]:
+    """Densify the teacher's LiDAR as cfg.fc_enabled/ppa_enabled say, pool and score it.
+
+    Returns (loss, included cells, PCI report, teacher grid); prep is only read.
+    """
+    stage = functools.partial(_stage, timing)
+    scene = prep.scene
+    current = scene.current
+    cam = current.cameras[0]
     combined = stage(
         "frame_combination",
         lambda: frame_combination(current, scene.past) if cfg.fc_enabled else current.lidar,
@@ -250,52 +274,42 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
 
     def ppa():
         if not cfg.ppa_enabled:
-            return hard
+            return [], hard
         pseudo = pseudo_point_assignment(
             combined, current.boxes, cam, (cfg.bins.d_min, cfg.bins.d_max)
         )
-        return inject_pseudo_points(hard, pseudo, FEATURE_STRIDE)
+        return pseudo, inject_pseudo_points(hard, pseudo, FEATURE_STRIDE)
 
-    hard_final = stage("pseudo_points", ppa)
-    report = stage(
-        "pci_report",
-        lambda: pci_statistics(
-            scene,
-            cam,
-            (cfg.bins.d_min, cfg.bins.d_max),
-            fc_enabled=cfg.fc_enabled,
-            ppa_enabled=cfg.ppa_enabled,
-        ),
-    )
-
-    frustum = stage("frustum", lambda: build_frustum(cam, cfg.bins, FEATURE_STRIDE))
-    ctx = ContextFeatureMap(pyramid.f16)
-    b_student = stage(
-        "student_pooling",
-        lambda: sa_bev_pool(ctx, soft_depth, soft_seg, frustum, cfg.bev, cfg.seg_threshold),
-    )
-    b_teacher = stage(
+    pseudo, hard_final = stage("pseudo_points", ppa)
+    report = stage("pci_report", lambda: pci_statistics(current, combined, pseudo))
+    teacher = stage(
         "teacher_pooling",
         lambda: teacher_bev(
-            ctx, hard_final, soft_depth, soft_seg, frustum, cfg.bev, cfg.seg_threshold
+            prep.ctx, hard_final, prep.soft_depth, prep.soft_seg, prep.frustum,
+            cfg.bev, cfg.seg_threshold,
         ),
     )
 
     encoder = get_encoder(cfg.encoder_kind)
-    enc_student, enc_teacher = stage(
-        "encode", lambda: encode_joint(encoder, b_student, b_teacher)
-    )
+    enc_student, enc_teacher = stage("encode", lambda: encode_joint(encoder, prep.student, teacher))
     loss, included = stage(
         "distill_loss", lambda: distillation_loss(enc_teacher, enc_student, cfg.eps)
     )
+    return loss, included, report, teacher
 
+
+def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
+    """Run one frame end to end: prepare, then the teacher branch."""
+    timing: dict[str, float] = {}
+    prep = prepare(cfg, timing)
+    loss, included, report, teacher = teacher_branch(cfg, prep, timing)
     return PipelineResult(
         loss=loss,
         included_cells=included,
         pci_report=report,
-        bev_occupancy_student=b_student.occupancy(),
-        bev_occupancy_teacher=b_teacher.occupancy(),
-        msfe_metrics=msfe_metrics,
+        bev_occupancy_student=prep.student.occupancy(),
+        bev_occupancy_teacher=teacher.occupancy(),
+        msfe_metrics=prep.msfe_metrics,
         timing=timing,
     )
 
@@ -328,24 +342,29 @@ def ablation_sweep(
 
     Row order enumerates subset bitmasks 0..2^n-1 with toggle k on bit k, so
     the base configuration always comes first. Each row records the applied
-    toggle names and the headline result fields.
+    toggle names and the headline result fields. Rows whose configs differ
+    only in fc_enabled/ppa_enabled share one prepare(); each row runs its own
+    teacher branch.
     """
     rows = []
-    n = len(toggles)
-    for mask in range(1 << n):
+    prepared: dict[PipelineConfig, PreparedFrame] = {}
+    for mask in range(1 << len(toggles)):
         names = []
         cfg = base
         for k, (name, delta) in enumerate(toggles):
             if mask >> k & 1:
                 names.append(name)
                 cfg = apply_overrides(cfg, delta)
-        result = run_pipeline(cfg)
+        key = dataclasses.replace(cfg, fc_enabled=False, ppa_enabled=False)
+        if key not in prepared:
+            prepared[key] = prepare(cfg, {})
+        loss, included, report, _ = teacher_branch(cfg, prepared[key], {})
         rows.append(
             {
                 "toggles": names,
-                "loss": result.loss,
-                "included_cells": result.included_cells,
-                "pci_report": dataclasses.asdict(result.pci_report),
+                "loss": loss,
+                "included_cells": included,
+                "pci_report": dataclasses.asdict(report),
             }
         )
     return rows

@@ -217,18 +217,6 @@ def sa_bev_pool(
     return BevFeatureGrid(out, bev_cfg)
 
 
-def student_bev(
-    ctx: ContextFeatureMap,
-    soft_depth: DepthDistributionMap,
-    soft_seg: SegmentationMap,
-    frustum: Frustum,
-    bev_cfg: BevGridConfig,
-    seg_threshold: float = DEFAULT_SEG_THRESHOLD,
-) -> BevFeatureGrid:
-    """Pool the soft (predicted) labels; definitionally sa_bev_pool on them."""
-    return sa_bev_pool(ctx, soft_depth, soft_seg, frustum, bev_cfg, seg_threshold)
-
-
 def teacher_bev(
     ctx: ContextFeatureMap,
     hard: HardLabels,

@@ -243,7 +243,11 @@ def test_criterion_06_pci_monotonicity_and_bookkeeping():
     for seed in range(50):
         scene = generate_scene(scene_cfg, seed)
         cam = scene.current.cameras[0]
-        report_ = pci_statistics(scene, cam, (bin_cfg.d_min, bin_cfg.d_max))
+        combined = frame_combination(scene.current, scene.past)
+        pseudo = pseudo_point_assignment(
+            combined, scene.current.boxes, cam, (bin_cfg.d_min, bin_cfg.d_max)
+        )
+        report_ = pci_statistics(scene.current, combined, pseudo)
         assert report_.boxes_without_points_after_fc <= report_.boxes_without_points_before
         if report_.boxes_without_points_after_fc < report_.boxes_without_points_before:
             strict_decrease += 1
@@ -252,11 +256,7 @@ def test_criterion_06_pci_monotonicity_and_bookkeeping():
             == report_.boxes_without_points_after_fc
         )
 
-        combined = frame_combination(scene.current, scene.past)
         hard = generate_hard_labels(combined, scene.current.boxes, cam, bin_cfg, 16)
-        pseudo = pseudo_point_assignment(
-            combined, scene.current.boxes, cam, (bin_cfg.d_min, bin_cfg.d_max)
-        )
         injected = inject_pseudo_points(hard, pseudo, 16)
         for p in pseudo:
             emitted_total += 1

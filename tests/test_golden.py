@@ -1,0 +1,60 @@
+"""Pinned sha256 digests of `fgbev` stdout at seed 0.
+
+Any change to an output byte changes its digest. A change that alters results
+on purpose updates the digest here and says why in CHANGES.md.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from fgbev.cli import main
+
+NOISELESS = {
+    "scene": {
+        "n_boxes": 6,
+        "lidar_rays_per_box": 48,
+        "clutter_points": 32,
+        "image_width": 256,
+        "image_height": 128,
+    },
+    "fc_enabled": False,
+    "ppa_enabled": False,
+    "soft_label_noise": 0.0,
+}
+
+GOLDEN = {
+    "pipeline-default": (
+        ["pipeline"],
+        None,
+        "c7ca11aec0133dc7c4786cbbb5832e425bc6f1ba767c37f0a4664b3f17c97974",
+    ),
+    "pipeline-dropout": (
+        ["pipeline"],
+        {"scene": {"dropout_fraction": 0.5}},
+        "2c4d921798067e70ddc37d07348cbc4194ae23cd00510489318c89afbec6dee6",
+    ),
+    "pipeline-noiseless": (
+        ["pipeline"],
+        NOISELESS,
+        "ff40dac4c94398f3e964a18033344ddbb5cc736daf18ae6749a4b0b1f9fe4c71",
+    ),
+    "sweep-fc-ppa": (
+        ["sweep", "--toggles", "fc,ppa"],
+        {"scene": {"dropout_fraction": 0.5, "n_frames": 4}},
+        "a0c04563ed11c08636b30722899a8c6075c2d1bcac379fdc8b22e4b262c83cfa",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_stdout_digest(name, tmp_path, capsys):
+    argv, config, digest = GOLDEN[name]
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    assert main(argv + ["--seed", "0"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

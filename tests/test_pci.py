@@ -199,6 +199,16 @@ class TestPseudoPointAssignment:
         assert emitted > 100
 
 
+def densified_report(scene, cam, depth_range, fc_enabled=True, ppa_enabled=True):
+    """Run frame combination and pseudo points as the pipeline does, then count."""
+    current = scene.current
+    combined = frame_combination(current, scene.past) if fc_enabled else current.lidar
+    pseudo = (
+        pseudo_point_assignment(combined, current.boxes, cam, depth_range) if ppa_enabled else []
+    )
+    return pci_statistics(current, combined, pseudo)
+
+
 class TestPciStatistics:
     def test_well_covered_scene_all_zero(self):
         cfg = SceneConfig(
@@ -210,7 +220,7 @@ class TestPciStatistics:
             image_height=128,
         )
         scene = generate_scene(cfg, 3)
-        report = pci_statistics(scene, scene.current.cameras[0], (1.0, 60.0))
+        report = densified_report(scene, scene.current.cameras[0], (1.0, 60.0))
         assert report.boxes_without_points_before == 0
         assert report.boxes_without_points_after_fc == 0
         assert report.boxes_assigned_pseudo == 0
@@ -227,7 +237,7 @@ class TestPciStatistics:
             image_height=128,
         )
         scene = generate_scene(cfg, 21)
-        report = pci_statistics(scene, scene.current.cameras[0], (1.0, 60.0))
+        report = densified_report(scene, scene.current.cameras[0], (1.0, 60.0))
         assert report.boxes_without_points_before == 8
         assert report.boxes_without_points_after_fc < report.boxes_without_points_before
 
@@ -242,7 +252,7 @@ class TestPciStatistics:
         )
         for seed in range(10):
             scene = generate_scene(cfg, seed)
-            report = pci_statistics(scene, scene.current.cameras[0], (1.0, 60.0))
+            report = densified_report(scene, scene.current.cameras[0], (1.0, 60.0))
             assert (
                 report.boxes_assigned_pseudo + report.boxes_unrecoverable
                 == report.boxes_without_points_after_fc
@@ -261,11 +271,11 @@ class TestPciStatistics:
         )
         scene = generate_scene(cfg, 21)
         cam = scene.current.cameras[0]
-        off = pci_statistics(scene, cam, (1.0, 60.0), fc_enabled=False)
-        on = pci_statistics(scene, cam, (1.0, 60.0), fc_enabled=True)
+        off = densified_report(scene, cam, (1.0, 60.0), fc_enabled=False)
+        on = densified_report(scene, cam, (1.0, 60.0), fc_enabled=True)
         assert off.boxes_without_points_after_fc == off.boxes_without_points_before
         assert on.boxes_without_points_after_fc < off.boxes_without_points_after_fc
-        no_ppa = pci_statistics(scene, cam, (1.0, 60.0), ppa_enabled=False)
+        no_ppa = densified_report(scene, cam, (1.0, 60.0), ppa_enabled=False)
         assert no_ppa.boxes_assigned_pseudo == 0
 
     def test_report_invariants_enforced(self):

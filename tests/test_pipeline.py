@@ -1,9 +1,12 @@
+import collections
 import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+import fgbev.pipeline
+from fgbev.cli import main
 from fgbev.labels import DepthBinConfig, generate_hard_labels
 from fgbev.pci import frame_combination
 from fgbev.pipeline import (
@@ -270,3 +273,62 @@ class TestAblationSweep:
         lines = text.strip().split("\n")
         assert lines[0].startswith("toggles,loss,included_cells")
         assert lines[1].startswith("(base),")
+
+
+FC_PPA = [("fc", {"fc_enabled": True}), ("ppa", {"ppa_enabled": True})]
+
+
+def dropout_sweep_base():
+    """The CLI's `sweep --toggles fc,ppa` base row on a scene where fc and ppa rescue boxes."""
+    return apply_overrides(
+        PipelineConfig(),
+        {
+            "scene.dropout_fraction": 0.5,
+            "scene.n_frames": 4,
+            "fc_enabled": False,
+            "ppa_enabled": False,
+        },
+    )
+
+
+def count_calls(monkeypatch, *names):
+    calls = collections.Counter()
+    for name in names:
+        fn = getattr(fgbev.pipeline, name)
+
+        def counted(*args, _name=name, _fn=fn, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(fgbev.pipeline, name, counted)
+    return calls
+
+
+class TestSweepSharesPrepare:
+    @pytest.mark.parametrize(
+        "toggles, prepares",
+        [(FC_PPA, 1), ([("fc", {"fc_enabled": True}), ("seed", {"seed": 5})], 2)],
+        ids=["fc-ppa", "fc-seed"],
+    )
+    def test_rows_equal_run_pipeline(self, toggles, prepares, monkeypatch):
+        base = dropout_sweep_base()
+        calls = count_calls(monkeypatch, "generate_scene", "build_frustum")
+        rows = ablation_sweep(base, toggles)
+        assert calls == {"generate_scene": prepares, "build_frustum": prepares}
+        assert len({r["loss"] for r in rows}) > 1  # the toggles change the teacher
+        deltas = dict(toggles)
+        for row in rows:
+            cfg = base
+            for name in row["toggles"]:
+                cfg = apply_overrides(cfg, deltas[name])
+            result = run_pipeline(cfg)
+            assert row["loss"] == result.loss
+            assert row["included_cells"] == result.included_cells
+            assert row["pci_report"] == dataclasses.asdict(result.pci_report)
+
+    def test_stage_error_named_by_cli(self, tmp_path, capsys):
+        bad = dataclasses.replace(SMALL_SCENE, image_width=250, image_height=130)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"scene": dataclasses.asdict(bad), "seed": 17}))
+        assert main(["sweep", "--config", str(path), "--toggles", "fc,ppa"]) == 2
+        assert "synth_features" in capsys.readouterr().err

@@ -12,7 +12,6 @@ from fgbev.view_transform import (
     Frustum,
     build_frustum,
     sa_bev_pool,
-    student_bev,
     teacher_bev,
 )
 
@@ -210,7 +209,7 @@ class TestStudentTeacher:
         self.soft_depth, self.soft_seg = random_soft_labels(self.rng, 4, 8, BIN_CFG)
 
     def test_student_is_pool_bitwise(self):
-        a = student_bev(self.ctx, self.soft_depth, self.soft_seg, self.frustum, self.bev, 0.3)
+        a = sa_bev_pool(self.ctx, self.soft_depth, self.soft_seg, self.frustum, self.bev, 0.3)
         b = sa_bev_pool(self.ctx, self.soft_depth, self.soft_seg, self.frustum, self.bev, 0.3)
         assert np.array_equal(a.values, b.values)
 
@@ -225,7 +224,7 @@ class TestStudentTeacher:
         t = teacher_bev(
             self.ctx, empty, self.soft_depth, self.soft_seg, self.frustum, self.bev, 0.3
         )
-        s = student_bev(self.ctx, self.soft_depth, self.soft_seg, self.frustum, self.bev, 0.3)
+        s = sa_bev_pool(self.ctx, self.soft_depth, self.soft_seg, self.frustum, self.bev, 0.3)
         assert np.array_equal(t.values, s.values)
 
     def test_teacher_matches_oracle_on_merged_labels(self):
@@ -255,7 +254,7 @@ class TestStudentTeacher:
         t = teacher_bev(
             self.ctx, hard, self.soft_depth, self.soft_seg, self.frustum, self.bev, 0.3
         )
-        s = student_bev(self.ctx, self.soft_depth, self.soft_seg, self.frustum, self.bev, 0.3)
+        s = sa_bev_pool(self.ctx, self.soft_depth, self.soft_seg, self.frustum, self.bev, 0.3)
         diff = np.abs(t.values - s.values).sum(axis=2)
         column = (self.frustum.rows == r0) & (self.frustum.cols == c0)
         rows, cols, ok = self.bev.cells_for_points(self.frustum.points[column])
