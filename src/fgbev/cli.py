@@ -108,6 +108,8 @@ def _bin_cfg_from_args(args) -> DepthBinConfig:
 def _cmd_gen_scene(args) -> int:
     cfg, file_seed = _scene_config_from_file(args.config)
     seed = args.seed if args.seed is not None else (file_seed if file_seed is not None else 0)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     scene = generate_scene(cfg, int(seed))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -51,13 +51,21 @@ class BoxBlurEncoder(BevEncoder):
         arr = np.asarray(batch, dtype=np.float64)
         if arr.ndim != 4:
             raise ValueError(f"expected (B, H, W, C), got shape {arr.shape}")
-        padded = np.pad(arr, ((0, 0), (1, 1), (1, 1), (0, 0)))
         h, w = arr.shape[1:3]
         out = np.zeros_like(arr)
-        for dy in range(3):
-            for dx in range(3):
-                out += padded[:, dy : dy + h, dx : dx + w, :]
-        return out / 9.0
+        # Taps that fall outside the grid would add +0.0, which leaves a sum
+        # that starts at +0.0 unchanged, so they are skipped.
+        for dy in (-1, 0, 1):
+            for dx in (-1, 0, 1):
+                (oy, iy), (ox, ix) = _tap(dy, h), _tap(dx, w)
+                out[:, oy, ox, :] += arr[:, iy, ix, :]
+        out /= 9.0
+        return out
+
+
+def _tap(shift: int, n: int) -> tuple[slice, slice]:
+    """(output, input) slices along one axis for out[i] += in[i + shift]."""
+    return slice(max(0, -shift), n - max(0, shift)), slice(max(0, shift), n - max(0, -shift))
 
 
 _ENCODERS = {cls.name: cls for cls in (IdentityEncoder, BoxBlurEncoder)}

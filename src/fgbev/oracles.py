@@ -12,10 +12,10 @@ import math
 
 import numpy as np
 
-from .geometry import Box2D, Box3D, CameraModel
+from .geometry import Box2D, Box3D, CameraModel, rotation_about_z
 from .labels import DepthBinConfig, DepthDistributionMap, HardLabels, SegmentationMap
 from .msfe import FeaturePyramid, ForegroundHeatmap
-from .scene import Frame
+from .scene import SURFACE_INSET, Frame, _facing_side_faces
 from .view_transform import BevGridConfig, ContextFeatureMap, Frustum
 
 
@@ -287,3 +287,52 @@ def focal_loss_reference(
             else:
                 total += -((1.0 - t) ** gamma) * (p**alpha) * math.log(1.0 - p)
     return total / max(n_pos, 1)
+
+
+def surface_points_reference(rng, box: Box3D, n: int) -> np.ndarray:
+    """Surface sampling one point at a time: face, then in-plane, then height."""
+    if n == 0:
+        return np.zeros((0, 3))
+    half = box.half_size
+    rot = rotation_about_z(box.yaw)
+    faces = _facing_side_faces(rot.T @ (-box.center), half)
+    if not faces:
+        return np.zeros((0, 3))
+    areas = np.array([2 * half[1 - axis] * 2 * half[2] for axis, _ in faces])
+    choice = rng.choice(len(faces), size=n, p=areas / areas.sum())
+    pts = np.empty((n, 3))
+    for i, face_idx in enumerate(choice):
+        axis, sign = faces[face_idx]
+        other = 1 - axis
+        p = np.empty(3)
+        p[axis] = sign * (half[axis] - SURFACE_INSET)
+        p[other] = rng.uniform(-(half[other] - SURFACE_INSET), half[other] - SURFACE_INSET)
+        p[2] = rng.uniform(-(half[2] - SURFACE_INSET), half[2] - SURFACE_INSET)
+        pts[i] = p
+    return pts @ rot.T + box.center
+
+
+def background_level_reference(width: int, height: int, stride: int, channels: int) -> np.ndarray:
+    """The smooth background evaluated over the full grid, one channel at a time."""
+    h_f, w_f = height // stride, width // stride
+    rr, cc = np.mgrid[0:h_f, 0:w_f].astype(np.float64)
+    u = (cc + 0.5) * stride
+    v = (rr + 0.5) * stride
+    out = np.empty((h_f, w_f, channels))
+    for k in range(channels):
+        out[:, :, k] = 0.5 * np.sin(
+            2.0 * math.pi * u / width * (1.0 + 0.37 * k) + 0.8 * k
+        ) * np.cos(2.0 * math.pi * v / height * (0.5 + 0.23 * k) - 0.3 * k)
+    return out
+
+
+def box_blur_reference(batch: np.ndarray) -> np.ndarray:
+    """3x3 box blur over an explicitly zero-padded (B, H, W, C) copy."""
+    arr = np.asarray(batch, dtype=np.float64)
+    padded = np.pad(arr, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    h, w = arr.shape[1:3]
+    out = np.zeros_like(arr)
+    for dy in range(3):
+        for dx in range(3):
+            out += padded[:, dy : dy + h, dx : dx + w, :]
+    return out / 9.0

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -78,10 +79,23 @@ class PipelineConfig:
             raise ValueError(f"soft_label_noise must be >= 0, got {self.soft_label_noise}")
         if self.context_channels < 1:
             raise ValueError(f"context_channels must be >= 1, got {self.context_channels}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def config_to_dict(cfg: PipelineConfig) -> dict:
     return dataclasses.asdict(cfg)
+
+
+def _finite(value, name: str) -> float:
+    """value as a float; NaN, infinities and ints beyond float range are rejected."""
+    try:
+        out = float(value)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise ValueError(f"{name} must be a finite number, got {value}")
+    return out
 
 
 def _coerce_value(field: dataclasses.Field, value, context: str):
@@ -99,7 +113,7 @@ def _coerce_value(field: dataclasses.Field, value, context: str):
     if kind == "float":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"{name} must be a number, got {type(value).__name__}")
-        return float(value)
+        return _finite(value, name)
     if kind == "str":
         if not isinstance(value, str):
             raise ValueError(f"{name} must be a string, got {type(value).__name__}")
@@ -109,7 +123,7 @@ def _coerce_value(field: dataclasses.Field, value, context: str):
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
         ):
             raise ValueError(f"{name} must be a list of numbers")
-        return tuple(float(v) for v in value)
+        return tuple(_finite(v, name) for v in value)
     return value
 
 

@@ -201,15 +201,18 @@ def _sample_surface_points(rng, box: Box3D, n: int) -> np.ndarray:
         [2 * half[1 - axis] * 2 * half[2] for axis, _ in faces]
     )
     choice = rng.choice(len(faces), size=n, p=areas / areas.sum())
+    axis = np.array([a for a, _ in faces])[choice]
+    sign = np.array([s for _, s in faces])[choice]
+    other = 1 - axis
+    # One (in-plane, height) pair per point; the C-order fill draws them in
+    # the same order as a per-point loop would.
+    lim = np.column_stack([half[other], np.full(n, half[2])]) - SURFACE_INSET
+    draws = rng.uniform(-lim, lim)
+    rows = np.arange(n)
     pts = np.empty((n, 3))
-    for i, face_idx in enumerate(choice):
-        axis, sign = faces[face_idx]
-        other = 1 - axis
-        p = np.empty(3)
-        p[axis] = sign * (half[axis] - SURFACE_INSET)
-        p[other] = rng.uniform(-(half[other] - SURFACE_INSET), half[other] - SURFACE_INSET)
-        p[2] = rng.uniform(-(half[2] - SURFACE_INSET), half[2] - SURFACE_INSET)
-        pts[i] = p
+    pts[rows, axis] = sign * (half[axis] - SURFACE_INSET)
+    pts[rows, other] = draws[:, 0]
+    pts[:, 2] = draws[:, 1]
     return pts @ rot.T + box.center
 
 
@@ -363,20 +366,23 @@ def generate_scene(cfg: SceneConfig, seed: int) -> Scene:
 # --------------------------------------------------------------------------
 
 
+def _cell_centers(n: int, stride: int) -> np.ndarray:
+    """Pixel coordinate of the center of each of n cells of the given stride."""
+    return (np.arange(n, dtype=np.float64) + 0.5) * stride
+
+
 def background_feature_level(
     width: int, height: int, stride: int, channels: int
 ) -> np.ndarray:
     """The seed-free smooth background, sampled at one stride's cell centers."""
-    h_f, w_f = height // stride, width // stride
-    rr, cc = np.mgrid[0:h_f, 0:w_f].astype(np.float64)
-    u = (cc + 0.5) * stride
-    v = (rr + 0.5) * stride
-    out = np.empty((h_f, w_f, channels))
-    for k in range(channels):
-        out[:, :, k] = 0.5 * np.sin(
-            2.0 * math.pi * u / width * (1.0 + 0.37 * k) + 0.8 * k
-        ) * np.cos(2.0 * math.pi * v / height * (0.5 + 0.23 * k) - 0.3 * k)
-    return out
+    u = _cell_centers(width // stride, stride)
+    v = _cell_centers(height // stride, stride)
+    k = np.arange(channels)
+    # Each factor depends on (column, channel) or (row, channel) only, so it is
+    # evaluated once there and the product is formed by broadcasting.
+    along_u = 0.5 * np.sin(2.0 * math.pi * u[:, None] / width * (1.0 + 0.37 * k) + 0.8 * k)
+    along_v = np.cos(2.0 * math.pi * v[:, None] / height * (0.5 + 0.23 * k) - 0.3 * k)
+    return along_u[None, :, :] * along_v[:, None, :]
 
 
 def synth_feature_pyramid(
@@ -400,16 +406,17 @@ def synth_feature_pyramid(
     levels = []
     for stride in (4, 8, 16):
         level = background_feature_level(cam.image_width, cam.image_height, stride, channels)
-        h_f, w_f = level.shape[:2]
-        rr, cc = np.mgrid[0:h_f, 0:w_f].astype(np.float64)
-        u = (cc + 0.5) * stride
-        v = (rr + 0.5) * stride
+        u = _cell_centers(level.shape[1], stride)
+        v = _cell_centers(level.shape[0], stride)
         chan_gain = 1.0 + 0.1 * np.sin(np.arange(channels))
         for amp, rect in zip(boosts, rects):
             if rect is None:
                 continue
-            inside = (u >= rect.x1) & (u <= rect.x2) & (v >= rect.y1) & (v <= rect.y2)
-            level[inside] += amp * chan_gain
+            # Cell centers increase along each axis, so the cells inside the
+            # rectangle form one row range times one column range.
+            rows = slice(np.searchsorted(v, rect.y1), np.searchsorted(v, rect.y2, "right"))
+            cols = slice(np.searchsorted(u, rect.x1), np.searchsorted(u, rect.x2, "right"))
+            level[rows, cols] += amp * chan_gain
         levels.append(level)
     return FeaturePyramid(*levels)
 

@@ -68,6 +68,14 @@ class TestGenScene:
         assert rc == 1
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("how", ["file", "flag"])
+    def test_negative_seed_exits_1(self, tmp_path, capsys, how):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SCENE_CFG, "seed": -1 if how == "file" else 3}))
+        argv = ["gen-scene", "--config", str(cfg), "--out", str(tmp_path / "x")]
+        assert main(argv + (["--seed", "-1"] if how == "flag" else [])) == 1
+        assert "seed" in capsys.readouterr().err
+
     def test_defaults_without_config(self, tmp_path, capsys):
         out = tmp_path / "defaults"
         assert main(["gen-scene", "--out", str(out)]) == 0
@@ -189,6 +197,30 @@ class TestPipelineCommand:
         bad.write_text('{"bogus": 1}')
         assert main(["pipeline", "--config", str(bad)]) == 1
         assert "bogus" in capsys.readouterr().err
+
+    # Python's json accepts NaN and +-Infinity, so they must be rejected by name.
+    @pytest.mark.parametrize(
+        "text,field",
+        [
+            ('{"seed": -1}', "seed"),
+            ('{"bev": {"range_xy": NaN}}', "range_xy"),
+            ('{"scene": {"frame_interval": Infinity}}', "frame_interval"),
+            ('{"beta": -Infinity}', "beta"),
+            ('{"scene": {"detection_range_z": [-5.0, NaN]}}', "detection_range_z"),
+            ('{"bins": {"d_max": 1e999}}', "d_max"),
+        ],
+    )
+    def test_invalid_number_exits_1_naming_field(self, tmp_path, capsys, text, field):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["pipeline", "--config", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert field in err
+        assert "Traceback" not in err
+
+    def test_negative_seed_flag_exits_1(self, capsys):
+        assert main(["pipeline", "--seed", "-1"]) == 1
+        assert "seed" in capsys.readouterr().err
 
     def test_invalid_json_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

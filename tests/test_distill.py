@@ -44,6 +44,19 @@ class TestEncoders:
         out = BoxBlurEncoder()(grid(values))
         assert out.values[0, 0, 0] == 1.0  # 9/9, missing neighbors count as zero
 
+    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (7, 5)])
+    def test_box_blur_matches_padded_oracle_bitwise(self, shape, batch):
+        rng = np.random.default_rng(3)
+        values = rng.normal(size=(batch, *shape, 3))
+        # Signed zeros are where skipping the out-of-grid taps could differ.
+        values[rng.random(values.shape) < 0.3] = -0.0
+        values.flat[::7] = 0.0
+        fast = BoxBlurEncoder().apply(values)
+        ref = oracles.box_blur_reference(values)
+        assert np.array_equal(fast, ref)
+        assert fast.tobytes() == ref.tobytes()
+
     def test_joint_equals_separate_bitwise(self):
         rng = np.random.default_rng(1)
         for _ in range(100):

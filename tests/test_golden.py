@@ -10,6 +10,7 @@ import json
 import pytest
 
 from fgbev.cli import main
+from fgbev.pipeline import config_from_dict, run_pipeline
 
 NOISELESS = {
     "scene": {
@@ -48,6 +49,17 @@ GOLDEN = {
 }
 
 
+# 40 boxes, 1408x512 images, 9 frames, a 256^2 grid, 16 channels and the box
+# blur encoder: the only pin on the box-blur path.
+LARGE = {
+    "scene": {"n_boxes": 40, "image_width": 1408, "image_height": 512, "n_frames": 9},
+    "bev": {"grid_h": 256, "grid_w": 256},
+    "context_channels": 16,
+    "encoder_kind": "box_blur",
+}
+LARGE_DIGEST = "fc6b05d699cb88e8b6f8b5a78a274c9f13a7e9bb36526837268c7741e810cef0"
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_stdout_digest(name, tmp_path, capsys):
     argv, config, digest = GOLDEN[name]
@@ -58,3 +70,11 @@ def test_stdout_digest(name, tmp_path, capsys):
     assert main(argv + ["--seed", "0"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_large_result_digest():
+    out = run_pipeline(config_from_dict(LARGE)).to_dict()
+    # msfe.fused_l2 changes in its last bits with the BLAS thread count.
+    del out["msfe"]["fused_l2"]
+    text = json.dumps(out, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == LARGE_DIGEST

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from fgbev.geometry import points_in_box
+from fgbev import oracles
+from fgbev.geometry import Box3D, points_in_box, rotation_about_z
 from fgbev.labels import DepthBinConfig, generate_hard_labels
 from fgbev.scene import (
     BACKGROUND_SEG_FLOOR,
     Frame,
     Scene,
     SceneConfig,
+    _facing_side_faces,
+    _sample_surface_points,
     background_feature_level,
     generate_scene,
     load_scene,
@@ -145,6 +148,43 @@ class TestGenerateScene:
 
     def test_visibility_in_declared_range(self, scene):
         assert {b.visibility for b in scene.current.boxes} <= {1, 2, 3, 4}
+
+
+SURFACE_BOXES = {
+    # name: (box, number of side faces that face the sensor at the ego origin)
+    "one-face": (Box3D(center=(12.0, 0.0, 0.8), size=(4.2, 1.8, 1.6), yaw=0.0), 1),
+    "two-faces": (Box3D(center=(9.0, -7.5, 0.8), size=(4.2, 1.8, 1.6), yaw=0.3), 2),
+    "two-small-faces": (Box3D(center=(-3.0, 4.0, 0.4), size=(0.6, 0.5, 0.9), yaw=-2.1), 2),
+}
+
+
+class TestSurfaceSamplingOracle:
+    @pytest.mark.parametrize("name", sorted(SURFACE_BOXES))
+    def test_box_has_the_named_face_count(self, name):
+        box, n_faces = SURFACE_BOXES[name]
+        sensor_bf = rotation_about_z(box.yaw).T @ (-box.center)
+        assert len(_facing_side_faces(sensor_bf, box.half_size)) == n_faces
+
+    @pytest.mark.parametrize("n", [0, 1, 33])
+    @pytest.mark.parametrize("name", sorted(SURFACE_BOXES))
+    def test_same_points_and_rng_state_as_loop(self, name, n):
+        box, _ = SURFACE_BOXES[name]
+        fast_rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+        fast = _sample_surface_points(fast_rng, box, n)
+        ref = oracles.surface_points_reference(ref_rng, box, n)
+        assert fast.shape == ref.shape == (n, 3)
+        assert np.array_equal(fast, ref)
+        assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class TestBackgroundLevelOracle:
+    @pytest.mark.parametrize("channels", [1, 8, 32])
+    @pytest.mark.parametrize("width,height,stride", [(256, 128, 4), (704, 256, 8), (1408, 512, 16)])
+    def test_matches_per_channel_loop(self, width, height, stride, channels):
+        fast = background_feature_level(width, height, stride, channels)
+        ref = oracles.background_level_reference(width, height, stride, channels)
+        assert fast.shape == ref.shape == (height // stride, width // stride, channels)
+        assert np.array_equal(fast, ref)
 
 
 class TestSceneValidation:
