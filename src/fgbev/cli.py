@@ -14,9 +14,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import traceback
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
 import numpy as np
@@ -64,7 +66,78 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2)
+    """The bytes of `json.dumps(obj, sort_keys=True, indent=2)`, written directly.
+
+    With `indent` set, json runs its pure-Python encoder; this writer gives
+    the same output several times faster on the 2 x 128 x 128 occupancy
+    floats of a pipeline result. Dict keys must be str; a non-str key or an
+    unsupported type raises TypeError.
+    """
+    out: list[str] = []
+    _write(obj, "\n", out)
+    return "".join(out)
+
+
+def _float_str(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _write(obj, nl: str, out: list[str]) -> None:
+    """Append obj's JSON to out; nl is a newline plus the current indent."""
+    if isinstance(obj, str):
+        out.append(_encode_str(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(_float_str(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "," + inner
+        if type(obj[0]) is float:
+            # A row of finite floats is one join; float.__repr__ rejects any
+            # non-float item, and only NaN or an infinity puts an "n" in it.
+            try:
+                body = sep.join(map(float.__repr__, obj))
+            except TypeError:
+                body = "n"
+            if "n" not in body:
+                out += ("[", inner, body, nl, "]")
+                return
+        out.append("[")
+        for i, item in enumerate(obj):
+            out.append(sep if i else inner)
+            _write(item, inner, out)
+        out += (nl, "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "," + inner
+        out.append("{")
+        for i, (key, value) in enumerate(sorted(obj.items())):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out += (sep if i else inner, _encode_str(key), ": ")
+            _write(value, inner, out)
+        out += (nl, "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _resolve_input(path_str: str) -> Path:
@@ -165,6 +238,9 @@ def _cmd_pci_stats(args) -> int:
     frame = scene.current
     if not 0 <= args.cam < len(frame.cameras):
         raise ValueError(f"camera index {args.cam} out of range (scene has {len(frame.cameras)})")
+    for flag, value in (("--d-min", args.d_min), ("--d-max", args.d_max)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be a finite number, got {value}")
     combined = frame_combination(frame, scene.past)
     pseudo = pseudo_point_assignment(
         combined, frame.boxes, frame.cameras[args.cam], (args.d_min, args.d_max)

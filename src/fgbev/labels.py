@@ -37,6 +37,9 @@ class DepthBinConfig:
     bin_size: float = 0.5
 
     def __post_init__(self):
+        for name in ("d_min", "d_max", "bin_size"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)}")
         if self.d_min <= 0:
             raise ValueError(f"d_min must be positive, got {self.d_min}")
         if self.d_max <= self.d_min:

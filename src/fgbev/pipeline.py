@@ -123,6 +123,9 @@ def _coerce_value(field: dataclasses.Field, value, context: str):
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
         ):
             raise ValueError(f"{name} must be a list of numbers")
+        arity = kind.count(",") + 1  # "tuple[float, float]" -> 2
+        if len(value) != arity:
+            raise ValueError(f"{name} must have {arity} entries, got {len(value)}")
         return tuple(_finite(v, name) for v in value)
     return value
 

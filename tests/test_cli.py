@@ -1,10 +1,13 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fgbev.arrayio import load_array, read_pgm16, save_array, write_pgm16
-from fgbev.cli import main
+from fgbev.cli import _dump, main
 
 SCENE_CFG = {
     "n_frames": 3,
@@ -117,6 +120,21 @@ class TestLabelsCommand:
         assert depth.shape == (8, 16, 118)
         assert load_array(out / "seg").shape == (8, 16)
 
+    @pytest.mark.parametrize(
+        "flag,value,field",
+        [
+            ("--d-max", "inf", "d_max"),
+            ("--d-max", "nan", "d_max"),
+            ("--bin-size", "nan", "bin_size"),
+        ],
+    )
+    def test_non_finite_bin_flag_exits_1(self, scene_path, tmp_path, capsys, flag, value, field):
+        argv = ["labels", "--scene", str(scene_path), "--out", str(tmp_path / "l"), flag, value]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert field in err
+        assert "Traceback" not in err
+
 
 class TestPciStatsCommand:
     def test_json_format(self, scene_path, capsys):
@@ -133,6 +151,14 @@ class TestPciStatsCommand:
         lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0].split(",")[0] == "total_boxes"
         assert len(lines) == 2 and len(lines[1].split(",")) == 5
+
+    @pytest.mark.parametrize("flag", ["--d-min", "--d-max"])
+    def test_non_finite_range_exits_1(self, scene_path, capsys, flag):
+        assert main(["pci-stats", "--scene", str(scene_path), flag, "nan"]) == 1
+        captured = capsys.readouterr()
+        assert flag in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
 
 class TestHeatmapCommand:
@@ -218,6 +244,23 @@ class TestPipelineCommand:
         assert field in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "text,field",
+        [
+            ('{"bev": {"z_range": [1]}}', "z_range"),
+            ('{"bev": {"z_range": [1, 2, 3]}}', "z_range"),
+            ('{"scene": {"detection_range_z": [1]}}', "detection_range_z"),
+            ('{"scene": {"detection_range_z": [-5, 1, 3]}}', "detection_range_z"),
+        ],
+    )
+    def test_pair_of_wrong_length_exits_1_naming_field(self, tmp_path, capsys, text, field):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["pipeline", "--config", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert field in err and "2 entries" in err
+        assert "Traceback" not in err
+
     def test_negative_seed_flag_exits_1(self, capsys):
         assert main(["pipeline", "--seed", "-1"]) == 1
         assert "seed" in capsys.readouterr().err
@@ -271,6 +314,103 @@ class TestSelfcheckCommand:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert "oracle suites passed" in out
+
+
+def _oracle(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1]
+EDGE_STRINGS = ["", "caf\u00e9", "\u2028\U0001f600", "\x00\x1f\"\\\n\t"]
+
+
+def _float_row(draw_args):
+    # A row of finite floats with at most one intruder (an int, a NaN, ...),
+    # which must send the row off the all-float fast path.
+    row, intruder, pos = draw_args
+    return row[:pos] + intruder + row[pos:]
+
+
+FLOAT_ROWS = st.tuples(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12),
+    st.sampled_from([[], [7], [math.nan], [-math.inf], [True], [None], [2**70]]),
+    st.integers(0, 12),
+).map(_float_row)
+
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**63, max_value=2**200),
+    st.integers(min_value=-(2**200), max_value=-(2**63) - 1),
+    st.floats(),
+    st.sampled_from(EDGE_FLOATS),
+    st.text(),
+    st.sampled_from(EDGE_STRINGS),
+)
+
+JSON_VALUES = st.recursive(
+    st.one_of(SCALARS, FLOAT_ROWS),
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(st.one_of(st.text(), st.sampled_from(EDGE_STRINGS)), children, max_size=5),
+    ),
+    max_leaves=25,
+)
+
+
+class TestDump:
+    @settings(max_examples=200, deadline=None)
+    @given(JSON_VALUES)
+    @example([0.5, 7, 1.5])
+    @example([0.5, math.nan, 1.5])
+    @example({"a": (1.0, -0.0), "b": [], "c": {}, "d": ()})
+    @example([[5e-324, 1e16], [2**64, -(2**64)], EDGE_FLOATS, EDGE_STRINGS])
+    def test_matches_json_dumps(self, obj):
+        assert _dump(obj) == _oracle(obj)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {1: 2.0},
+            {(1, 2): 3},
+            {"a": np.int64(3)},
+            [1.0, np.int64(3)],
+            [np.float32(1.0)],
+        ],
+        ids=["int-key", "tuple-key", "np-int64-value", "np-int64-in-float-row", "np-float32"],
+    )
+    def test_unsupported_raises_type_error(self, obj):
+        with pytest.raises(TypeError):
+            _dump(obj)
+
+
+class TestJsonStdout:
+    """Every JSON-emitting command prints json.dumps(..., sort_keys=True, indent=2) + newline."""
+
+    @staticmethod
+    def _assert_canonical(out: str):
+        assert out == _oracle(json.loads(out)) + "\n"
+
+    def test_scene_commands(self, scene_path, tmp_path, capsys):
+        capsys.readouterr()
+        for argv in (
+            ["gen-scene", "--out", str(tmp_path / "g"), "--seed", "5"],
+            ["labels", "--scene", str(scene_path), "--out", str(tmp_path / "l")],
+            ["pci-stats", "--scene", str(scene_path)],
+            ["heatmap", "--scene", str(scene_path), "--out", str(tmp_path / "h")],
+        ):
+            assert main(argv) == 0
+            self._assert_canonical(capsys.readouterr().out)
+
+    def test_pipeline_timing_and_sweep(self, pipe_cfg_path, capsys):
+        for argv in (
+            ["pipeline", "--config", str(pipe_cfg_path), "--timing"],
+            ["sweep", "--config", str(pipe_cfg_path), "--toggles", "fc,ppa"],
+        ):
+            assert main(argv) == 0
+            self._assert_canonical(capsys.readouterr().out)
 
 
 class TestUsability:

@@ -46,6 +46,22 @@ GOLDEN = {
         {"scene": {"dropout_fraction": 0.5, "n_frames": 4}},
         "a0c04563ed11c08636b30722899a8c6075c2d1bcac379fdc8b22e4b262c83cfa",
     ),
+    # The CSV renderers do not go through the JSON writer; pin them apart.
+    "pipeline-default-csv": (
+        ["pipeline", "--format", "csv"],
+        None,
+        "183a7d55fa8082751dca5e91bafdf44a1a9915881883720dc0189651b21f99bc",
+    ),
+    "pipeline-dropout-csv": (
+        ["pipeline", "--format", "csv"],
+        {"scene": {"dropout_fraction": 0.5}},
+        "ef5ed1b9e90a6959700089b119cc2f8ff796c4d051341b9b0582ba20cccb1037",
+    ),
+    "sweep-fc-ppa-csv": (
+        ["sweep", "--toggles", "fc,ppa", "--format", "csv"],
+        {"scene": {"dropout_fraction": 0.5, "n_frames": 4}},
+        "789af317815d47057fa940153b035a087a3509a2fd1cbdc375e841e1f9ec3dfd",
+    ),
 }
 
 
