@@ -18,7 +18,6 @@ from .distill import (
     loss_gradient_check,
 )
 from .geometry import (
-    AugmentationParams,
     Box2D,
     Box3D,
     CameraModel,
@@ -29,8 +28,6 @@ from .geometry import (
     points_in_box,
     project_box3d_to_box2d,
     project_point,
-    sample_augmentation,
-    transform_box2d,
 )
 from .labels import (
     DepthBinConfig,

@@ -1,4 +1,4 @@
-"""Portable graymap and flat-binary array export.
+"""Portable graymap, flat-binary and CSV export.
 
 Conventions (also documented in the README):
 
@@ -7,6 +7,8 @@ Conventions (also documented in the README):
 * Probability rasters store value * 65535.
 * Flat binaries are little-endian float64 in C order, with a JSON sidecar
   recording shape/dtype/order.
+* CSV text is a header line of column names, then one line per record with
+  each cell written as str() of the record's value.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .pci import PciReport
-
 PCI_CSV_COLUMNS = (
     "total_boxes",
     "boxes_without_points_before",
@@ -25,6 +25,14 @@ PCI_CSV_COLUMNS = (
     "boxes_assigned_pseudo",
     "boxes_unrecoverable",
 )
+RESULT_CSV_COLUMNS = (
+    "loss",
+    "included_cells",
+    *PCI_CSV_COLUMNS,
+    "msfe_fused_l2",
+    "msfe_heatmap_focal_loss",
+)
+SWEEP_CSV_COLUMNS = ("toggles", "loss", "included_cells", *PCI_CSV_COLUMNS)
 
 
 def depth_to_u16(depth_m: np.ndarray) -> np.ndarray:
@@ -83,9 +91,8 @@ def load_array(path_base) -> np.ndarray:
     return flat.reshape(header["shape"])
 
 
-def pci_report_csv(report: PciReport, header: bool = True) -> str:
-    """Render a report as CSV text in the documented column order."""
-    row = ",".join(str(getattr(report, col)) for col in PCI_CSV_COLUMNS)
-    if header:
-        return ",".join(PCI_CSV_COLUMNS) + "\n" + row + "\n"
-    return row + "\n"
+def csv_text(columns: tuple[str, ...], records: list[dict]) -> str:
+    """Render records (mappings holding every column) as CSV text in column order."""
+    lines = [",".join(columns)]
+    lines += [",".join(str(rec[col]) for col in columns) for rec in records]
+    return "\n".join(lines) + "\n"

@@ -24,9 +24,12 @@ from pathlib import Path
 import numpy as np
 
 from .arrayio import (
+    PCI_CSV_COLUMNS,
+    RESULT_CSV_COLUMNS,
+    SWEEP_CSV_COLUMNS,
+    csv_text,
     depth_to_u16,
     occupancy_to_u16,
-    pci_report_csv,
     prob_to_u16,
     save_array,
     write_pgm16,
@@ -38,12 +41,9 @@ from .pipeline import (
     PipelineConfig,
     PipelineStageError,
     ablation_sweep,
-    apply_overrides,
     config_from_dict,
-    result_summary_csv,
     run_pipeline,
     section_from_dict,
-    sweep_table,
 )
 from .scene import SceneConfig, generate_scene, load_scene, save_scene
 from .selfcheck import run_selfcheck
@@ -204,6 +204,8 @@ def _cmd_gen_scene(args) -> int:
 
 
 def _cmd_labels(args) -> int:
+    if args.stride < 1:
+        raise ValueError(f"--stride must be >= 1, got {args.stride}")
     scene = load_scene(_resolve_input(args.scene))
     frame = scene.current
     if not 0 <= args.cam < len(frame.cameras):
@@ -241,15 +243,17 @@ def _cmd_pci_stats(args) -> int:
     for flag, value in (("--d-min", args.d_min), ("--d-max", args.d_max)):
         if not math.isfinite(value):
             raise ValueError(f"{flag} must be a finite number, got {value}")
+    if args.d_max <= args.d_min:
+        raise ValueError(f"--d-max ({args.d_max}) must exceed --d-min ({args.d_min})")
     combined = frame_combination(frame, scene.past)
     pseudo = pseudo_point_assignment(
         combined, frame.boxes, frame.cameras[args.cam], (args.d_min, args.d_max)
     )
-    report = pci_statistics(frame, combined, pseudo)
+    report = dataclasses.asdict(pci_statistics(frame, combined, pseudo))
     if args.format == "csv":
-        print(pci_report_csv(report), end="")
+        print(csv_text(PCI_CSV_COLUMNS, [report]), end="")
     else:
-        print(_dump(dataclasses.asdict(report)))
+        print(_dump(report))
     return 0
 
 
@@ -287,17 +291,13 @@ def _cmd_heatmap(args) -> int:
 
 
 def _pipeline_config(args) -> PipelineConfig:
-    cfg = config_from_dict(_load_json(args.config)) if args.config else PipelineConfig()
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.encoder_kind is not None:
-        overrides["encoder_kind"] = args.encoder_kind
-    if args.seg_threshold is not None:
-        overrides["seg_threshold"] = args.seg_threshold
-    if args.beta is not None:
-        overrides["beta"] = args.beta
-    return apply_overrides(cfg, overrides)
+    """The config file's values with the given flags put over them, built in one call."""
+    data = _load_json(args.config) if args.config else {}
+    for key in ("seed", "encoder_kind", "seg_threshold", "beta"):
+        value = getattr(args, key)
+        if value is not None:
+            data[key] = value
+    return config_from_dict(data)
 
 
 def _cmd_pipeline(args) -> int:
@@ -315,7 +315,14 @@ def _cmd_pipeline(args) -> int:
             write_pgm16(out_dir / f"{name}.pgm", occupancy_to_u16(occ))
             save_array(out_dir / name, occ)
     if args.format == "csv":
-        print(result_summary_csv(result), end="")
+        record = {
+            "loss": result.loss,
+            "included_cells": result.included_cells,
+            **dataclasses.asdict(result.pci_report),
+            "msfe_fused_l2": result.msfe_metrics["fused_l2"],
+            "msfe_heatmap_focal_loss": result.msfe_metrics["heatmap_focal_loss"],
+        }
+        print(csv_text(RESULT_CSV_COLUMNS, [record]), end="")
     else:
         print(_dump(result.to_dict(include_timing=args.timing)))
     return 0
@@ -330,11 +337,15 @@ def _cmd_sweep(args) -> int:
                 f"unknown toggle {name!r}; available: {sorted(SWEEP_TOGGLES)}"
             )
         field_name, on_value = SWEEP_TOGGLES[name]
-        base = apply_overrides(base, {field_name: not on_value})
+        base = dataclasses.replace(base, **{field_name: not on_value})
         toggles.append((name, {field_name: on_value}))
     rows = ablation_sweep(base, toggles)
     if args.format == "csv":
-        print(sweep_table(rows), end="")
+        records = [
+            {**row, **row["pci_report"], "toggles": "+".join(row["toggles"]) or "(base)"}
+            for row in rows
+        ]
+        print(csv_text(SWEEP_CSV_COLUMNS, records), end="")
     else:
         print(_dump(rows))
     return 0

@@ -1,4 +1,4 @@
-"""Rigid transforms, pinhole cameras, oriented 3D boxes, and augmentation sampling.
+"""Rigid transforms, pinhole cameras, oriented 3D boxes and point clouds.
 
 Everything here is a pure function over immutable values. Coordinate
 conventions:
@@ -19,13 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 ORTHONORMAL_TOL = 1e-9
-
-# Augmentation ranges (image scale/rotation, BEV rotation/scale).
-IMAGE_SCALE_RANGE = (0.5, 1.25)
-IMAGE_ROTATE_RANGE = (-math.radians(5.4), math.radians(5.4))
-BEV_ROTATE_RANGE = (-math.radians(22.5), math.radians(22.5))
-BEV_SCALE_RANGE = (0.95, 1.05)
-FLIP_PROBABILITY = 0.5
 
 
 def _as_vector(x, n, name):
@@ -166,13 +159,6 @@ def project_points_unbounded(cam: CameraModel, points: np.ndarray):
     u = np.where(bad, np.nan, u)
     v = np.where(bad, np.nan, v)
     return np.stack([u, v], axis=1), z
-
-
-def back_project(cam: CameraModel, u: float, v: float, depth: float) -> np.ndarray:
-    """Inverse of the pinhole map: pixel + depth back to an ego-frame point."""
-    x = (u - cam.cx) / cam.fx * depth
-    y = (v - cam.cy) / cam.fy * depth
-    return cam.cam_to_ego.apply(np.array([x, y, depth]))
 
 
 @dataclass(frozen=True)
@@ -322,96 +308,3 @@ class PointCloud:
             raise ValueError(
                 f"point cloud is in frame {self.frame_tag!r}, expected {expected!r}"
             )
-
-
-@dataclass(frozen=True)
-class AugmentationParams:
-    """Geometric augmentation parameters for image-plane labels and BEV grids.
-
-    The dedicated sampler keeps every field within the documented ranges;
-    hand-built instances are not range-checked.
-    """
-
-    image_scale: float
-    image_flip: bool
-    image_rotate: float
-    bev_rotate: float
-    bev_scale: float
-    bev_flip_x: bool
-    bev_flip_y: bool
-
-    def image_affine(self, width: int, height: int) -> np.ndarray:
-        """3x3 homogeneous map for image-plane label coordinates.
-
-        Order: scale about the origin, then horizontal flip about the image
-        vertical centerline, then rotation about the image center.
-        """
-        s = np.diag([self.image_scale, self.image_scale, 1.0])
-        f = np.eye(3)
-        if self.image_flip:
-            f[0, 0] = -1.0
-            f[0, 2] = width - 1.0
-        cx, cy = (width - 1) / 2.0, (height - 1) / 2.0
-        c, sn = math.cos(self.image_rotate), math.sin(self.image_rotate)
-        r = np.array(
-            [
-                [c, -sn, cx - c * cx + sn * cy],
-                [sn, c, cy - sn * cx - c * cy],
-                [0.0, 0.0, 1.0],
-            ]
-        )
-        return r @ f @ s
-
-    def bev_affine(self, grid_h: int, grid_w: int) -> np.ndarray:
-        """3x3 homogeneous map for BEV cell coordinates (col, row).
-
-        Order: rotation about the grid center, scale about the center, then
-        the independent axis flips.
-        """
-        cx, cy = (grid_w - 1) / 2.0, (grid_h - 1) / 2.0
-
-        def about_center(m2):
-            m = np.eye(3)
-            m[:2, :2] = m2
-            m[:2, 2] = np.array([cx, cy]) - m2 @ np.array([cx, cy])
-            return m
-
-        c, s = math.cos(self.bev_rotate), math.sin(self.bev_rotate)
-        rot = about_center(np.array([[c, -s], [s, c]]))
-        scale = about_center(np.diag([self.bev_scale, self.bev_scale]))
-        fx = about_center(np.diag([-1.0, 1.0])) if self.bev_flip_x else np.eye(3)
-        fy = about_center(np.diag([1.0, -1.0])) if self.bev_flip_y else np.eye(3)
-        return fy @ fx @ scale @ rot
-
-
-def transform_box2d(matrix: np.ndarray, box: Box2D) -> Box2D:
-    """Map a pixel rectangle through a 3x3 homogeneous affine and re-bound it.
-
-    Used to draw label rasters at the augmented image geometry: transform
-    the four corners, then take their axis-aligned bounds.
-    """
-    corners = np.array(
-        [
-            [box.x1, box.y1, 1.0],
-            [box.x2, box.y1, 1.0],
-            [box.x1, box.y2, 1.0],
-            [box.x2, box.y2, 1.0],
-        ]
-    )
-    moved = corners @ np.asarray(matrix, dtype=np.float64).T
-    xs, ys = moved[:, 0], moved[:, 1]
-    return Box2D(xs.min(), ys.min(), xs.max(), ys.max())
-
-
-def sample_augmentation(rng_seed: int) -> AugmentationParams:
-    """Deterministically sample augmentation parameters within the standard ranges."""
-    rng = np.random.default_rng(rng_seed)
-    return AugmentationParams(
-        image_scale=float(rng.uniform(*IMAGE_SCALE_RANGE)),
-        image_flip=bool(rng.random() < FLIP_PROBABILITY),
-        image_rotate=float(rng.uniform(*IMAGE_ROTATE_RANGE)),
-        bev_rotate=float(rng.uniform(*BEV_ROTATE_RANGE)),
-        bev_scale=float(rng.uniform(*BEV_SCALE_RANGE)),
-        bev_flip_x=bool(rng.random() < FLIP_PROBABILITY),
-        bev_flip_y=bool(rng.random() < FLIP_PROBABILITY),
-    )

@@ -53,9 +53,6 @@ class DepthBinConfig:
     def n_bins(self) -> int:
         return math.ceil((self.d_max - self.d_min) / self.bin_size)
 
-    def bin_center(self, index: int) -> float:
-        return self.d_min + (index + 0.5) * self.bin_size
-
     def bin_centers(self) -> np.ndarray:
         return self.d_min + (np.arange(self.n_bins) + 0.5) * self.bin_size
 

@@ -83,10 +83,6 @@ class PipelineConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
-def config_to_dict(cfg: PipelineConfig) -> dict:
-    return dataclasses.asdict(cfg)
-
-
 def _finite(value, name: str) -> float:
     """value as a float; NaN, infinities and ints beyond float range are rejected."""
     try:
@@ -331,31 +327,10 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     )
 
 
-def _apply_override(cfg: PipelineConfig, key: str, value) -> PipelineConfig:
-    """Replace one field, supporting one level of section nesting ('scene.n_boxes')."""
-    if "." in key:
-        section, inner = key.split(".", 1)
-        sub = getattr(cfg, section, None)
-        if sub is None or not dataclasses.is_dataclass(sub):
-            raise ValueError(f"unknown config section {section!r} in override {key!r}")
-        if inner not in {f.name for f in dataclasses.fields(sub)}:
-            raise ValueError(f"unknown field {inner!r} in config section {section!r}")
-        return dataclasses.replace(cfg, **{section: dataclasses.replace(sub, **{inner: value})})
-    if key not in {f.name for f in dataclasses.fields(PipelineConfig)}:
-        raise ValueError(f"unknown config field {key!r} in override")
-    return dataclasses.replace(cfg, **{key: value})
-
-
-def apply_overrides(cfg: PipelineConfig, overrides: dict) -> PipelineConfig:
-    for key, value in overrides.items():
-        cfg = _apply_override(cfg, key, value)
-    return cfg
-
-
 def ablation_sweep(
     base: PipelineConfig, toggles: list[tuple[str, dict]]
 ) -> list[dict]:
-    """Run every on/off combination of the named config deltas.
+    """Run every on/off combination of the named config deltas ({field: value}).
 
     Row order enumerates subset bitmasks 0..2^n-1 with toggle k on bit k, so
     the base configuration always comes first. Each row records the applied
@@ -371,7 +346,7 @@ def ablation_sweep(
         for k, (name, delta) in enumerate(toggles):
             if mask >> k & 1:
                 names.append(name)
-                cfg = apply_overrides(cfg, delta)
+                cfg = dataclasses.replace(cfg, **delta)
         key = dataclasses.replace(cfg, fc_enabled=False, ppa_enabled=False)
         if key not in prepared:
             prepared[key] = prepare(cfg, {})
@@ -385,51 +360,3 @@ def ablation_sweep(
             }
         )
     return rows
-
-
-RESULT_CSV_COLUMNS = (
-    "loss",
-    "included_cells",
-    "total_boxes",
-    "boxes_without_points_before",
-    "boxes_without_points_after_fc",
-    "boxes_assigned_pseudo",
-    "boxes_unrecoverable",
-    "msfe_fused_l2",
-    "msfe_heatmap_focal_loss",
-)
-
-
-def result_summary_csv(result: PipelineResult, header: bool = True) -> str:
-    """One-row CSV summary of a pipeline run (occupancy grids omitted)."""
-    rec = {
-        "loss": result.loss,
-        "included_cells": result.included_cells,
-        **dataclasses.asdict(result.pci_report),
-        "msfe_fused_l2": result.msfe_metrics.get("fused_l2"),
-        "msfe_heatmap_focal_loss": result.msfe_metrics.get("heatmap_focal_loss"),
-    }
-    row = ",".join(str(rec[c]) for c in RESULT_CSV_COLUMNS)
-    if header:
-        return ",".join(RESULT_CSV_COLUMNS) + "\n" + row + "\n"
-    return row + "\n"
-
-
-def sweep_table(rows: list[dict]) -> str:
-    """Render sweep rows as CSV with a stable column order."""
-    cols = (
-        "toggles",
-        "loss",
-        "included_cells",
-        "total_boxes",
-        "boxes_without_points_before",
-        "boxes_without_points_after_fc",
-        "boxes_assigned_pseudo",
-        "boxes_unrecoverable",
-    )
-    lines = [",".join(cols)]
-    for row in rows:
-        rec = {**row, **row["pci_report"]}
-        rec["toggles"] = "+".join(row["toggles"]) or "(base)"
-        lines.append(",".join(str(rec[c]) for c in cols))
-    return "\n".join(lines) + "\n"

@@ -138,17 +138,6 @@ class Frustum:
         for r, c, b, p in zip(self.rows, self.cols, self.bins, self.points):
             yield (int(r), int(c)), int(b), p
 
-    def subset(self, mask: np.ndarray) -> "Frustum":
-        """Restrict to a boolean mask of entries, preserving order."""
-        return Frustum(
-            self.rows[mask],
-            self.cols[mask],
-            self.bins[mask],
-            self.points[mask],
-            self.feature_shape,
-            self.n_bins,
-        )
-
 
 def build_frustum(cam: CameraModel, bin_cfg: DepthBinConfig, feature_stride: int) -> Frustum:
     """Back-project every (feature cell, depth bin) pair at its bin-center depth.

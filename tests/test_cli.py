@@ -6,7 +6,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fgbev.arrayio import load_array, read_pgm16, save_array, write_pgm16
+from fgbev.arrayio import (
+    PCI_CSV_COLUMNS,
+    RESULT_CSV_COLUMNS,
+    SWEEP_CSV_COLUMNS,
+    load_array,
+    read_pgm16,
+    save_array,
+    write_pgm16,
+)
 from fgbev.cli import _dump, main
 
 SCENE_CFG = {
@@ -135,6 +143,15 @@ class TestLabelsCommand:
         assert field in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("stride", ["0", "-16"])
+    def test_non_positive_stride_exits_1(self, scene_path, tmp_path, capsys, stride):
+        argv = ["labels", "--scene", str(scene_path), "--out", str(tmp_path / "l")]
+        assert main(argv + ["--stride", stride]) == 1
+        captured = capsys.readouterr()
+        assert "--stride" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
 
 class TestPciStatsCommand:
     def test_json_format(self, scene_path, capsys):
@@ -157,6 +174,15 @@ class TestPciStatsCommand:
         assert main(["pci-stats", "--scene", str(scene_path), flag, "nan"]) == 1
         captured = capsys.readouterr()
         assert flag in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("d_min,d_max", [("60", "1"), ("5", "5")])
+    def test_inverted_range_exits_1(self, scene_path, capsys, d_min, d_max):
+        argv = ["pci-stats", "--scene", str(scene_path), "--d-min", d_min, "--d-max", d_max]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "--d-min" in captured.err and "--d-max" in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
@@ -205,12 +231,22 @@ class TestPipelineCommand:
         result = json.loads(capsys.readouterr().out)
         assert "timing" in result
 
-    def test_flag_overrides_config(self, pipe_cfg_path, capsys):
-        assert main(["pipeline", "--config", str(pipe_cfg_path), "--seed", "123"]) == 0
-        a = capsys.readouterr().out
-        assert main(["pipeline", "--config", str(pipe_cfg_path)]) == 0
-        b = capsys.readouterr().out
-        assert a != b
+    def test_flag_overrides_config(self, tmp_path, capsys):
+        def stdout(config, *flags):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            assert main(["pipeline", "--config", str(path), *flags]) == 0
+            return capsys.readouterr().out
+
+        for flag, key, file_value, flag_value in [
+            ("--seed", "seed", 9, 123),
+            ("--encoder-kind", "encoder_kind", "identity", "box_blur"),
+            ("--seg-threshold", "seg_threshold", 0.25, 0.0),
+            ("--beta", "beta", 0.1, 0.3),
+        ]:
+            flagged = stdout({**PIPE_CFG, key: file_value}, flag, str(flag_value))
+            assert flagged != stdout({**PIPE_CFG, key: file_value}), flag
+            assert flagged == stdout({**PIPE_CFG, key: flag_value}), flag
 
     def test_defaults_without_config(self, capsys):
         # Full-size default run; also serves as a coarse performance smoke.
@@ -306,6 +342,52 @@ class TestSweepCommand:
         rc = main(["sweep", "--config", str(pipe_cfg_path), "--toggles", "msfe"])
         assert rc == 1
         assert "msfe" in capsys.readouterr().err
+
+
+class TestCsvMatchesJson:
+    """Each CSV cell is str() of the matching field in the same command's JSON output."""
+
+    @staticmethod
+    def _outputs(argv, capsys):
+        assert main(argv + ["--format", "csv"]) == 0
+        header, *lines = capsys.readouterr().out.splitlines()
+        columns = tuple(header.split(","))
+        rows = [dict(zip(columns, line.split(","))) for line in lines]
+        assert main(argv + ["--format", "json"]) == 0
+        return columns, rows, json.loads(capsys.readouterr().out)
+
+    @staticmethod
+    def _assert_cells(row, fields, columns):
+        assert len(row) == len(columns)
+        for col in columns:
+            assert row[col] == str(fields[col]), col
+
+    def test_pipeline(self, pipe_cfg_path, capsys):
+        argv = ["pipeline", "--config", str(pipe_cfg_path), "--seed", "0"]
+        columns, rows, result = self._outputs(argv, capsys)
+        assert columns == RESULT_CSV_COLUMNS and len(rows) == 1
+        fields = {**result, **result["pci_report"]}
+        fields.update({f"msfe_{k}": v for k, v in result["msfe"].items()})
+        self._assert_cells(rows[0], fields, columns)
+
+    def test_sweep(self, pipe_cfg_path, capsys):
+        argv = ["sweep", "--config", str(pipe_cfg_path), "--toggles", "fc,ppa", "--seed", "0"]
+        columns, rows, results = self._outputs(argv, capsys)
+        assert columns == SWEEP_CSV_COLUMNS and len(rows) == len(results) == 4
+        for row, result in zip(rows, results):
+            fields = {**result, **result["pci_report"]}
+            fields["toggles"] = "+".join(result["toggles"]) or "(base)"
+            self._assert_cells(row, fields, columns)
+
+    def test_pci_stats(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(SCENE_CFG))
+        assert main(["gen-scene", "--config", str(cfg), "--out", str(tmp_path), "--seed", "0"]) == 0
+        capsys.readouterr()
+        argv = ["pci-stats", "--scene", str(tmp_path / "scene.json")]
+        columns, rows, report = self._outputs(argv, capsys)
+        assert columns == PCI_CSV_COLUMNS and len(rows) == 1
+        self._assert_cells(rows[0], report, columns)
 
 
 class TestSelfcheckCommand:

@@ -6,23 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fgbev.geometry import (
-    AugmentationParams,
-    BEV_ROTATE_RANGE,
-    BEV_SCALE_RANGE,
     Box2D,
     Box3D,
     CameraModel,
-    IMAGE_ROTATE_RANGE,
-    IMAGE_SCALE_RANGE,
     PointCloud,
     RigidTransform,
-    back_project,
     box3d_corners,
     point_in_box,
     points_in_box,
     project_box3d_to_box2d,
     project_point,
-    sample_augmentation,
 )
 from fgbev import oracles
 
@@ -74,18 +67,24 @@ class TestProjectPoint:
             120.0, 95.0, 31.5, 23.5,
             RigidTransform.from_yaw(0.4, (0.3, -0.2, 1.1)), 64, 48,
         )
+
+        def back_project(u, v, depth):
+            x = (u - cam.cx) / cam.fx * depth
+            y = (v - cam.cy) / cam.fy * depth
+            return cam.cam_to_ego.apply(np.array([x, y, depth]))
+
         hits = 0
         for _ in range(500):
             # Build the point inside the frustum: pick a pixel and a depth.
             z = rng.uniform(0.5, 40.0)
             u0 = rng.uniform(0, cam.image_width - 1)
             v0 = rng.uniform(0, cam.image_height - 1)
-            p = back_project(cam, u0, v0, z)
+            p = back_project(u0, v0, z)
             res = project_point(cam, p)
             assert res is not None
             hits += 1
             u, v, d = res
-            assert np.allclose(back_project(cam, u, v, d), p, atol=1e-6)
+            assert np.allclose(back_project(u, v, d), p, atol=1e-6)
         assert hits == 500
 
 
@@ -232,53 +231,3 @@ class TestValidation:
         pc.require_tag("frame-0")
         with pytest.raises(ValueError, match="frame-1"):
             pc.require_tag("frame-1")
-
-
-class TestAugmentation:
-    def test_ranges_hold(self):
-        for seed in range(300):
-            p = sample_augmentation(seed)
-            assert IMAGE_SCALE_RANGE[0] <= p.image_scale <= IMAGE_SCALE_RANGE[1]
-            assert IMAGE_ROTATE_RANGE[0] <= p.image_rotate <= IMAGE_ROTATE_RANGE[1]
-            assert BEV_ROTATE_RANGE[0] <= p.bev_rotate <= BEV_ROTATE_RANGE[1]
-            assert BEV_SCALE_RANGE[0] <= p.bev_scale <= BEV_SCALE_RANGE[1]
-
-    def test_deterministic(self):
-        assert sample_augmentation(99) == sample_augmentation(99)
-
-    def test_flips_actually_vary(self):
-        flips = {sample_augmentation(s).image_flip for s in range(40)}
-        assert flips == {True, False}
-
-    def test_image_affine_identity_for_neutral_params(self):
-        p = AugmentationParams(1.0, False, 0.0, 0.0, 1.0, False, False)
-        assert np.allclose(p.image_affine(704, 256), np.eye(3))
-
-    def test_image_affine_flip_maps_edges(self):
-        p = AugmentationParams(1.0, True, 0.0, 0.0, 1.0, False, False)
-        m = p.image_affine(100, 60)
-        assert np.allclose(m @ np.array([0.0, 7.0, 1.0]), (99.0, 7.0, 1.0))
-
-    def test_bev_affine_preserves_center(self):
-        p = sample_augmentation(5)
-        m = p.bev_affine(128, 128)
-        center = np.array([63.5, 63.5, 1.0])
-        assert np.allclose(m @ center, center, atol=1e-9)
-
-    def test_transform_box2d_under_flip(self):
-        from fgbev.geometry import transform_box2d
-
-        p = AugmentationParams(1.0, True, 0.0, 0.0, 1.0, False, False)
-        m = p.image_affine(100, 60)
-        box = Box2D(10.0, 5.0, 30.0, 25.0)
-        moved = transform_box2d(m, box)
-        assert (moved.x1, moved.x2) == (69.0, 89.0)
-        assert (moved.y1, moved.y2) == (5.0, 25.0)
-
-    def test_transform_box2d_scale(self):
-        from fgbev.geometry import transform_box2d
-
-        p = AugmentationParams(0.5, False, 0.0, 0.0, 1.0, False, False)
-        m = p.image_affine(100, 60)
-        moved = transform_box2d(m, Box2D(10.0, 4.0, 30.0, 24.0))
-        assert (moved.x1, moved.y1, moved.x2, moved.y2) == (5.0, 2.0, 15.0, 12.0)

@@ -76,6 +76,15 @@ LARGE = {
 LARGE_DIGEST = "fc6b05d699cb88e8b6f8b5a78a274c9f13a7e9bb36526837268c7741e810cef0"
 
 
+# pci-stats on the seed-0 scene with dropout_fraction 0.5, where the CSV row
+# reads 12,5,3,1,2: 12 boxes, 5 empty, 3 still empty after frame combination,
+# 1 given pseudo points and 2 unrecoverable.
+PCI_STATS_GOLDEN = {
+    "csv": "1f4183c58b392dce243953149b377529837a8fb5aa09a9bd309601b75bfa4b22",
+    "json": "97bda63e8b3664af33ed3a08181dd3f3e6722df57558071fd0a19172170a2321",
+}
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_stdout_digest(name, tmp_path, capsys):
     argv, config, digest = GOLDEN[name]
@@ -86,6 +95,17 @@ def test_stdout_digest(name, tmp_path, capsys):
     assert main(argv + ["--seed", "0"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fmt", sorted(PCI_STATS_GOLDEN))
+def test_pci_stats_digest(fmt, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"dropout_fraction": 0.5}))
+    assert main(["gen-scene", "--config", str(config), "--out", str(tmp_path), "--seed", "0"]) == 0
+    capsys.readouterr()
+    assert main(["pci-stats", "--scene", str(tmp_path / "scene.json"), "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PCI_STATS_GOLDEN[fmt]
 
 
 def test_large_result_digest():

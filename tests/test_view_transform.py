@@ -164,8 +164,15 @@ class TestSaBevPool:
         ctx = ContextFeatureMap(rng.normal(0, 1, (4, 8, 3)))
         mask = rng.random(len(frustum)) < 0.5
         whole = sa_bev_pool(ctx, depth, seg, frustum, bev, 0.2)
-        first = sa_bev_pool(ctx, depth, seg, frustum.subset(mask), bev, 0.2)
-        second = sa_bev_pool(ctx, depth, seg, frustum.subset(~mask), bev, 0.2)
+
+        def part(m):
+            f = frustum
+            return Frustum(
+                f.rows[m], f.cols[m], f.bins[m], f.points[m], f.feature_shape, f.n_bins
+            )
+
+        first = sa_bev_pool(ctx, depth, seg, part(mask), bev, 0.2)
+        second = sa_bev_pool(ctx, depth, seg, part(~mask), bev, 0.2)
         assert np.allclose(whole.values, first.values + second.values, atol=1e-9)
 
     def test_threshold_monotonicity(self):
