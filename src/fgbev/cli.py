@@ -34,6 +34,9 @@ from .arrayio import (
     save_array,
     write_pgm16,
 )
+from .config import from_dict
+from .distill import ENCODERS
+from .geometry import CameraModel, project_box3d_to_box2d
 from .labels import DepthBinConfig, generate_hard_labels
 from .msfe import elliptical_gaussian_heatmap, threshold_filter
 from .pci import frame_combination, pci_statistics, pseudo_point_assignment
@@ -43,12 +46,19 @@ from .pipeline import (
     ablation_sweep,
     config_from_dict,
     run_pipeline,
-    section_from_dict,
 )
-from .scene import SceneConfig, generate_scene, load_scene, save_scene
+from .scene import Scene, SceneConfig, generate_scene, load_scene, save_scene
 from .selfcheck import run_selfcheck
 
 CONFIG_DIR_ENV = "FGBEV_CONFIG_DIR"
+
+# PipelineConfig fields that `pipeline` and `sweep` also take as flags, e.g. --encoder-kind.
+CONFIG_FLAGS = {
+    "seed": dict(type=int, help="override the pipeline seed"),
+    "encoder_kind": dict(choices=tuple(ENCODERS)),
+    "seg_threshold": dict(type=float, help="override the pooling gate"),
+    "beta": dict(type=float, help="override the heatmap threshold"),
+}
 
 SWEEP_TOGGLES = {
     "fc": ("fc_enabled", True),
@@ -163,27 +173,25 @@ def _load_json(path_str: str) -> dict:
     return data
 
 
-def _scene_config_from_file(path_str: str | None) -> tuple[SceneConfig, int | None]:
-    """(config, seed-from-file) for gen-scene; everything defaults when no file."""
-    if path_str is None:
-        return SceneConfig(), None
-    data = _load_json(path_str)
-    seed = data.pop("seed", None)
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-        raise ValueError(f"field 'seed' in scene config must be an integer, got {seed!r}")
-    return section_from_dict(SceneConfig, data, "scene"), seed
-
-
-def _bin_cfg_from_args(args) -> DepthBinConfig:
-    return DepthBinConfig(d_min=args.d_min, d_max=args.d_max, bin_size=args.bin_size)
+def _scene_and_camera(args) -> tuple[Scene, CameraModel]:
+    """The --scene file and its current frame's camera number --cam."""
+    scene = load_scene(_resolve_input(args.scene))
+    cameras = scene.current.cameras
+    if not 0 <= args.cam < len(cameras):
+        raise ValueError(f"camera index {args.cam} out of range (scene has {len(cameras)})")
+    return scene, cameras[args.cam]
 
 
 def _cmd_gen_scene(args) -> int:
-    cfg, file_seed = _scene_config_from_file(args.config)
+    data = _load_json(args.config) if args.config else {}
+    file_seed = data.pop("seed", None)
+    if file_seed is not None and (isinstance(file_seed, bool) or not isinstance(file_seed, int)):
+        raise ValueError(f"scene config seed must be an integer, got {type(file_seed).__name__}")
+    cfg = from_dict(SceneConfig, data, "scene config")
     seed = args.seed if args.seed is not None else (file_seed if file_seed is not None else 0)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    scene = generate_scene(cfg, int(seed))
+    scene = generate_scene(cfg, seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "scene.json"
@@ -206,12 +214,9 @@ def _cmd_gen_scene(args) -> int:
 def _cmd_labels(args) -> int:
     if args.stride < 1:
         raise ValueError(f"--stride must be >= 1, got {args.stride}")
-    scene = load_scene(_resolve_input(args.scene))
+    scene, cam = _scene_and_camera(args)
     frame = scene.current
-    if not 0 <= args.cam < len(frame.cameras):
-        raise ValueError(f"camera index {args.cam} out of range (scene has {len(frame.cameras)})")
-    cam = frame.cameras[args.cam]
-    bin_cfg = _bin_cfg_from_args(args)
+    bin_cfg = DepthBinConfig(d_min=args.d_min, d_max=args.d_max, bin_size=args.bin_size)
     hard = generate_hard_labels(frame.lidar, frame.boxes, cam, bin_cfg, args.stride)
 
     out_dir = Path(args.out)
@@ -236,19 +241,15 @@ def _cmd_labels(args) -> int:
 
 
 def _cmd_pci_stats(args) -> int:
-    scene = load_scene(_resolve_input(args.scene))
+    scene, cam = _scene_and_camera(args)
     frame = scene.current
-    if not 0 <= args.cam < len(frame.cameras):
-        raise ValueError(f"camera index {args.cam} out of range (scene has {len(frame.cameras)})")
     for flag, value in (("--d-min", args.d_min), ("--d-max", args.d_max)):
         if not math.isfinite(value):
             raise ValueError(f"{flag} must be a finite number, got {value}")
     if args.d_max <= args.d_min:
         raise ValueError(f"--d-max ({args.d_max}) must exceed --d-min ({args.d_min})")
     combined = frame_combination(frame, scene.past)
-    pseudo = pseudo_point_assignment(
-        combined, frame.boxes, frame.cameras[args.cam], (args.d_min, args.d_max)
-    )
+    pseudo = pseudo_point_assignment(combined, frame.boxes, cam, (args.d_min, args.d_max))
     report = dataclasses.asdict(pci_statistics(frame, combined, pseudo))
     if args.format == "csv":
         print(csv_text(PCI_CSV_COLUMNS, [report]), end="")
@@ -258,13 +259,8 @@ def _cmd_pci_stats(args) -> int:
 
 
 def _cmd_heatmap(args) -> int:
-    from .geometry import project_box3d_to_box2d
-
-    scene = load_scene(_resolve_input(args.scene))
+    scene, cam = _scene_and_camera(args)
     frame = scene.current
-    if not 0 <= args.cam < len(frame.cameras):
-        raise ValueError(f"camera index {args.cam} out of range (scene has {len(frame.cameras)})")
-    cam = frame.cameras[args.cam]
     if not 0.0 <= args.beta <= 1.0:
         raise ValueError(f"beta must be in [0, 1], got {args.beta}")
     rects = [project_box3d_to_box2d(cam, b) for b in frame.boxes]
@@ -293,7 +289,7 @@ def _cmd_heatmap(args) -> int:
 def _pipeline_config(args) -> PipelineConfig:
     """The config file's values with the given flags put over them, built in one call."""
     data = _load_json(args.config) if args.config else {}
-    for key in ("seed", "encoder_kind", "seg_threshold", "beta"):
+    for key in CONFIG_FLAGS:
         value = getattr(args, key)
         if value is not None:
             data[key] = value
@@ -404,10 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="run one frame end to end and print the result")
     p.add_argument("--config", help="pipeline config JSON")
-    p.add_argument("--seed", type=int, help="override the pipeline seed")
-    p.add_argument("--encoder-kind", choices=("identity", "box_blur"))
-    p.add_argument("--seg-threshold", type=float, help="override the pooling gate")
-    p.add_argument("--beta", type=float, help="override the heatmap threshold")
     p.add_argument(
         "--timing", action="store_true", help="include stage timings in the JSON output"
     )
@@ -425,11 +417,10 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"comma-separated toggle names from {sorted(SWEEP_TOGGLES)}",
     )
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--seed", type=int, help="override the pipeline seed")
-    p.add_argument("--encoder-kind", choices=("identity", "box_blur"))
-    p.add_argument("--seg-threshold", type=float)
-    p.add_argument("--beta", type=float)
     p.set_defaults(func=_cmd_sweep)
+    for p in (sub.choices["pipeline"], sub.choices["sweep"]):
+        for key, kwargs in CONFIG_FLAGS.items():
+            p.add_argument("--" + key.replace("_", "-"), **kwargs)
 
     p = sub.add_parser("selfcheck", help="run the oracle comparison suites")
     p.add_argument("--seed", type=int, default=20240)

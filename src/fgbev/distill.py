@@ -68,14 +68,15 @@ def _tap(shift: int, n: int) -> tuple[slice, slice]:
     return slice(max(0, -shift), n - max(0, shift)), slice(max(0, shift), n - max(0, -shift))
 
 
-_ENCODERS = {cls.name: cls for cls in (IdentityEncoder, BoxBlurEncoder)}
+# The encoder kinds configs and the CLI accept, by name.
+ENCODERS = {cls.name: cls for cls in (IdentityEncoder, BoxBlurEncoder)}
 
 
 def get_encoder(kind: str) -> BevEncoder:
     try:
-        return _ENCODERS[kind]()
+        return ENCODERS[kind]()
     except KeyError:
-        raise ValueError(f"unknown encoder kind {kind!r}; choose from {sorted(_ENCODERS)}")
+        raise ValueError(f"unknown encoder kind {kind!r}; choose from {sorted(ENCODERS)}")
 
 
 def encode_joint(

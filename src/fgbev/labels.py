@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import MAX_ARRAY_ELEMENTS, bounded, check_fields
 from .geometry import (
     Box3D,
     CameraModel,
@@ -32,22 +33,19 @@ class DepthBinConfig:
     to d_max fall outside the grid.
     """
 
-    d_min: float = 1.0
+    d_min: float = bounded(1.0, gt=0)
     d_max: float = 60.0
-    bin_size: float = 0.5
+    bin_size: float = bounded(0.5, gt=0)
 
     def __post_init__(self):
-        for name in ("d_min", "d_max", "bin_size"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)}")
-        if self.d_min <= 0:
-            raise ValueError(f"d_min must be positive, got {self.d_min}")
+        check_fields(self)
         if self.d_max <= self.d_min:
             raise ValueError(f"d_max ({self.d_max}) must exceed d_min ({self.d_min})")
-        if self.bin_size <= 0:
-            raise ValueError(f"bin_size must be positive, got {self.bin_size}")
+        # Checked before n_bins takes the ceil, which overflows on an infinite quotient.
+        if not (self.d_max - self.d_min) / self.bin_size <= MAX_ARRAY_ELEMENTS:
+            raise ValueError(f"bin_size {self.bin_size} gives over {MAX_ARRAY_ELEMENTS} bins")
         if self.n_bins < 2:
-            raise ValueError(f"need at least 2 depth bins, got {self.n_bins}")
+            raise ValueError("d_min, d_max and bin_size give 1 depth bin; need at least 2")
 
     @property
     def n_bins(self) -> int:

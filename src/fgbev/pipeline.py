@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distill import distillation_loss, encode_joint, get_encoder
+from .config import bounded, check_budget, check_fields, from_dict
+from .distill import ENCODERS, distillation_loss, encode_joint, get_encoder
 from .geometry import project_box3d_to_box2d
 from .labels import DepthBinConfig, DepthDistributionMap, SegmentationMap, generate_hard_labels
 from .msfe import ForegroundHeatmap, elliptical_gaussian_heatmap, gaussian_focal_loss, msfe_fuse
@@ -42,8 +42,6 @@ from .view_transform import (
 FEATURE_STRIDE = 16
 HEATMAP_STRIDE = 4
 
-ENCODER_KINDS = ("identity", "box_blur")
-
 
 class PipelineStageError(RuntimeError):
     """A component failed; the message names the stage."""
@@ -54,106 +52,46 @@ class PipelineConfig:
     scene: SceneConfig = field(default_factory=SceneConfig)
     bins: DepthBinConfig = field(default_factory=DepthBinConfig)
     bev: BevGridConfig = field(default_factory=BevGridConfig)
-    seg_threshold: float = 0.25
-    beta: float = 0.1
-    eps: float = 1e-6
+    seg_threshold: float = bounded(0.25, ge=0, le=1)
+    beta: float = bounded(0.1, ge=0, le=1)
+    eps: float = bounded(1e-6, gt=0)
     encoder_kind: str = "identity"
     fc_enabled: bool = True
     ppa_enabled: bool = True
-    seed: int = 0
-    soft_label_noise: float = 0.05
-    context_channels: int = 8
+    seed: int = bounded(0, ge=0)
+    soft_label_noise: float = bounded(0.05, ge=0, le=1)
+    context_channels: int = bounded(8, ge=1)
 
     def __post_init__(self):
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError(f"beta must be in [0, 1], got {self.beta}")
-        if not 0.0 <= self.seg_threshold <= 1.0:
-            raise ValueError(f"seg_threshold must be in [0, 1], got {self.seg_threshold}")
-        if self.eps <= 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
-        if self.encoder_kind not in ENCODER_KINDS:
+        check_fields(self)
+        if self.encoder_kind not in ENCODERS:
             raise ValueError(
-                f"encoder_kind must be one of {ENCODER_KINDS}, got {self.encoder_kind!r}"
+                f"encoder_kind must be one of {tuple(ENCODERS)}, got {self.encoder_kind!r}"
             )
-        if self.soft_label_noise < 0:
-            raise ValueError(f"soft_label_noise must be >= 0, got {self.soft_label_noise}")
-        if self.context_channels < 1:
-            raise ValueError(f"context_channels must be >= 1, got {self.context_channels}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-
-
-def _finite(value, name: str) -> float:
-    """value as a float; NaN, infinities and ints beyond float range are rejected."""
-    try:
-        out = float(value)
-    except OverflowError:
-        out = math.inf
-    if not math.isfinite(out):
-        raise ValueError(f"{name} must be a finite number, got {value}")
-    return out
-
-
-def _coerce_value(field: dataclasses.Field, value, context: str):
-    """Check/convert one JSON value against the declared field type."""
-    name = f"field {field.name!r} in {context}"
-    kind = field.type
-    if kind == "bool":
-        if not isinstance(value, bool):
-            raise ValueError(f"{name} must be a boolean, got {type(value).__name__}")
-        return value
-    if kind == "int":
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{name} must be an integer, got {type(value).__name__}")
-        return value
-    if kind == "float":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"{name} must be a number, got {type(value).__name__}")
-        return _finite(value, name)
-    if kind == "str":
-        if not isinstance(value, str):
-            raise ValueError(f"{name} must be a string, got {type(value).__name__}")
-        return value
-    if kind.startswith("tuple"):
-        if not isinstance(value, (list, tuple)) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-        ):
-            raise ValueError(f"{name} must be a list of numbers")
-        arity = kind.count(",") + 1  # "tuple[float, float]" -> 2
-        if len(value) != arity:
-            raise ValueError(f"{name} must have {arity} entries, got {len(value)}")
-        return tuple(_finite(v, name) for v in value)
-    return value
-
-
-def section_from_dict(cls, data, section: str):
-    """Build one config dataclass from untrusted JSON, naming bad fields."""
-    if not isinstance(data, dict):
-        raise ValueError(
-            f"config section {section!r} must be a JSON object, got {type(data).__name__}"
+        scene, c = self.scene, self.context_channels
+        h, w = scene.image_height, scene.image_width
+        # Only cameras[0] is lifted; surround view is not modelled yet.
+        if scene.n_cameras != 1:
+            raise ValueError(f"scene.n_cameras must be 1 for the pipeline, got {scene.n_cameras}")
+        if h % FEATURE_STRIDE or w % FEATURE_STRIDE:
+            raise ValueError(
+                f"scene.image_width x image_height ({w}x{h}) must be multiples of {FEATURE_STRIDE}"
+            )
+        check_budget(
+            h // FEATURE_STRIDE * (w // FEATURE_STRIDE) * self.bins.n_bins,
+            "depth cells of scene.image_width x image_height times bins.d_min/d_max/bin_size bins",
         )
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(data) - set(fields)
-    if unknown:
-        raise ValueError(f"unknown field {sorted(unknown)[0]!r} in config section {section!r}")
-    return cls(**{k: _coerce_value(fields[k], v, f"section {section!r}") for k, v in data.items()})
+        check_budget(
+            2 * self.bev.grid_h * self.bev.grid_w * c, "2 x bev.grid_h x grid_w x context_channels"
+        )
+        check_budget(
+            h // 4 * (w // 4) * c, "stride-4 scene.image_width x image_height x context_channels"
+        )
 
 
 def config_from_dict(data: dict) -> PipelineConfig:
     """Build a config from a (possibly partial) JSON dictionary."""
-    if not isinstance(data, dict):
-        raise ValueError("pipeline config must be a JSON object")
-    kwargs = {}
-    sections = {"scene": SceneConfig, "bins": DepthBinConfig, "bev": BevGridConfig}
-    fields = {f.name: f for f in dataclasses.fields(PipelineConfig)}
-    for key, value in data.items():
-        if key in sections:
-            kwargs[key] = section_from_dict(sections[key], value, key)
-        elif key in fields:
-            kwargs[key] = _coerce_value(fields[key], value, "pipeline config")
-        else:
-            raise ValueError(f"unknown field {key!r} in pipeline config")
-    return PipelineConfig(**kwargs)
+    return from_dict(PipelineConfig, data, "pipeline config")
 
 
 @dataclass(frozen=True)

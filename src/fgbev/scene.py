@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .config import bounded, check_budget, check_fields
 from .geometry import (
     Box3D,
     CameraModel,
@@ -53,40 +54,23 @@ SURFACE_INSET = 1e-6  # keeps sampled surface points strictly inside the closed 
 class SceneConfig:
     """Knobs for the synthetic scene generator."""
 
-    n_frames: int = 2
-    n_boxes: int = 12
-    n_cameras: int = 1
-    frame_interval: float = 0.5
-    lidar_rays_per_box: int = 32
-    stationary_fraction: float = 0.5
-    detection_range_xy: float = 51.2
-    detection_range_z: tuple[float, float] = (-5.0, 3.0)
-    dropout_fraction: float = 0.0
-    clutter_points: int = 128
-    image_width: int = 704
-    image_height: int = 256
+    n_frames: int = bounded(2, ge=2)
+    n_boxes: int = bounded(12, ge=0)
+    n_cameras: int = bounded(1, ge=1)
+    frame_interval: float = bounded(0.5, gt=0)
+    lidar_rays_per_box: int = bounded(32, ge=0)
+    stationary_fraction: float = bounded(0.5, ge=0, le=1)
+    detection_range_xy: float = bounded(51.2, gt=0)
+    dropout_fraction: float = bounded(0.0, ge=0, le=1)
+    clutter_points: int = bounded(128, ge=0)
+    image_width: int = bounded(704, ge=1)
+    image_height: int = bounded(256, ge=1)
 
     def __post_init__(self):
-        if self.n_frames < 2:
-            raise ValueError(f"n_frames must be >= 2, got {self.n_frames}")
-        if self.n_boxes < 0 or self.n_cameras < 1:
-            raise ValueError("n_boxes must be >= 0 and n_cameras >= 1")
-        if self.frame_interval <= 0:
-            raise ValueError(f"frame_interval must be positive, got {self.frame_interval}")
-        if self.detection_range_xy <= 0:
-            raise ValueError("detection_range_xy must be positive")
-        for name in ("stationary_fraction", "dropout_fraction"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {p}")
-        if self.lidar_rays_per_box < 0 or self.clutter_points < 0:
-            raise ValueError("point counts must be nonnegative")
-        if self.image_width <= 0 or self.image_height <= 0:
-            raise ValueError("image dimensions must be positive")
-        object.__setattr__(
-            self,
-            "detection_range_z",
-            (float(self.detection_range_z[0]), float(self.detection_range_z[1])),
+        check_fields(self)
+        check_budget(
+            self.n_frames * (self.n_boxes * self.lidar_rays_per_box + self.clutter_points),
+            "LiDAR points n_frames x (n_boxes x lidar_rays_per_box + clutter_points)",
         )
 
 

