@@ -19,7 +19,6 @@ from .geometry import (
     CameraModel,
     PointCloud,
     points_in_box,
-    project_box3d_to_box2d,
     visible_corner_rect,
 )
 from .labels import (
@@ -129,9 +128,9 @@ def pseudo_point_assignment(
 
     A box qualifies when it contains zero combined points, its nearest
     projected corner depth lies within depth_range, its visibility is 3 or
-    4, and it projects to a usable 2D box whose (unclipped) center falls
-    inside the image. The emitted point sits at that center with the
-    minimum positive corner depth.
+    4, and the center of its unclipped projected 2D box falls inside the
+    image. The emitted point sits at that center with the minimum positive
+    corner depth.
     """
     lo, hi = depth_range
     out = []
@@ -146,11 +145,9 @@ def pseudo_point_assignment(
         x1, y1, x2, y2, d_corner = rect
         if not lo <= d_corner <= hi:
             continue
-        if project_box3d_to_box2d(cam, box) is None:
-            continue  # entirely off-image
         u, v = (x1 + x2) / 2.0, (y1 + y2) / 2.0
         if not (0.0 <= u <= cam.image_width - 1 and 0.0 <= v <= cam.image_height - 1):
-            continue  # center of a partially visible box landed off-image
+            continue  # x1 <= u <= x2, so this also drops every box entirely off-image
         out.append(PseudoPoint(u=u, v=v, depth=d_corner, source_box=i))
     return out
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import bounded, check_budget, check_fields, from_dict
+from .config import ConfigError, bounded, check_budget, check_fields, from_dict
 from .distill import ENCODERS, distillation_loss, encode_joint, get_encoder
 from .geometry import project_box3d_to_box2d
 from .labels import DepthBinConfig, DepthDistributionMap, SegmentationMap, generate_hard_labels
@@ -139,6 +139,8 @@ def _stage(timing: dict, name: str, fn):
     t0 = time.perf_counter()
     try:
         out = fn()
+    except ConfigError:
+        raise  # the config, not the stage, is at fault
     except Exception as exc:
         raise PipelineStageError(f"stage {name!r} failed: {exc}") from exc
     timing[name] = time.perf_counter() - t0

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import bounded, check_budget, check_fields
+from .config import ConfigError, bounded, check_budget, check_fields, from_dict, to_dict
 from .geometry import (
     Box3D,
     CameraModel,
@@ -223,7 +223,10 @@ def _sample_clutter(rng, cfg: SceneConfig, boxes: list[Box3D]) -> np.ndarray:
         needed -= len(kept)
         if needed == 0:
             return np.concatenate(out)
-    raise ValueError("could not sample clutter outside boxes; region too crowded")
+    raise ConfigError(
+        "could not sample clutter outside boxes; reduce scene.n_boxes or widen "
+        "scene.detection_range_xy"
+    )
 
 
 def generate_scene(cfg: SceneConfig, seed: int) -> Scene:
@@ -267,9 +270,10 @@ def generate_scene(cfg: SceneConfig, seed: int) -> Scene:
 
         for attempt in range(MAX_PLACEMENT_ATTEMPTS + 1):
             if attempt == MAX_PLACEMENT_ATTEMPTS:
-                raise ValueError(
+                raise ConfigError(
                     f"could not place box {len(placed)} without overlap after "
-                    f"{MAX_PLACEMENT_ATTEMPTS} attempts; reduce n_boxes or widen the region"
+                    f"{MAX_PLACEMENT_ATTEMPTS} attempts; reduce scene.n_boxes or widen "
+                    "scene.detection_range_xy"
                 )
             xy_ego = rng.uniform(-extent, extent, 2)
             center_w = pose_cur.apply(np.array([xy_ego[0], xy_ego[1], size[2] / 2.0]))
@@ -494,120 +498,21 @@ def soft_labels_from_frame(
 
 
 # --------------------------------------------------------------------------
-# Scene serialization (documented JSON layout)
+# Scene serialization: {"format": SCENE_FORMAT} plus the fields of Scene
 # --------------------------------------------------------------------------
-
-
-def _transform_to_dict(t: RigidTransform) -> dict:
-    return {
-        "rotation": [list(row) for row in t.rotation],
-        "translation": list(t.translation),
-    }
-
-
-def _transform_from_dict(d: dict) -> RigidTransform:
-    return RigidTransform(np.asarray(d["rotation"]), np.asarray(d["translation"]))
-
-
-def scene_to_dict(scene: Scene) -> dict:
-    frames = []
-    for f in scene.frames:
-        frames.append(
-            {
-                "timestamp": f.timestamp,
-                "ego_pose": _transform_to_dict(f.ego_pose),
-                "boxes": [
-                    {
-                        "center": list(b.center),
-                        "size": list(b.size),
-                        "yaw": b.yaw,
-                        "velocity": list(b.velocity),
-                        "class_id": b.class_id,
-                        "is_stationary": b.is_stationary,
-                        "visibility": b.visibility,
-                    }
-                    for b in f.boxes
-                ],
-                "lidar": {
-                    "frame_tag": f.lidar.frame_tag,
-                    "points": [list(p) for p in f.lidar.points],
-                },
-                "cameras": [
-                    {
-                        "fx": c.fx,
-                        "fy": c.fy,
-                        "cx": c.cx,
-                        "cy": c.cy,
-                        "image_width": c.image_width,
-                        "image_height": c.image_height,
-                        "ego_to_cam": _transform_to_dict(c.ego_to_cam),
-                    }
-                    for c in f.cameras
-                ],
-            }
-        )
-    return {"format": SCENE_FORMAT, "seed": scene.seed, "frames": frames}
-
-
-def _require(d: dict, key: str, context: str):
-    if key not in d:
-        raise ValueError(f"scene JSON missing field {key!r} in {context}")
-    return d[key]
-
-
-def scene_from_dict(data: dict) -> Scene:
-    fmt = _require(data, "format", "document root")
-    if fmt != SCENE_FORMAT:
-        raise ValueError(f"unsupported scene format {fmt!r}, expected {SCENE_FORMAT!r}")
-    frames = []
-    for i, fd in enumerate(_require(data, "frames", "document root")):
-        ctx = f"frames[{i}]"
-        boxes = [
-            Box3D(
-                center=np.asarray(_require(bd, "center", ctx)),
-                size=tuple(_require(bd, "size", ctx)),
-                yaw=_require(bd, "yaw", ctx),
-                velocity=np.asarray(_require(bd, "velocity", ctx)),
-                class_id=int(_require(bd, "class_id", ctx)),
-                is_stationary=bool(_require(bd, "is_stationary", ctx)),
-                visibility=int(_require(bd, "visibility", ctx)),
-            )
-            for bd in _require(fd, "boxes", ctx)
-        ]
-        lidar_d = _require(fd, "lidar", ctx)
-        cameras = [
-            CameraModel(
-                fx=_require(cd, "fx", ctx),
-                fy=_require(cd, "fy", ctx),
-                cx=_require(cd, "cx", ctx),
-                cy=_require(cd, "cy", ctx),
-                ego_to_cam=_transform_from_dict(_require(cd, "ego_to_cam", ctx)),
-                image_width=int(_require(cd, "image_width", ctx)),
-                image_height=int(_require(cd, "image_height", ctx)),
-            )
-            for cd in _require(fd, "cameras", ctx)
-        ]
-        frames.append(
-            Frame(
-                timestamp=_require(fd, "timestamp", ctx),
-                ego_pose=_transform_from_dict(_require(fd, "ego_pose", ctx)),
-                boxes=boxes,
-                lidar=PointCloud(
-                    np.asarray(_require(lidar_d, "points", ctx)).reshape(-1, 3),
-                    _require(lidar_d, "frame_tag", ctx),
-                ),
-                cameras=cameras,
-            )
-        )
-    return Scene(frames, int(_require(data, "seed", "document root")))
 
 
 def save_scene(scene: Scene, path) -> None:
     with open(path, "w") as fh:
-        json.dump(scene_to_dict(scene), fh, sort_keys=True, indent=2)
+        json.dump({"format": SCENE_FORMAT, **to_dict(scene)}, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
 def load_scene(path) -> Scene:
+    """Read a scene file; a malformed one raises ValueError naming the path of the bad value."""
     with open(path) as fh:
-        return scene_from_dict(json.load(fh))
+        data = json.load(fh)
+    fmt = data.pop("format", None) if isinstance(data, dict) else None
+    if fmt != SCENE_FORMAT:
+        raise ValueError(f"scene file: format must be {SCENE_FORMAT!r}, got {fmt!r}")
+    return from_dict(Scene, data, "scene file")

@@ -233,6 +233,82 @@ class TestHeatmapCommand:
         assert rc == 1
 
 
+# Each case edits a valid scene file; stderr must name the path of the bad value.
+MALFORMED_SCENES = {
+    "yaw-string": (lambda d: d["frames"][1]["boxes"][0].update(yaw="x"), "frames[1].boxes[0].yaw"),
+    "frames-number": (lambda d: d.update(frames=5), "frames"),
+    "box-number": (lambda d: d["frames"][1].update(boxes=[1]), "frames[1].boxes[0]"),
+    "center-object": (
+        lambda d: d["frames"][1]["boxes"][0].update(center={}),
+        "frames[1].boxes[0].center",
+    ),
+    "cameras-null": (lambda d: d["frames"][1].update(cameras=None), "frames[1].cameras"),
+    "fx-nan": (
+        lambda d: d["frames"][2]["cameras"][0].update(fx=math.nan),
+        "frames[2].cameras[0].fx",
+    ),
+    "timestamp-nan": (lambda d: d["frames"][0].update(timestamp=math.nan), "frames[0].timestamp"),
+    "yaw-nan": (
+        lambda d: d["frames"][2]["boxes"][3].update(yaw=math.nan),
+        "frames[2].boxes[3].yaw",
+    ),
+    "image-width-string": (
+        lambda d: d["frames"][2]["cameras"][0].update(image_width="704"),
+        "frames[2].cameras[0].image_width",
+    ),
+    "unknown-box-key": (
+        lambda d: d["frames"][2]["boxes"][0].update(wheels=4),
+        "frames[2].boxes[0].wheels",
+    ),
+    "size-pair": (
+        lambda d: d["frames"][1]["boxes"][2].update(size=[1.0, 2.0]),
+        "frames[1].boxes[2].size",
+    ),
+    "rotation-scaled": (
+        lambda d: d["frames"][0]["ego_pose"].update(rotation=[[2, 0, 0], [0, 2, 0], [0, 0, 2]]),
+        "frames[0].ego_pose",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["labels", "pci-stats", "heatmap"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_SCENES))
+def test_malformed_scene_exits_1_naming_path(scene_path, tmp_path, capsys, command, case):
+    edit, where = MALFORMED_SCENES[case]
+    data = json.loads(scene_path.read_text())
+    edit(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    argv = [command, "--scene", str(bad)]
+    if command != "pci-stats":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert where in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+# Scene configs that pass every field check but cannot be laid out.
+UNPLACEABLE_SCENES = {
+    "crowded": {"n_boxes": 60, "detection_range_xy": 12},
+    "too-many-boxes": {"n_boxes": 100000, "lidar_rays_per_box": 0, "clutter_points": 0},
+    "tiny-region": {"detection_range_xy": 1e-300},
+}
+
+
+@pytest.mark.parametrize("command", [["pipeline"], ["sweep", "--toggles", "fc"]])
+@pytest.mark.parametrize("case", sorted(UNPLACEABLE_SCENES))
+def test_unplaceable_scene_is_a_config_error(tmp_path, capsys, command, case):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"scene": UNPLACEABLE_SCENES[case]}))
+    assert main(command + ["--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "scene.n_boxes" in captured.err and "scene.detection_range_xy" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 class TestPipelineCommand:
     def test_stdout_byte_identical(self, pipe_cfg_path, capsys):
         assert main(["pipeline", "--config", str(pipe_cfg_path)]) == 0

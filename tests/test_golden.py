@@ -1,4 +1,4 @@
-"""Pinned sha256 digests of `fgbev` stdout at seed 0.
+"""Pinned sha256 digests of `fgbev` stdout at seed 0, and of the scene files it writes.
 
 Any change to an output byte changes its digest. A change that alters results
 on purpose updates the digest here and says why in CHANGES.md.
@@ -11,6 +11,7 @@ import pytest
 
 from fgbev.cli import main
 from fgbev.pipeline import config_from_dict, run_pipeline
+from fgbev.scene import load_scene, save_scene
 
 NOISELESS = {
     "scene": {
@@ -114,3 +115,39 @@ def test_large_result_digest():
     del out["msfe"]["fused_l2"]
     text = json.dumps(out, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == LARGE_DIGEST
+
+
+# sha256 of the scene.json that `gen-scene` writes. The last config covers
+# empty clouds (no boxes, no clutter) and three cameras.
+SCENE_FILE_GOLDEN = {
+    "seed-0": (0, None, "4c1f4513361c5111db5006579f4a8b38513bf642b36fa71775931eae1676171c"),
+    "seed-3": (3, None, "74a80d831fe44481a0c742e0140558a934d987455a19ad5e64c95ace47268a77"),
+    "seed-11": (11, None, "ed5395abc6d5d495fb69498eef2ca9edca7c50568d76dae414bd2cfd042dae92"),
+    "empty-3-cameras": (
+        0,
+        {
+            "n_boxes": 0,
+            "clutter_points": 0,
+            "n_cameras": 3,
+            "n_frames": 4,
+            "dropout_fraction": 1.0,
+        },
+        "c0291b5ae8382e978d2c0ff391eda8a56100083cd886db4d0c321dec15d599f0",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENE_FILE_GOLDEN))
+def test_scene_file_digest_and_resave(name, tmp_path, capsys):
+    seed, config, digest = SCENE_FILE_GOLDEN[name]
+    argv = ["gen-scene", "--out", str(tmp_path), "--seed", str(seed)]
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    assert main(argv) == 0
+    written = (tmp_path / "scene.json").read_bytes()
+    assert hashlib.sha256(written).hexdigest() == digest
+    # save -> load -> save reproduces the file byte for byte.
+    save_scene(load_scene(tmp_path / "scene.json"), tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == written

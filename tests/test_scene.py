@@ -1,5 +1,10 @@
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fgbev import oracles
 from fgbev.geometry import Box3D, points_in_box, rotation_about_z
@@ -15,8 +20,6 @@ from fgbev.scene import (
     generate_scene,
     load_scene,
     save_scene,
-    scene_from_dict,
-    scene_to_dict,
     soft_labels_from_frame,
     synth_feature_pyramid,
 )
@@ -313,14 +316,114 @@ class TestSceneSerialization:
                 assert c1.fx == c2.fx and c1.image_width == c2.image_width
                 assert np.array_equal(c1.ego_to_cam.rotation, c2.ego_to_cam.rotation)
 
-    def test_missing_field_named_in_error(self, scene):
-        data = scene_to_dict(scene)
-        del data["frames"][0]["ego_pose"]
-        with pytest.raises(ValueError, match="ego_pose"):
-            scene_from_dict(data)
+    def test_missing_field_named_in_error(self, scene, tmp_path):
+        path = _edited_scene_file(scene, tmp_path, lambda d: d["frames"][0].pop("ego_pose"))
+        with pytest.raises(ValueError, match=r"missing field frames\[0\]\.ego_pose"):
+            load_scene(path)
 
-    def test_wrong_format_rejected(self, scene):
-        data = scene_to_dict(scene)
-        data["format"] = "something-else"
+    def test_wrong_format_rejected(self, scene, tmp_path):
+        path = _edited_scene_file(scene, tmp_path, lambda d: d.update(format="something-else"))
         with pytest.raises(ValueError, match="format"):
-            scene_from_dict(data)
+            load_scene(path)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, "1.5", True, None, {}, 10**400])
+    def test_array_entry_must_be_a_finite_number(self, scene, tmp_path, value):
+        def edit(data):
+            data["frames"][0]["lidar"]["points"][3][1] = value
+
+        path = _edited_scene_file(scene, tmp_path, edit)
+        with pytest.raises(ValueError, match=r"frames\[0\]\.lidar\.points\[3\]\[1\]"):
+            load_scene(path)
+
+    def test_integer_array_entries_are_numbers(self, scene, tmp_path):
+        def edit(data):
+            data["frames"][0]["lidar"]["points"][3] = [1, -2, 3]
+
+        loaded = load_scene(_edited_scene_file(scene, tmp_path, edit))
+        assert loaded.frames[0].lidar.points[3].tolist() == [1.0, -2.0, 3.0]
+
+    def test_ragged_array_names_its_object(self, scene, tmp_path):
+        def edit(data):
+            data["frames"][1]["lidar"]["points"][0].pop()
+
+        path = _edited_scene_file(scene, tmp_path, edit)
+        with pytest.raises(ValueError, match=r"frames\[1\]\.lidar"):
+            load_scene(path)
+
+
+def _edited_scene_file(scene, tmp_path, edit):
+    """scene saved to a file whose JSON edit(data) then changed in place."""
+    path = tmp_path / "scene.json"
+    save_scene(scene, path)
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+    return path
+
+
+FUZZ_VALUES = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-3, 300),
+        st.sampled_from([2**64, -(2**70), 10**400, -(10**400)]),
+        st.sampled_from([1e308, -1e308, math.nan, math.inf, -math.inf, 0.5, 704.0]),
+        st.floats(),
+        st.text(max_size=3),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.sampled_from(["wobble", "yaw"]), children),
+    ),
+    max_leaves=12,
+)
+
+
+def _objects(data, path=""):
+    """(path, object) for every JSON object in data, with paths as scene errors write them."""
+    if isinstance(data, dict):
+        yield path, data
+        for key, value in data.items():
+            yield from _objects(value, f"{path}.{key}" if path else key)
+    elif isinstance(data, list):
+        for i, value in enumerate(data):
+            yield from _objects(value, f"{path}[{i}]")
+
+
+@pytest.fixture(scope="module")
+def fuzz_scene(tmp_path_factory):
+    cfg = SceneConfig(
+        n_boxes=3,
+        n_cameras=2,
+        lidar_rays_per_box=2,
+        clutter_points=4,
+        image_width=256,
+        image_height=128,
+    )
+    path = tmp_path_factory.mktemp("fuzz") / "scene.json"
+    save_scene(generate_scene(cfg, seed=5), path)
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_load_scene_builds_or_names_the_edit(fuzz_scene, data):
+    """Delete, replace or add one key of one object at any depth of a valid scene file."""
+    doc = json.loads(fuzz_scene.read_text())
+    objects = list(_objects(doc))
+    where, obj = data.draw(st.sampled_from(objects), label="object")
+    names = sorted({key for _, o in objects for key in o}) + ["wobble"]
+    key = data.draw(st.sampled_from(names), label="key")
+    if key in obj and data.draw(st.booleans(), label="delete"):
+        del obj[key]
+    else:
+        obj[key] = data.draw(FUZZ_VALUES, label="value")
+    bad = fuzz_scene.with_name("edited.json")
+    bad.write_text(json.dumps(doc))
+    try:
+        loaded = load_scene(bad)
+    except ValueError as exc:
+        # The message names the edited key, or the object that holds it.
+        assert key in str(exc) or (where and where in str(exc)), str(exc)
+    else:
+        assert isinstance(loaded, Scene)
