@@ -34,7 +34,7 @@ from .arrayio import (
     save_array,
     write_pgm16,
 )
-from .config import from_dict
+from .config import check_budget, from_dict
 from .distill import ENCODERS
 from .geometry import CameraModel, project_box3d_to_box2d
 from .labels import DepthBinConfig, generate_hard_labels
@@ -166,8 +166,8 @@ def _load_json(path_str: str) -> dict:
     path = _resolve_input(path_str)
     try:
         data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path} is not valid JSON: {exc}")
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path} must contain a JSON object")
     return data
@@ -217,6 +217,12 @@ def _cmd_labels(args) -> int:
     scene, cam = _scene_and_camera(args)
     frame = scene.current
     bin_cfg = DepthBinConfig(d_min=args.d_min, d_max=args.d_max, bin_size=args.bin_size)
+    h_f, w_f = cam.feature_grid_shape(args.stride)
+    check_budget(
+        h_f * w_f * bin_cfg.n_bins,
+        "depth cells of the camera's image_width x image_height at --stride times "
+        "--d-min/--d-max/--bin-size bins",
+    )
     hard = generate_hard_labels(frame.lidar, frame.boxes, cam, bin_cfg, args.stride)
 
     out_dir = Path(args.out)
@@ -263,11 +269,11 @@ def _cmd_heatmap(args) -> int:
     frame = scene.current
     if not 0.0 <= args.beta <= 1.0:
         raise ValueError(f"beta must be in [0, 1], got {args.beta}")
+    h, w = cam.image_height // 4, cam.image_width // 4
+    check_budget(h * w, "stride-4 cells of the camera's image_width x image_height")
     rects = [project_box3d_to_box2d(cam, b) for b in frame.boxes]
     rects = [r for r in rects if r is not None]
-    hm = elliptical_gaussian_heatmap(
-        rects, cam.image_height // 4, cam.image_width // 4, 4
-    )
+    hm = elliptical_gaussian_heatmap(rects, h, w, 4)
     filtered = threshold_filter(hm, args.beta)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -122,6 +122,13 @@ class CameraModel:
             )
         return self.image_height // stride, self.image_width // stride
 
+    def in_image(self, u, v):
+        """Whether pixel (u, v) lies in [0, W-1] x [0, H-1], elementwise on arrays.
+
+        The bounds are closed. NaN, the pixel of a point behind the camera, is outside.
+        """
+        return (0.0 <= u) & (u <= self.image_width - 1) & (0.0 <= v) & (v <= self.image_height - 1)
+
 
 def project_point(cam: CameraModel, p_ego) -> tuple[float, float, float] | None:
     """Project an ego-frame point to (u, v, depth).
@@ -137,7 +144,7 @@ def project_point(cam: CameraModel, p_ego) -> tuple[float, float, float] | None:
         return None
     u = cam.fx * pc[0] / z + cam.cx
     v = cam.fy * pc[1] / z + cam.cy
-    if not (0.0 <= u <= cam.image_width - 1 and 0.0 <= v <= cam.image_height - 1):
+    if not cam.in_image(u, v):
         return None
     return float(u), float(v), float(z)
 

@@ -58,9 +58,10 @@ class DepthBinConfig:
         """(indices, in_range) for an array of depths; indices are valid only where in_range."""
         d = np.asarray(depths, dtype=np.float64)
         in_range = (d >= self.d_min) & (d < self.d_max)
-        idx = np.floor((d - self.d_min) / self.bin_size).astype(np.int64)
-        idx = np.clip(idx, 0, self.n_bins - 1)
-        return idx, in_range
+        # Clipped before the cast: a tiny bin_size sends quotients past the int64 range.
+        with np.errstate(over="ignore"):
+            idx = np.clip(np.floor((d - self.d_min) / self.bin_size), 0, self.n_bins - 1)
+        return idx.astype(np.int64), in_range
 
     def bin_index(self, depth: float) -> int | None:
         idx, ok = self.bin_indices(np.array([depth]))
@@ -188,15 +189,8 @@ def generate_hard_labels(
     pts = points.points
     if len(pts):
         uv, z = project_points_unbounded(cam, pts)
-        keep = (
-            (z > 0.0)
-            & (uv[:, 0] >= 0.0)
-            & (uv[:, 0] <= cam.image_width - 1)
-            & (uv[:, 1] >= 0.0)
-            & (uv[:, 1] <= cam.image_height - 1)
-        )
         bins, in_range = bin_cfg.bin_indices(z)
-        keep &= in_range
+        keep = cam.in_image(uv[:, 0], uv[:, 1]) & in_range
         if keep.any():
             u, v, z = uv[keep, 0], uv[keep, 1], z[keep]
             src = pts[keep]

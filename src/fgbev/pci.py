@@ -146,7 +146,7 @@ def pseudo_point_assignment(
         if not lo <= d_corner <= hi:
             continue
         u, v = (x1 + x2) / 2.0, (y1 + y2) / 2.0
-        if not (0.0 <= u <= cam.image_width - 1 and 0.0 <= v <= cam.image_height - 1):
+        if not cam.in_image(u, v):
             continue  # x1 <= u <= x2, so this also drops every box entirely off-image
         out.append(PseudoPoint(u=u, v=v, depth=d_corner, source_box=i))
     return out

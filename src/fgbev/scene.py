@@ -26,7 +26,7 @@ from .geometry import (
     box3d_corners,
     points_in_box,
     project_box3d_to_box2d,
-    project_point,
+    project_points_unbounded,
     rotation_about_z,
 )
 from .labels import (
@@ -146,17 +146,12 @@ def _build_cameras(cfg: SceneConfig) -> list[CameraModel]:
 
 
 def _assign_visibility(corners_ego: np.ndarray, cameras: list[CameraModel]) -> int:
-    best = 0
-    for cam in cameras:
-        visible = sum(project_point(cam, c) is not None for c in corners_ego)
-        best = max(best, visible)
-    if best == 8:
-        return 4
-    if best >= 4:
-        return 3
-    if best >= 1:
-        return 2
-    return 1
+    """Level 1, 2, 3 or 4 when the camera that sees most corners sees 0, 1-3, 4-7 or all 8."""
+    best = max(
+        int(cam.in_image(*project_points_unbounded(cam, corners_ego)[0].T).sum())
+        for cam in cameras
+    )
+    return 1 + sum(best >= n for n in (1, 4, 8))
 
 
 def _facing_side_faces(sensor_box_frame: np.ndarray, half) -> list[tuple[int, float]]:
@@ -247,11 +242,12 @@ def generate_scene(cfg: SceneConfig, seed: int) -> Scene:
     pose_cur = poses[-1]
     ego_xy = np.array([p.translation[:2] for p in poses])
 
-    # Placement happens in the current frame; world positions follow.
-    placed: list[dict] = []
-    footprints: list[tuple[np.ndarray, float]] = []
+    # Placement happens in the current frame; each box is kept in the world frame.
+    world: list[Box3D] = []
+    centres = np.empty((cfg.n_boxes, 2))
+    radii = np.empty(cfg.n_boxes)
     extent = cfg.detection_range_xy * 0.95
-    for _ in range(cfg.n_boxes):
+    for k in range(cfg.n_boxes):
         if rng.random() < 0.25:
             size = (rng.uniform(0.4, 0.8), rng.uniform(0.4, 0.8), rng.uniform(0.6, 1.1))
             class_id = 1
@@ -268,84 +264,62 @@ def generate_scene(cfg: SceneConfig, seed: int) -> Scene:
             heading = rng.uniform(0.0, 2.0 * math.pi)
             vel_w = speed * np.array([math.cos(heading), math.sin(heading)])
 
-        for attempt in range(MAX_PLACEMENT_ATTEMPTS + 1):
-            if attempt == MAX_PLACEMENT_ATTEMPTS:
-                raise ConfigError(
-                    f"could not place box {len(placed)} without overlap after "
-                    f"{MAX_PLACEMENT_ATTEMPTS} attempts; reduce scene.n_boxes or widen "
-                    "scene.detection_range_xy"
-                )
+        for _ in range(MAX_PLACEMENT_ATTEMPTS):
             xy_ego = rng.uniform(-extent, extent, 2)
             center_w = pose_cur.apply(np.array([xy_ego[0], xy_ego[1], size[2] / 2.0]))
-            if np.any(np.linalg.norm(ego_xy - center_w[:2], axis=1) < radius + EGO_CLEARANCE):
-                continue
-            clash = any(
-                np.linalg.norm(c[:2] - center_w[:2]) < r + radius + 0.3
-                for c, r in footprints
-            )
-            if not clash:
+            if not (
+                np.any(np.linalg.norm(ego_xy - center_w[:2], axis=1) < radius + EGO_CLEARANCE)
+                or np.any(
+                    np.linalg.norm(centres[:k] - center_w[:2], axis=1) < (radii[:k] + radius) + 0.3
+                )
+            ):
                 break
-        footprints.append((center_w, radius))
-        placed.append(
-            dict(
-                center_w=center_w,
-                size=size,
-                yaw_w=yaw_w,
-                vel_w=vel_w,
-                stationary=stationary,
-                class_id=class_id,
+        else:
+            raise ConfigError(
+                f"could not place box {k} without overlap after "
+                f"{MAX_PLACEMENT_ATTEMPTS} attempts; reduce scene.n_boxes or widen "
+                "scene.detection_range_xy"
             )
-        )
+        centres[k], radii[k] = center_w[:2], radius
+        world.append(Box3D(center_w, size, yaw_w, vel_w, class_id, is_stationary=stationary))
 
     dropped_current = rng.random(cfg.n_boxes) < cfg.dropout_fraction
 
-    def boxes_at(t: float, pose: RigidTransform, visibilities=None) -> list[Box3D]:
+    def boxes_at(t: float, pose: RigidTransform, visibilities) -> list[Box3D]:
         inv = pose.inverse()
         ego_yaw = EGO_YAW_RATE * t
         rot2 = rotation_about_z(-ego_yaw)[:2, :2]
-        out = []
-        for i, blueprint in enumerate(placed):
-            center_w = blueprint["center_w"].copy()
-            center_w[:2] += blueprint["vel_w"] * (t - t_cur)
-            out.append(
-                Box3D(
-                    center=inv.apply(center_w),
-                    size=blueprint["size"],
-                    yaw=blueprint["yaw_w"] - ego_yaw,
-                    velocity=rot2 @ blueprint["vel_w"],
-                    class_id=blueprint["class_id"],
-                    is_stationary=blueprint["stationary"],
-                    visibility=4 if visibilities is None else visibilities[i],
-                )
+        return [
+            Box3D(
+                center=inv.apply(box.center + np.append(box.velocity * (t - t_cur), 0.0)),
+                size=box.size,
+                yaw=box.yaw - ego_yaw,
+                velocity=rot2 @ box.velocity,
+                class_id=box.class_id,
+                is_stationary=box.is_stationary,
+                visibility=visibility,
             )
-        return out
+            for box, visibility in zip(world, visibilities)
+        ]
 
     # Visibility is judged in the current frame, where downstream gating uses it.
-    current_boxes_prelim = boxes_at(t_cur, pose_cur)
     visibilities = [
-        _assign_visibility(box3d_corners(box), cameras) for box in current_boxes_prelim
+        _assign_visibility(box3d_corners(box), cameras)
+        for box in boxes_at(t_cur, pose_cur, [4] * cfg.n_boxes)
     ]
 
     frames = []
     for idx, (t, pose) in enumerate(zip(times, poses)):
         boxes = boxes_at(t, pose, visibilities)
         is_current = idx == cfg.n_frames - 1
-        surf = []
-        for i, box in enumerate(boxes):
-            if is_current and dropped_current[i]:
-                continue
-            surf.append(_sample_surface_points(rng, box, cfg.lidar_rays_per_box))
+        surf = [
+            _sample_surface_points(rng, box, cfg.lidar_rays_per_box)
+            for box, dropped in zip(boxes, dropped_current)
+            if not (is_current and dropped)
+        ]
         clutter = _sample_clutter(rng, cfg, boxes)
-        pts = np.concatenate([p for p in surf if len(p)] + [clutter]) if surf or len(clutter) else np.zeros((0, 3))
-        frames.append(
-            Frame(
-                timestamp=t,
-                ego_pose=pose,
-                boxes=boxes,
-                lidar=PointCloud(pts, f"frame-{idx}"),
-                cameras=cameras,
-            )
-        )
+        lidar = PointCloud(np.concatenate(surf + [clutter]), f"frame-{idx}")
+        frames.append(Frame(t, pose, boxes, lidar, cameras))
     return Scene(frames, seed)
 
 
@@ -510,9 +484,13 @@ def save_scene(scene: Scene, path) -> None:
 
 def load_scene(path) -> Scene:
     """Read a scene file; a malformed one raises ValueError naming the path of the bad value."""
-    with open(path) as fh:
-        data = json.load(fh)
-    fmt = data.pop("format", None) if isinstance(data, dict) else None
-    if fmt != SCENE_FORMAT:
-        raise ValueError(f"scene file: format must be {SCENE_FORMAT!r}, got {fmt!r}")
-    return from_dict(Scene, data, "scene file")
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        fmt = data.pop("format", None) if isinstance(data, dict) else None
+        if fmt != SCENE_FORMAT:
+            raise ValueError(f"scene file: format must be {SCENE_FORMAT!r}, got {fmt!r}")
+        return from_dict(Scene, data, "scene file")
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # Both the JSON decoder and the schema walk recurse once per nesting level.
+        raise ValueError(f"scene file {path} is not valid JSON: {exc}") from None

@@ -53,8 +53,13 @@ class BevGridConfig:
         """(rows, cols, in_range) for (N, 3) ego points."""
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         ch, cw = self.cell_size
-        rows = np.floor((pts[:, 1] + self.range_xy) / ch).astype(np.int64)
-        cols = np.floor((pts[:, 0] + self.range_xy) / cw).astype(np.int64)
+        # A subnormal (or zero) cell size sends quotients past the int64 range; clipped
+        # to one cell outside the grid, they cast exactly and stay out of range.
+        with np.errstate(over="ignore", divide="ignore"):
+            rows = np.floor((pts[:, 1] + self.range_xy) / ch)
+            cols = np.floor((pts[:, 0] + self.range_xy) / cw)
+        rows = np.clip(rows, -1, self.grid_h, out=rows).astype(np.int64)
+        cols = np.clip(cols, -1, self.grid_w, out=cols).astype(np.int64)
         ok = (
             (rows >= 0)
             & (rows < self.grid_h)

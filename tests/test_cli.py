@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -182,6 +183,31 @@ class TestLabelsCommand:
         assert captured.out == ""
 
 
+    # Default stride 16 with 118 bins, and stride 4, on a camera 2**31 pixels wide.
+    @pytest.mark.parametrize(
+        "command,flags,width,named",
+        [
+            ("labels", ["--stride", "1", "--bin-size", "0.001"], None, "--bin-size"),
+            ("labels", [], 2**31, "image_width x image_height"),
+            ("heatmap", [], 2**31, "image_width x image_height"),
+        ],
+        ids=["labels-flags", "labels-wide-camera", "heatmap-wide-camera"],
+    )
+    def test_arrays_over_budget_exit_1(
+        self, scene_path, tmp_path, capsys, command, flags, width, named
+    ):
+        if width is not None:
+            data = json.loads(scene_path.read_text())
+            data["frames"][-1]["cameras"][0]["image_width"] = width
+            scene_path.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main([command, "--scene", str(scene_path), "--out", str(out), *flags]) == 1
+        captured = capsys.readouterr()
+        assert named in captured.err and "array elements" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == "" and not out.exists()
+
+
 class TestPciStatsCommand:
     def test_json_format(self, scene_path, capsys):
         assert main(["pci-stats", "--scene", str(scene_path)]) == 0
@@ -285,6 +311,29 @@ def test_malformed_scene_exits_1_naming_path(scene_path, tmp_path, capsys, comma
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert where in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+# Deeper than the JSON reader's recursion limit.
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "command,text",
+    [
+        (["pipeline", "--config"], '{"scene": ' + DEEP + "}"),
+        (["pci-stats", "--scene"], '{"format": "fgbev-scene-v1", "frames": ' + DEEP + "}"),
+        (["pci-stats", "--scene"], '{"format": "fgbev-scene-v1", '),
+    ],
+    ids=["nested-config", "nested-scene", "truncated-scene"],
+)
+def test_unreadable_json_exits_1_naming_file(tmp_path, capsys, command, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert main(command + [str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert str(bad) in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
 
@@ -439,6 +488,26 @@ class TestPipelineCommand:
         assert field in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+    # A subnormal BEV range or bin width holds no point, so the result is empty;
+    # the index math must get there without an out-of-range int64 cast.
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"bev": {"range_xy": 1e-320}},
+            {"bins": {"d_min": 1e-300, "d_max": 1e-299, "bin_size": 1e-300}},
+        ],
+        ids=["bev-range", "bin-width"],
+    )
+    def test_subnormal_range_gives_empty_result_without_warning(self, tmp_path, capsys, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["pipeline", "--config", str(path)]) == 0
+        captured = capsys.readouterr()
+        digest = hashlib.sha256(captured.out.encode()).hexdigest()
+        assert digest == "cc2c6534ff419035083d89d2e2625a0f625a6235d3ca7463c68deb9c5776ba00"
+        assert json.loads(captured.out)["included_cells"] == 0
+        assert "Warning" not in captured.err
 
     def test_negative_seed_flag_exits_1(self, capsys):
         assert main(["pipeline", "--seed", "-1"]) == 1

@@ -61,6 +61,14 @@ class TestProjectPoint:
     def test_outside_image_is_absent(self):
         assert project_point(simple_camera(), (100, 0, 10)) is None
 
+    def test_in_image_bounds_are_closed_and_nan_is_outside(self):
+        cam = simple_camera(w=101, h=51, cy=25.0)
+        u = np.array([0.0, 100.0, -1e-9, 100.0 + 1e-9, 50.0, np.nan, 50.0])
+        v = np.array([50.0, 0.0, 10.0, 10.0, 50.0 + 1e-9, 10.0, np.nan])
+        inside = [True, True, False, False, False, False, False]
+        assert cam.in_image(u, v).tolist() == inside
+        assert [bool(cam.in_image(a, b)) for a, b in zip(u.tolist(), v.tolist())] == inside
+
     def test_roundtrip_recovers_point(self):
         rng = np.random.default_rng(1)
         cam = CameraModel(

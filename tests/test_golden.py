@@ -65,6 +65,25 @@ GOLDEN = {
     ),
 }
 
+# The foreground gate inside its range. At the default noise the soft seg is
+# bimodal and every threshold between its modes gives one result; at noise 1.0
+# the values spread out. Loss and included cells per threshold: 0.1 -> 12.617,
+# 2478; 0.2 -> 12.813, 2215; 0.3 -> 5.569, 1052; 0.5 -> 0.981, 10; 0.9 -> 0.985,
+# 10; 1.0 -> 0.991, 10. Eight soft-seg cells are exactly 1.0, so the 1.0 entry
+# pins the comparison as `>=`.
+GATE_DIGESTS = {
+    0.1: "3071fadadcce16d46c1a3f7d5b0e94276f61b24cf0e1af3899a68f24f43aba89",
+    0.2: "b5ec1bde22304026d5f2f1bcdb04acbc1f66e424285669a6cd9f719198f5e600",
+    0.3: "b08a71a10c93c2af761b49235b12d05d8bf94711bb37b425b66ae6cdc7cabcd7",
+    0.5: "a0c182d4d02fd56442fe59582584fada9f1b8e75964440b410156971301276e6",
+    0.9: "0050ca364fc5e293b1a17094535b1951d02335eb319357dedecb1b60d7663b97",
+    1.0: "2a44891a307570964d94ded712104620ac1e3b79f332dd13d3dc12df7b5fcb9b",
+}
+GOLDEN |= {
+    f"pipeline-gate-{t}": (["pipeline"], {"soft_label_noise": 1.0, "seg_threshold": t}, digest)
+    for t, digest in GATE_DIGESTS.items()
+}
+
 
 # 40 boxes, 1408x512 images, 9 frames, a 256^2 grid, 16 channels and the box
 # blur encoder: the only pin on the box-blur path.
@@ -117,8 +136,11 @@ def test_large_result_digest():
     assert hashlib.sha256(text.encode()).hexdigest() == LARGE_DIGEST
 
 
-# sha256 of the scene.json that `gen-scene` writes. The last config covers
-# empty clouds (no boxes, no clutter) and three cameras.
+# sha256 of the scene.json that `gen-scene` writes. "empty-3-cameras" covers
+# empty clouds (no boxes, no clutter) and three cameras. "crowded" packs 100
+# boxes into a 40 m range, so placement rejects many candidates (7,514 clash
+# distances at seed 0); "3-cameras" has boxes at all four visibility levels.
+CROWDED = {"n_boxes": 100, "detection_range_xy": 40}
 SCENE_FILE_GOLDEN = {
     "seed-0": (0, None, "4c1f4513361c5111db5006579f4a8b38513bf642b36fa71775931eae1676171c"),
     "seed-3": (3, None, "74a80d831fe44481a0c742e0140558a934d987455a19ad5e64c95ace47268a77"),
@@ -133,6 +155,21 @@ SCENE_FILE_GOLDEN = {
             "dropout_fraction": 1.0,
         },
         "c0291b5ae8382e978d2c0ff391eda8a56100083cd886db4d0c321dec15d599f0",
+    ),
+    "crowded-seed-0": (
+        0,
+        CROWDED,
+        "f1887d98d2f5a9738e7143fae63b1fb4ed29243621d44bcdfb377c5f9f5e55cc",
+    ),
+    "crowded-seed-5": (
+        5,
+        CROWDED,
+        "71c321c1bac56ffcf13bcfd6289efc4b18608c5a60a6b0870f9e0ecd47133bb0",
+    ),
+    "3-cameras": (
+        0,
+        {"n_cameras": 3, "n_boxes": 40, "n_frames": 3},
+        "11f64a87e7d4e654e2631c3eaa45a1fb06dd3f3fcbefbf835035edeab7e0ce82",
     ),
 }
 
