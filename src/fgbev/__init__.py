@@ -24,6 +24,7 @@ from .geometry import (
     PointCloud,
     RigidTransform,
     box3d_corners,
+    box_point_counts,
     point_in_box,
     points_in_box,
     project_box3d_to_box2d,

@@ -2,7 +2,8 @@
 
 Commands: gen-scene, labels, pci-stats, heatmap, pipeline, sweep, selfcheck.
 Exit codes: 0 success, 1 validation error (bad flags, malformed config,
-missing file), 2 internal failure (including failed selfcheck suites).
+missing or unreadable input path, unwritable --out), 2 internal failure
+(including failed selfcheck suites).
 
 Config precedence everywhere: command-line flag > config-file value >
 built-in default. Relative --config/--scene paths are also looked up under
@@ -338,6 +339,8 @@ def _cmd_sweep(args) -> int:
             raise ValueError(
                 f"unknown toggle {name!r}; available: {sorted(SWEEP_TOGGLES)}"
             )
+        if any(name == seen for seen, _ in toggles):
+            raise ValueError(f"toggle {name!r} is given more than once")
         field_name, on_value = SWEEP_TOGGLES[name]
         base = dataclasses.replace(base, **{field_name: not on_value})
         toggles.append((name, {field_name: on_value}))
@@ -444,7 +447,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"fgbev: error: {exc}", file=sys.stderr)
         return 1
     except PipelineStageError as exc:

@@ -223,16 +223,30 @@ def box3d_corners(box: Box3D) -> np.ndarray:
     return local @ rotation_about_z(box.yaw).T + box.center
 
 
-def points_in_box(box: Box3D, points: np.ndarray) -> np.ndarray:
-    """Closed-cuboid membership test for an (N, 3) batch; returns (N,) bools."""
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+def _inside(box: Box3D, pts: np.ndarray) -> np.ndarray:
+    """(N,) bools for an (N, 3) float64 batch against one closed cuboid."""
     local = (pts - box.center) @ rotation_about_z(box.yaw)
     return np.all(np.abs(local) <= box.half_size, axis=1)
 
 
+def points_in_box(boxes: list[Box3D], points: np.ndarray) -> np.ndarray:
+    """(N,) bools: True where a point lies in at least one box (faces count as inside)."""
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    inside = np.zeros(len(pts), dtype=bool)
+    for box in boxes:
+        inside |= _inside(box, pts)
+    return inside
+
+
+def box_point_counts(boxes: list[Box3D], points: np.ndarray) -> np.ndarray:
+    """(B,) int64: how many points lie in each box (faces count as inside)."""
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    return np.array([np.count_nonzero(_inside(box, pts)) for box in boxes], dtype=np.int64)
+
+
 def point_in_box(box: Box3D, p_ego) -> bool:
     """True iff the point lies inside the box; the boundary counts as inside."""
-    return bool(points_in_box(box, _as_vector(p_ego, 3, "p_ego"))[0])
+    return bool(points_in_box([box], _as_vector(p_ego, 3, "p_ego"))[0])
 
 
 @dataclass(frozen=True)

@@ -209,13 +209,7 @@ def generate_hard_labels(
             win_bins = bins[keep][winners]
             depth_vals[win_rows, win_cols, win_bins] = 1.0
             valid[win_rows, win_cols] = True
-
-            if boxes:
-                win_pts = src[winners]
-                inside = np.zeros(len(winners), dtype=bool)
-                for box in boxes:
-                    inside |= points_in_box(box, win_pts)
-                seg_vals[win_rows, win_cols] = inside.astype(np.float64)
+            seg_vals[win_rows, win_cols] = points_in_box(boxes, src[winners])
 
     return HardLabels(
         depth=DepthDistributionMap(depth_vals, bin_cfg),

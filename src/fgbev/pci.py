@@ -18,6 +18,7 @@ from .geometry import (
     Box3D,
     CameraModel,
     PointCloud,
+    box_point_counts,
     points_in_box,
     visible_corner_rect,
 )
@@ -81,15 +82,6 @@ class PciReport:
             )
 
 
-def _empty_box_mask(points: np.ndarray, boxes: list[Box3D]) -> np.ndarray:
-    """True per box when no point lies inside it (closed boundary)."""
-    empty = np.ones(len(boxes), dtype=bool)
-    if len(points):
-        for i, box in enumerate(boxes):
-            empty[i] = not points_in_box(box, points).any()
-    return empty
-
-
 def frame_combination(current: Frame, adjacent: list[Frame]) -> PointCloud:
     """Merge stationary-object returns from adjacent frames into the current one.
 
@@ -107,14 +99,8 @@ def frame_combination(current: Frame, adjacent: list[Frame]) -> PointCloud:
             raise ValueError(
                 f"adjacent frame carries the current frame's tag {current.tag!r}"
             )
-        if not stationary or not len(frame.lidar.points):
-            continue
-        relative = to_current.compose(frame.ego_pose)
-        moved = relative.apply(frame.lidar.points)
-        keep = np.zeros(len(moved), dtype=bool)
-        for box in stationary:
-            keep |= points_in_box(box, moved)
-        merged.append(moved[keep])
+        moved = to_current.compose(frame.ego_pose).apply(frame.lidar.points)
+        merged.append(moved[points_in_box(stationary, moved)])
     return PointCloud(np.concatenate(merged), current.tag)
 
 
@@ -137,7 +123,7 @@ def pseudo_point_assignment(
     for i, box in enumerate(boxes):
         if box.visibility not in VISIBILITY_GATE:
             continue
-        if len(combined.points) and points_in_box(box, combined.points).any():
+        if points_in_box([box], combined.points).any():
             continue
         rect = visible_corner_rect(cam, box)
         if rect is None:
@@ -160,8 +146,8 @@ def pci_statistics(
     combined is the frame-combination output (the current cloud when it is
     off) and pseudo the points assigned to it (empty when assignment is off).
     """
-    before = int(_empty_box_mask(current.lidar.points, current.boxes).sum())
-    after_fc = int(_empty_box_mask(combined.points, current.boxes).sum())
+    before = int((box_point_counts(current.boxes, current.lidar.points) == 0).sum())
+    after_fc = int((box_point_counts(current.boxes, combined.points) == 0).sum())
     return PciReport(
         total_boxes=len(current.boxes),
         boxes_without_points_before=before,

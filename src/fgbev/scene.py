@@ -210,10 +210,7 @@ def _sample_clutter(rng, cfg: SceneConfig, boxes: list[Box3D]) -> np.ndarray:
                 rng.uniform(0.05, 0.5, needed),
             ]
         )
-        inside = np.zeros(needed, dtype=bool)
-        for box in boxes:
-            inside |= points_in_box(box, batch)
-        kept = batch[~inside]
+        kept = batch[~points_in_box(boxes, batch)]
         out.append(kept)
         needed -= len(kept)
         if needed == 0:

@@ -338,6 +338,40 @@ def test_unreadable_json_exits_1_naming_file(tmp_path, capsys, command, text):
     assert captured.out == ""
 
 
+# Each case gives a path flag a file where a directory belongs, or the reverse.
+WRONG_KIND_PATHS = {
+    "gen-scene-out-file": ["gen-scene", "--out", "{file}"],
+    "labels-out-file": ["labels", "--scene", "{scene}", "--out", "{file}"],
+    "heatmap-out-file": ["heatmap", "--scene", "{scene}", "--out", "{file}"],
+    "pipeline-out-file": ["pipeline", "--config", "{config}", "--out", "{file}"],
+    "pipeline-config-dir": ["pipeline", "--config", "{dir}"],
+    "sweep-config-dir": ["sweep", "--config", "{dir}", "--toggles", "fc"],
+    "pci-stats-scene-dir": ["pci-stats", "--scene", "{dir}"],
+    "labels-scene-dir": ["labels", "--scene", "{dir}", "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_KIND_PATHS))
+def test_path_of_the_wrong_kind_exits_1(tmp_path, scene_path, pipe_cfg_path, capsys, case):
+    paths = {
+        "file": tmp_path / "a_file",
+        "dir": tmp_path / "a_dir",
+        "scene": scene_path,
+        "config": pipe_cfg_path,
+        "out": tmp_path / "out",
+    }
+    paths["file"].write_text("")
+    paths["dir"].mkdir()
+    capsys.readouterr()
+    argv = WRONG_KIND_PATHS[case]
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    bad = paths["file"] if "{file}" in argv else paths["dir"]
+    assert str(bad) in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 # Scene configs that pass every field check but cannot be laid out.
 UNPLACEABLE_SCENES = {
     "crowded": {"n_boxes": 60, "detection_range_xy": 12},
@@ -550,10 +584,14 @@ class TestSweepCommand:
         rows = json.loads(capsys.readouterr().out)
         assert [r["toggles"] for r in rows] == [[], ["fc"]]
 
-    def test_unknown_toggle_exits_1(self, pipe_cfg_path, capsys):
-        rc = main(["sweep", "--config", str(pipe_cfg_path), "--toggles", "msfe"])
+    @pytest.mark.parametrize("toggles", ["msfe", "fc,fc"])
+    def test_unknown_toggle_exits_1(self, pipe_cfg_path, capsys, toggles):
+        rc = main(["sweep", "--config", str(pipe_cfg_path), "--toggles", toggles])
         assert rc == 1
-        assert "msfe" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert repr(toggles.split(",")[0]) in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
 
 class TestCsvMatchesJson:

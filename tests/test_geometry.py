@@ -12,6 +12,7 @@ from fgbev.geometry import (
     PointCloud,
     RigidTransform,
     box3d_corners,
+    box_point_counts,
     point_in_box,
     points_in_box,
     project_box3d_to_box2d,
@@ -144,11 +145,34 @@ class TestPointInBox:
 
     def test_agrees_with_halfspace_reference(self):
         rng = np.random.default_rng(3)
-        box = Box3D(center=(1, 2, 0.5), size=(4, 2, 1.5), yaw=-0.9)
-        pts = box.center + rng.uniform(-4, 4, (1000, 3))
-        got = points_in_box(box, pts)
-        want = np.array([oracles.point_in_box_reference(box, p) for p in pts])
-        assert np.array_equal(got, want)
+        boxes = [
+            Box3D(center=(1, 2, 0.5), size=(4, 2, 1.5), yaw=-0.9),
+            Box3D(center=(2, 1.5, 0.0), size=(3, 3, 2), yaw=0.4),
+            Box3D(center=(0, 2.5, 1.0), size=(2, 5, 1), yaw=2.0),
+        ]
+        pts = boxes[0].center + rng.uniform(-4, 4, (1000, 3))
+        want = np.array([[oracles.point_in_box_reference(b, p) for p in pts] for b in boxes])
+        assert want.any(axis=0).sum() < want.sum()  # the boxes overlap
+        assert np.array_equal(points_in_box(boxes[:1], pts), want[0])
+        assert np.array_equal(points_in_box(boxes, pts), want.any(axis=0))
+        counts = box_point_counts(boxes, pts)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, want.sum(axis=1))
+
+        # yaw 0 and these coordinates make the box-frame offsets exact.
+        box = Box3D(center=(10, -4, 0.5), size=(2, 4, 6), yaw=0.0)
+        on_face = np.array([[11, -4, 0.5], [9, -5, 1], [10.5, -2, 0], [10, -4, -2.5], [11, -6, 3.5]])
+        normals = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, 0, -1], [0, 0, 1]])
+        outside = on_face + 1e-9 * normals
+        assert points_in_box([box], on_face).all()
+        assert not points_in_box([box], outside).any()
+        assert np.array_equal(box_point_counts([box], np.vstack([on_face, outside])), [5])
+
+        assert np.array_equal(points_in_box([], pts), np.zeros(len(pts), dtype=bool))
+        assert box_point_counts([], pts).shape == (0,)
+        empty = np.zeros((0, 3))
+        assert points_in_box(boxes, empty).shape == (0,)
+        assert np.array_equal(box_point_counts(boxes, empty), [0, 0, 0])
 
     @settings(max_examples=50, deadline=None)
     @given(

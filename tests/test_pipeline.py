@@ -1,7 +1,9 @@
 import collections
 import dataclasses
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -386,3 +388,17 @@ class TestSweepSharesPrepare:
         path.write_text(json.dumps({"scene": dataclasses.asdict(SMALL_SCENE), "seed": 17}))
         assert main(["sweep", "--config", str(path), "--toggles", "fc,ppa"]) == 2
         assert "synth_features" in capsys.readouterr().err
+
+
+def test_traced_benchmark_patches_resolve():
+    """Every (module, attribute) the traced benchmark wraps is a callable in fgbev."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    unresolved = [
+        f"{module}.{attr}"
+        for module, attr, _ in tracing.PATCHES
+        if not callable(getattr(importlib.import_module(module), attr, None))
+    ]
+    assert unresolved == []

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fgbev import oracles
-from fgbev.geometry import Box3D, points_in_box, rotation_about_z
+from fgbev.geometry import Box3D, box_point_counts, points_in_box, rotation_about_z
 from fgbev.labels import DepthBinConfig, generate_hard_labels
 from fgbev.scene import (
     BACKGROUND_SEG_FLOOR,
@@ -89,10 +89,7 @@ class TestGenerateScene:
 
     def test_surface_points_inside_their_box(self, scene):
         for frame in scene.frames:
-            pts = frame.lidar.points
-            n_surface = 0
-            for box in frame.boxes:
-                n_surface += int(points_in_box(box, pts).sum())
+            n_surface = int(box_point_counts(frame.boxes, frame.lidar.points).sum())
             # Clutter is outside every box by construction, so box hits
             # account for exactly the surface samples.
             expected = sum(
@@ -103,8 +100,7 @@ class TestGenerateScene:
     def test_clutter_outside_all_boxes(self, scene):
         frame = scene.current
         clutter = frame.lidar.points[-SMALL.clutter_points :]
-        for box in frame.boxes:
-            assert not points_in_box(box, clutter).any()
+        assert not points_in_box(frame.boxes, clutter).any()
 
     def test_adjacent_points_land_in_current_stationary_box(self, scene):
         # The densification precondition: world-fixed geometry survives the
@@ -116,9 +112,9 @@ class TestGenerateScene:
             for i, box in enumerate(current.boxes):
                 if not box.is_stationary:
                     continue
-                inside_adj = points_in_box(frame.boxes[i], frame.lidar.points)
+                inside_adj = points_in_box([frame.boxes[i]], frame.lidar.points)
                 moved = rel.apply(frame.lidar.points[inside_adj])
-                assert points_in_box(box, moved).all()
+                assert points_in_box([box], moved).all()
 
     def test_dropout_empties_current_frame_only(self):
         cfg = SceneConfig(
