@@ -13,6 +13,7 @@ $FGBEV_CONFIG_DIR when they do not resolve from the working directory.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import json
 import math
@@ -183,6 +184,13 @@ def _scene_and_camera(args) -> tuple[Scene, CameraModel]:
     return scene, cameras[args.cam]
 
 
+def _out_dir(out: str) -> Path:
+    """Create the --out directory before any work, so a bad path fails at once."""
+    path = Path(out)
+    path.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def _cmd_gen_scene(args) -> int:
     data = _load_json(args.config) if args.config else {}
     file_seed = data.pop("seed", None)
@@ -192,10 +200,8 @@ def _cmd_gen_scene(args) -> int:
     seed = args.seed if args.seed is not None else (file_seed if file_seed is not None else 0)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    path = _out_dir(args.out) / "scene.json"
     scene = generate_scene(cfg, seed)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "scene.json"
     save_scene(scene, path)
     n_pts = sum(len(f.lidar) for f in scene.frames)
     print(
@@ -224,10 +230,8 @@ def _cmd_labels(args) -> int:
         "depth cells of the camera's image_width x image_height at --stride times "
         "--d-min/--d-max/--bin-size bins",
     )
+    out_dir = _out_dir(args.out)
     hard = generate_hard_labels(frame.lidar, frame.boxes, cam, bin_cfg, args.stride)
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_pgm16(out_dir / "depth.pgm", depth_to_u16(hard.depth_meters()))
     write_pgm16(out_dir / "seg.pgm", prob_to_u16(hard.seg.values))
     write_pgm16(out_dir / "valid.pgm", prob_to_u16(hard.valid_mask.astype(np.float64)))
@@ -272,12 +276,11 @@ def _cmd_heatmap(args) -> int:
         raise ValueError(f"beta must be in [0, 1], got {args.beta}")
     h, w = cam.image_height // 4, cam.image_width // 4
     check_budget(h * w, "stride-4 cells of the camera's image_width x image_height")
+    out_dir = _out_dir(args.out)
     rects = [project_box3d_to_box2d(cam, b) for b in frame.boxes]
     rects = [r for r in rects if r is not None]
     hm = elliptical_gaussian_heatmap(rects, h, w, 4)
     filtered = threshold_filter(hm, args.beta)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_pgm16(out_dir / "s4.pgm", prob_to_u16(hm.values))
     write_pgm16(out_dir / "s4_filtered.pgm", prob_to_u16(filtered.values))
     print(
@@ -304,13 +307,13 @@ def _pipeline_config(args) -> PipelineConfig:
 
 
 def _cmd_pipeline(args) -> int:
-    result = run_pipeline(_pipeline_config(args))
+    cfg = _pipeline_config(args)
+    out_dir = _out_dir(args.out) if args.out else None
+    result = run_pipeline(cfg)
     # Timings go to stderr so stdout stays byte-identical across runs.
     for name, seconds in result.timing.items():
         print(f"[timing] {name}: {seconds * 1000:.2f} ms", file=sys.stderr)
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+    if out_dir:
         for name, occ in (
             ("occupancy_student", result.bev_occupancy_student),
             ("occupancy_teacher", result.bev_occupancy_teacher),
@@ -439,7 +442,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc mallopt parameters (malloc.h).
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _pin_allocator() -> None:
+    """Serve arrays of up to 32 MiB from the heap and keep up to 64 MiB of it.
+
+    Otherwise glibc maps each block above its mmap threshold afresh and raises
+    the threshold to the largest mapped block freed so far. The occupied-window
+    grids vary in size with the seed, so the page faults each stage paid
+    depended on the seeds the process had run. C libraries without mallopt
+    are left as they are.
+    """
+    try:
+        libc = ctypes.CDLL(None)
+        libc.mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        libc.mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+    except (OSError, AttributeError):
+        pass
+
+
 def main(argv=None) -> int:
+    _pin_allocator()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .view_transform import BevFeatureGrid
+from .view_transform import BevFeatureGrid, window_bounds
 
 DEFAULT_NORM_EPS = 1e-6
 
@@ -18,17 +18,21 @@ class BevEncoder:
 
     Subclasses implement apply() on a (B, H, W, C) batch; per-sample results
     must not depend on the other samples in the batch, so batching is purely
-    an execution detail.
+    an execution detail. An output cell depends only on the input cells at
+    most `margin` rows and columns away and is +0.0 when they all are, so
+    encoding a grid's window grown by `margin` gives the whole grid's result.
     """
 
     name = "base"
+    margin = 0
 
     def apply(self, batch: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def __call__(self, grid: BevFeatureGrid) -> BevFeatureGrid:
-        out = self.apply(grid.values[None])[0]
-        return BevFeatureGrid(out, grid.cfg)
+        r0, r1, c0, c1 = window_bounds([grid], self.margin)
+        out = self.apply(grid.crop((r0, r1, c0, c1))[None])[0]
+        return BevFeatureGrid(out, grid.cfg, (r0, c0))
 
 
 class IdentityEncoder(BevEncoder):
@@ -46,6 +50,7 @@ class BoxBlurEncoder(BevEncoder):
     """
 
     name = "box_blur"
+    margin = 1
 
     def apply(self, batch: np.ndarray) -> np.ndarray:
         arr = np.asarray(batch, dtype=np.float64)
@@ -82,15 +87,17 @@ def get_encoder(kind: str) -> BevEncoder:
 def encode_joint(
     encoder: BevEncoder, student: BevFeatureGrid, teacher: BevFeatureGrid
 ) -> tuple[BevFeatureGrid, BevFeatureGrid]:
-    """Encode student and teacher grids as one batch with shared parameters."""
-    if student.values.shape != teacher.values.shape:
-        raise ValueError(
-            f"shape mismatch: student {student.values.shape} vs "
-            f"teacher {teacher.values.shape}"
-        )
-    batch = np.stack([student.values, teacher.values])
-    out = encoder.apply(batch)
-    return BevFeatureGrid(out[0], student.cfg), BevFeatureGrid(out[1], teacher.cfg)
+    """Encode student and teacher grids as one batch with shared parameters.
+
+    The batch covers the bounding box of both windows grown by the encoder's
+    margin, and both results keep that window.
+    """
+    if student.shape != teacher.shape:
+        raise ValueError(f"shape mismatch: student {student.shape} vs teacher {teacher.shape}")
+    bounds = window_bounds([student, teacher], encoder.margin)
+    out = encoder.apply(np.stack([student.crop(bounds), teacher.crop(bounds)]))
+    origin = bounds[0], bounds[2]
+    return BevFeatureGrid(out[0], student.cfg, origin), BevFeatureGrid(out[1], teacher.cfg, origin)
 
 
 def _cell_norms(values: np.ndarray) -> np.ndarray:
@@ -106,12 +113,16 @@ def distillation_loss(
 
     Cells whose teacher norm falls below eps are excluded from the mean;
     with no included cells the loss is 0. Returns (loss, included_cells).
+    Only the teacher's window is read: outside it the teacher norm is 0 < eps,
+    and inside it the included cells keep their row-major order.
     """
-    t, s = teacher_enc.values, student_enc.values
-    if t.shape != s.shape:
-        raise ValueError(f"shape mismatch: teacher {t.shape} vs student {s.shape}")
+    if teacher_enc.shape != student_enc.shape:
+        raise ValueError(
+            f"shape mismatch: teacher {teacher_enc.shape} vs student {student_enc.shape}"
+        )
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
+    t, s = teacher_enc.window, student_enc.crop(teacher_enc.bounds)
     norms = _cell_norms(t)
     included = norms >= eps
     count = int(included.sum())

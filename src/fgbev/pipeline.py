@@ -4,7 +4,11 @@ prepare: scene -> synthetic features -> foreground fusion diagnostics -> soft
 labels -> frustum -> student pooling. teacher_branch: hard labels on the
 densified cloud -> pseudo points -> teacher pooling -> joint encoding ->
 distillation loss. Only the teacher branch depends on fc_enabled/ppa_enabled.
-Deterministic per seed; each stage is timed with a monotonic clock.
+The frustum stage only fixes the lift geometry; each pooling lifts the cells
+its own seg gate passes. The BEV grids, their encodings and the loss work on
+the window of occupied cells, and the full occupancy grids are padded out
+only for the result. Deterministic per seed; each stage is timed with a
+monotonic clock.
 """
 
 from __future__ import annotations

@@ -300,15 +300,16 @@ def generate_scene(cfg: SceneConfig, seed: int) -> Scene:
         ]
 
     # Visibility is judged in the current frame, where downstream gating uses it.
-    visibilities = [
-        _assign_visibility(box3d_corners(box), cameras)
-        for box in boxes_at(t_cur, pose_cur, [4] * cfg.n_boxes)
-    ]
+    # Its boxes are built once and given their level before any frame uses them.
+    current_boxes = boxes_at(t_cur, pose_cur, [4] * cfg.n_boxes)
+    visibilities = [_assign_visibility(box3d_corners(box), cameras) for box in current_boxes]
+    for box, visibility in zip(current_boxes, visibilities):
+        object.__setattr__(box, "visibility", visibility)
 
     frames = []
     for idx, (t, pose) in enumerate(zip(times, poses)):
-        boxes = boxes_at(t, pose, visibilities)
         is_current = idx == cfg.n_frames - 1
+        boxes = current_boxes if is_current else boxes_at(t, pose, visibilities)
         surf = [
             _sample_surface_points(rng, box, cfg.lidar_rays_per_box)
             for box, dropped in zip(boxes, dropped_current)

@@ -29,6 +29,7 @@ from .geometry import (
     point_in_box,
     project_box3d_to_box2d,
     project_point,
+    rotation_about_z,
 )
 from .labels import (
     DepthBinConfig,
@@ -58,6 +59,10 @@ from .view_transform import (
     build_frustum,
     sa_bev_pool,
 )
+
+# Camera axes in ego coordinates for a camera looking along ego +x: camera z
+# (depth) is ego x, camera x is ego -y and camera y (down) is ego -z.
+_LOOK_ALONG_X = np.array([[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
 
 
 @dataclass(frozen=True)
@@ -92,6 +97,28 @@ def random_camera(rng, width: int = 128, height: int = 96) -> CameraModel:
     )
 
 
+def level_camera(heading: float, position, fx: float, fy: float, width: int, height: int):
+    """A level camera at ego `position` looking along ego +x turned by `heading` about z."""
+    rotation = rotation_about_z(heading) @ _LOOK_ALONG_X
+    cam_to_ego = RigidTransform(rotation, np.asarray(position, dtype=np.float64))
+    return CameraModel(
+        fx, fy, (width - 1) / 2.0, (height - 1) / 2.0, cam_to_ego.inverse(), width, height
+    )
+
+
+def random_lift_frustum(rng, h: int, w: int, bin_cfg: DepthBinConfig, stride: int = 8) -> Frustum:
+    """Frustum of h x w feature cells from a level camera at a random heading and position.
+
+    Its entries spread over every direction of the BEV plane and straddle a
+    z range of a few meters, so pooling cases both keep and drop entries.
+    """
+    heading = float(rng.uniform(-math.pi, math.pi))
+    position = rng.uniform(-2.0, 2.0, 3)
+    fx, fy = float(rng.uniform(20, 100)), float(rng.uniform(20, 100))
+    cam = level_camera(heading, position, fx, fy, w * stride, h * stride)
+    return build_frustum(cam, bin_cfg, stride)
+
+
 def random_soft_labels(rng, h: int, w: int, bin_cfg: DepthBinConfig):
     raw = rng.uniform(0.0, 1.0, (h, w, bin_cfg.n_bins)) + 1e-9
     raw /= raw.sum(axis=2, keepdims=True)
@@ -114,6 +141,13 @@ def random_hard_labels(rng, h: int, w: int, bin_cfg: DepthBinConfig) -> HardLabe
 
 def random_bev_grid(rng, cfg: BevGridConfig, channels: int) -> BevFeatureGrid:
     return BevFeatureGrid(rng.normal(0, 1, (cfg.grid_h, cfg.grid_w, channels)), cfg)
+
+
+def random_windowed_grid(rng, cfg: BevGridConfig, channels: int) -> BevFeatureGrid:
+    """A grid that is zero outside a random window, which may be empty or the whole grid."""
+    r0, r1 = sorted(int(i) for i in rng.integers(0, cfg.grid_h + 1, 2))
+    c0, c1 = sorted(int(i) for i in rng.integers(0, cfg.grid_w + 1, 2))
+    return BevFeatureGrid(rng.normal(0, 1, (r1 - r0, c1 - c0, channels)), cfg, (r0, c0))
 
 
 def _suite_corners(seed: int, n: int) -> SuiteResult:
@@ -199,14 +233,7 @@ def _random_pool_case(rng):
         grid_w=int(rng.integers(4, 17)),
         z_range=(-4.0, 4.0),
     )
-    frustum = Frustum(
-        rows=np.repeat(np.arange(h), w * n_bins),
-        cols=np.tile(np.repeat(np.arange(w), n_bins), h),
-        bins=np.tile(np.arange(n_bins), h * w),
-        points=rng.uniform(-22, 22, (h * w * n_bins, 3)),
-        feature_shape=(h, w),
-        n_bins=n_bins,
-    )
+    frustum = random_lift_frustum(rng, h, w, bin_cfg)
     ctx = ContextFeatureMap(rng.normal(0, 1, (h, w, channels)))
     depth, seg = random_soft_labels(rng, h, w, bin_cfg)
     return ctx, depth, seg, frustum, bev
@@ -357,8 +384,10 @@ def _suite_encoders(seed: int, n: int) -> SuiteResult:
     rng = np.random.default_rng(seed)
     cfg = BevGridConfig(range_xy=8.0, grid_h=7, grid_w=5)
     for _ in range(n):
-        s = random_bev_grid(rng, cfg, 4)
-        t = random_bev_grid(rng, cfg, 4)
+        s = random_windowed_grid(rng, cfg, 4)
+        t = random_windowed_grid(rng, cfg, 4)
+        full = np.stack([s.values, t.values])
+        want = {"identity": full, "box_blur": oracles.box_blur_reference(full)}
         for enc in (IdentityEncoder(), BoxBlurEncoder()):
             js, jt = encode_joint(enc, s, t)
             if not (
@@ -367,6 +396,10 @@ def _suite_encoders(seed: int, n: int) -> SuiteResult:
             ):
                 return SuiteResult(
                     "encoder-joint", False, f"{enc.name}: joint != separate"
+                )
+            if np.stack([js.values, jt.values]).tobytes() != want[enc.name].tobytes():
+                return SuiteResult(
+                    "encoder-joint", False, f"{enc.name}: windows != full-grid oracle"
                 )
     return SuiteResult("encoder-joint", True, f"bitwise equal on {n} grid pairs")
 

@@ -1,15 +1,18 @@
 """Foreground-filtered lift-splat pooling into bird's-eye-view grids.
 
-The frustum enumerates every (feature cell, depth bin) pair with its
-back-projected ego-frame location at the bin-center depth. Pooling walks the
-frustum in (row, col, bin) lexicographic order, keeps entries whose
-segmentation clears the threshold, weights context features by
-depth probability times segmentation, and sums them into BEV cells.
+The frustum is one camera's lift geometry: each (feature cell, depth bin)
+pair back-projects to an ego-frame point at the bin-center depth. Pooling
+gates first: it finds the feature cells whose segmentation clears the
+threshold, lifts only their entries in (row, col, bin) lexicographic order,
+weights context features by depth probability times segmentation, and sums
+them into BEV cells. The BEV grid stores only the window of cells that
+received an entry; every other cell is zero.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -92,49 +95,155 @@ class ContextFeatureMap:
 
 @dataclass(frozen=True)
 class BevFeatureGrid:
-    """BEV feature grid, shape (grid_h, grid_w, C), tied to its grid config."""
+    """BEV feature grid of shape (grid_h, grid_w, C), tied to its grid config.
 
-    values: np.ndarray
+    Only a window is stored: `window` holds the rows origin[0]:origin[0]+h and
+    the columns origin[1]:origin[1]+w, and every cell outside it is +0.0.
+    Without an origin, `window` must be the whole grid.
+    """
+
+    window: np.ndarray
     cfg: BevGridConfig
+    origin: tuple[int, int] | None = None
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 3 or v.shape[:2] != (self.cfg.grid_h, self.cfg.grid_w):
+        v = np.asarray(self.window, dtype=np.float64)
+        grid = (self.cfg.grid_h, self.cfg.grid_w)
+        if self.origin is None:
+            fits = v.ndim == 3 and v.shape[:2] == grid
+            origin = (0, 0)
+        else:
+            origin = tuple(int(o) for o in self.origin)
+            fits = v.ndim == 3 and all(
+                0 <= o and o + n <= g for o, n, g in zip(origin, v.shape[:2], grid)
+            )
+        if not fits:
+            where = "" if self.origin is None else f" at {origin}"
             raise ValueError(
-                f"grid values {v.shape} inconsistent with config "
+                f"grid values {v.shape}{where} inconsistent with config "
                 f"{self.cfg.grid_h}x{self.cfg.grid_w}"
             )
         if not np.all(np.isfinite(v)):
             raise ValueError("BEV features must be finite")
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "window", v)
+        object.__setattr__(self, "origin", origin)
 
     @property
     def channels(self) -> int:
-        return self.values.shape[2]
+        return self.window.shape[2]
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return self.cfg.grid_h, self.cfg.grid_w, self.channels
+
+    @property
+    def bounds(self) -> tuple[int, int, int, int]:
+        """(row0, row1, col0, col1) of the window; rows row0:row1, cols col0:col1."""
+        (r0, c0), (h, w) = self.origin, self.window.shape[:2]
+        return r0, r0 + h, c0, c0 + w
+
+    def crop(self, bounds: tuple[int, int, int, int]) -> np.ndarray:
+        """The full grid's block at rows r0:r1, cols c0:c1 as an (r1-r0, c1-c0, C) array."""
+        if bounds == self.bounds:
+            return self.window
+        r0, r1, c0, c1 = bounds
+        sr0, sr1, sc0, sc1 = self.bounds
+        out = np.zeros((r1 - r0, c1 - c0, self.channels))
+        lo_r, hi_r, lo_c, hi_c = max(r0, sr0), min(r1, sr1), max(c0, sc0), min(c1, sc1)
+        if lo_r < hi_r and lo_c < hi_c:
+            out[lo_r - r0 : hi_r - r0, lo_c - c0 : hi_c - c0] = self.window[
+                lo_r - sr0 : hi_r - sr0, lo_c - sc0 : hi_c - sc0
+            ]
+        return out
+
+    @property
+    def values(self) -> np.ndarray:
+        """The full (grid_h, grid_w, C) array, built on each access."""
+        return self.crop((0, self.cfg.grid_h, 0, self.cfg.grid_w))
 
     def occupancy(self) -> np.ndarray:
-        """Per-cell L2 norm across channels."""
-        return np.linalg.norm(self.values, axis=2)
+        """Per-cell L2 norm across channels, shape (grid_h, grid_w)."""
+        r0, r1, c0, c1 = self.bounds
+        out = np.zeros((self.cfg.grid_h, self.cfg.grid_w))
+        out[r0:r1, c0:c1] = np.linalg.norm(self.window, axis=2)
+        return out
+
+
+def window_bounds(
+    grids: list[BevFeatureGrid], margin: int = 0
+) -> tuple[int, int, int, int]:
+    """Bounding box of the grids' non-empty windows, grown by margin and clipped to the grid.
+
+    Grids without a non-empty window contribute nothing; with none left the
+    box is the empty (0, 0, 0, 0).
+    """
+    boxes = [g.bounds for g in grids if g.window.shape[0] and g.window.shape[1]]
+    if not boxes:
+        return 0, 0, 0, 0
+    row0, row1, col0, col1 = zip(*boxes)
+    cfg = grids[0].cfg
+    return (
+        max(min(row0) - margin, 0),
+        min(max(row1) + margin, cfg.grid_h),
+        max(min(col0) - margin, 0),
+        min(max(col1) + margin, cfg.grid_w),
+    )
 
 
 @dataclass(frozen=True)
 class Frustum:
-    """Flattened (cell, bin, ego point) table in (row, col, bin) lexicographic order."""
+    """Lift geometry of one camera: feature cells at `stride` times depth bins.
 
-    rows: np.ndarray
-    cols: np.ndarray
-    bins: np.ndarray
-    points: np.ndarray
-    feature_shape: tuple[int, int]
-    n_bins: int
+    `entries` back-projects chosen cells; `rows`, `cols`, `bins` and `points`
+    are the whole table, every cell in (row, col, bin) lexicographic order,
+    built on first access.
+    """
+
+    cam: CameraModel
+    bin_cfg: DepthBinConfig
+    stride: int
+    feature_shape: tuple[int, int] = field(init=False)
+    n_bins: int = field(init=False)
 
     def __post_init__(self):
-        n = len(self.rows)
-        if not (len(self.cols) == len(self.bins) == self.points.shape[0] == n):
-            raise ValueError("frustum arrays must share a length")
+        object.__setattr__(self, "feature_shape", self.cam.feature_grid_shape(self.stride))
+        object.__setattr__(self, "n_bins", self.bin_cfg.n_bins)
+
+    def entries(self, cell_rows: np.ndarray, cell_cols: np.ndarray):
+        """(rows, cols, bins, points) for every bin of the given cells, cell by cell.
+
+        Feature cell (r, c) uses the pixel at the cell center, ((c+0.5)*stride,
+        (r+0.5)*stride), at each bin-center depth, so projecting the ego point
+        back into the camera recovers the source cell and bin. Each entry's
+        point depends only on its (row, col, bin), so a subset of cells gets
+        exactly the points the whole table holds for them.
+        """
+        cam, stride, n_bins = self.cam, self.stride, self.n_bins
+        rows = np.repeat(cell_rows, n_bins)
+        cols = np.repeat(cell_cols, n_bins)
+        bins = np.tile(np.arange(n_bins), len(cell_rows))
+        u = (cols + 0.5) * stride
+        v = (rows + 0.5) * stride
+        d = self.bin_cfg.bin_centers()[bins]
+        x = (u - cam.cx) / cam.fx * d
+        y = (v - cam.cy) / cam.fy * d
+        points = cam.cam_to_ego.apply(np.stack([x, y, d], axis=1))
+        return rows, cols, bins, points
+
+    @functools.cached_property
+    def _table(self):
+        h_f, w_f = self.feature_shape
+        r, c = np.meshgrid(np.arange(h_f), np.arange(w_f), indexing="ij")
+        return self.entries(r.ravel(), c.ravel())
+
+    rows = property(lambda self: self._table[0])
+    cols = property(lambda self: self._table[1])
+    bins = property(lambda self: self._table[2])
+    points = property(lambda self: self._table[3])
 
     def __len__(self) -> int:
-        return len(self.rows)
+        h_f, w_f = self.feature_shape
+        return h_f * w_f * self.n_bins
 
     def __iter__(self):
         for r, c, b, p in zip(self.rows, self.cols, self.bins, self.points):
@@ -142,25 +251,8 @@ class Frustum:
 
 
 def build_frustum(cam: CameraModel, bin_cfg: DepthBinConfig, feature_stride: int) -> Frustum:
-    """Back-project every (feature cell, depth bin) pair at its bin-center depth.
-
-    Feature cell (r, c) uses the pixel at the cell center, ((c+0.5)*stride,
-    (r+0.5)*stride), so projecting the ego point back into the camera
-    recovers the source cell and bin.
-    """
-    h_f, w_f = cam.feature_grid_shape(feature_stride)
-    n_bins = bin_cfg.n_bins
-    r, c, b = np.meshgrid(
-        np.arange(h_f), np.arange(w_f), np.arange(n_bins), indexing="ij"
-    )
-    rows, cols, bins = r.ravel(), c.ravel(), b.ravel()
-    u = (cols + 0.5) * feature_stride
-    v = (rows + 0.5) * feature_stride
-    d = bin_cfg.bin_centers()[bins]
-    x = (u - cam.cx) / cam.fx * d
-    y = (v - cam.cy) / cam.fy * d
-    points = cam.cam_to_ego.apply(np.stack([x, y, d], axis=1))
-    return Frustum(rows, cols, bins, points, (h_f, w_f), n_bins)
+    """The lift geometry of `cam`; no entry is back-projected until one is asked for."""
+    return Frustum(cam, bin_cfg, feature_stride)
 
 
 def sa_bev_pool(
@@ -176,7 +268,9 @@ def sa_bev_pool(
     An entry contributes depth(cell, bin) * seg(cell) * ctx(cell) to the BEV
     cell containing its ego point, but only when seg(cell) >= seg_threshold
     and the point lies inside the grid range; everything else is dropped.
-    Accumulation is summation in frustum order.
+    Only the cells that pass the gate are lifted, in (row, col, bin) order,
+    and accumulation is summation in that order. The grid's window is the
+    bounding box of the BEV cells that receive an entry.
     """
     h_f, w_f = frustum.feature_shape
     if ctx.shape[:2] != (h_f, w_f):
@@ -190,22 +284,18 @@ def sa_bev_pool(
         raise ValueError(f"seg shape {seg.shape} != frustum cells {h_f}x{w_f}")
 
     channels = ctx.values.shape[2]
-    out = np.zeros((bev_cfg.grid_h, bev_cfg.grid_w, channels))
-
-    seg_at = seg.values[frustum.rows, frustum.cols]
-    keep = seg_at >= seg_threshold
-    if keep.any():
-        rows = frustum.rows[keep]
-        cols = frustum.cols[keep]
-        bins = frustum.bins[keep]
-        brow, bcol, ok = bev_cfg.cells_for_points(frustum.points[keep])
-        if ok.any():
-            rows, cols, bins = rows[ok], cols[ok], bins[ok]
-            weight = depth.values[rows, cols, bins] * seg_at[keep][ok]
-            contrib = weight[:, None] * ctx.values[rows, cols]
-            flat = brow[ok] * bev_cfg.grid_w + bcol[ok]
-            np.add.at(out.reshape(-1, channels), flat, contrib)
-    return BevFeatureGrid(out, bev_cfg)
+    rows, cols, bins, points = frustum.entries(*np.nonzero(seg.values >= seg_threshold))
+    brow, bcol, ok = bev_cfg.cells_for_points(points)
+    rows, cols, bins, brow, bcol = rows[ok], cols[ok], bins[ok], brow[ok], bcol[ok]
+    if len(brow) == 0:
+        return BevFeatureGrid(np.zeros((0, 0, channels)), bev_cfg, (0, 0))
+    r0, c0 = int(brow.min()), int(bcol.min())
+    width = int(bcol.max()) + 1 - c0
+    window = np.zeros((int(brow.max()) + 1 - r0, width, channels))
+    weight = depth.values[rows, cols, bins] * seg.values[rows, cols]
+    contrib = weight[:, None] * ctx.values[rows, cols]
+    np.add.at(window.reshape(-1, channels), (brow - r0) * width + (bcol - c0), contrib)
+    return BevFeatureGrid(window, bev_cfg, (r0, c0))
 
 
 def teacher_bev(

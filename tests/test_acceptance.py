@@ -42,13 +42,13 @@ from fgbev.selfcheck import (
     random_bev_grid,
     random_camera,
     random_hard_labels,
+    random_lift_frustum,
     random_soft_labels,
 )
 from fgbev.view_transform import (
     BevFeatureGrid,
     BevGridConfig,
     ContextFeatureMap,
-    Frustum,
     sa_bev_pool,
 )
 
@@ -76,15 +76,7 @@ def test_criterion_01_pooling_oracle_equivalence():
             grid_w=int(rng.integers(4, 33)),
             z_range=(-4.0, 4.0),
         )
-        n = h * w * n_bins
-        frustum = Frustum(
-            rows=np.repeat(np.arange(h), w * n_bins),
-            cols=np.tile(np.repeat(np.arange(w), n_bins), h),
-            bins=np.tile(np.arange(n_bins), h * w),
-            points=rng.uniform(-28, 28, (n, 3)),
-            feature_shape=(h, w),
-            n_bins=n_bins,
-        )
+        frustum = random_lift_frustum(rng, h, w, bin_cfg)
         ctx = ContextFeatureMap(rng.normal(0, 1, (h, w, channels)))
         depth, seg = random_soft_labels(rng, h, w, bin_cfg)
         thr = float(rng.uniform(0.0, 0.9))

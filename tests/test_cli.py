@@ -1,3 +1,4 @@
+import ctypes
 import hashlib
 import json
 import math
@@ -351,8 +352,20 @@ WRONG_KIND_PATHS = {
 }
 
 
+# The first piece of work each command does once its inputs are read and checked.
+WORK = ("generate_scene", "generate_hard_labels", "elliptical_gaussian_heatmap",
+        "run_pipeline", "ablation_sweep", "frame_combination")
+
+
 @pytest.mark.parametrize("case", sorted(WRONG_KIND_PATHS))
-def test_path_of_the_wrong_kind_exits_1(tmp_path, scene_path, pipe_cfg_path, capsys, case):
+def test_path_of_the_wrong_kind_exits_1(
+    tmp_path, scene_path, pipe_cfg_path, capsys, monkeypatch, case
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a path of the wrong kind must fail before any work")
+
+    for name in WORK:
+        monkeypatch.setattr(f"fgbev.cli.{name}", no_work)
     paths = {
         "file": tmp_path / "a_file",
         "dir": tmp_path / "a_dir",
@@ -369,6 +382,7 @@ def test_path_of_the_wrong_kind_exits_1(tmp_path, scene_path, pipe_cfg_path, cap
     bad = paths["file"] if "{file}" in argv else paths["dir"]
     assert str(bad) in captured.err
     assert "Traceback" not in captured.err
+    assert "[timing]" not in captured.err
     assert captured.out == ""
 
 
@@ -762,6 +776,26 @@ class TestUsability:
 
     def test_missing_required_flag_exits_1(self, capsys):
         assert main(["labels"]) == 1
+
+
+class _MallInfo2(ctypes.Structure):
+    _fields_ = [
+        (name, ctypes.c_size_t)
+        for name in ("arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
+                     "fsmblks", "uordblks", "fordblks", "keepcost")
+    ]
+
+
+def test_main_serves_large_arrays_from_the_heap(capsys):
+    libc = ctypes.CDLL(None)
+    if not hasattr(libc, "mallinfo2"):
+        pytest.skip("needs glibc >= 2.33")
+    libc.mallinfo2.restype = _MallInfo2
+    assert main(["--help"]) == 0
+    mapped = libc.mallinfo2().hblks
+    block = np.ones(3 << 20)  # 24 MiB, below the 32 MiB mmap threshold main sets
+    assert libc.mallinfo2().hblks == mapped
+    del block
 
 
 class TestArrayIO:

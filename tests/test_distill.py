@@ -81,6 +81,66 @@ class TestEncoders:
             get_encoder("resnet")
 
 
+WIN_CFG = BevGridConfig(range_xy=8.0, grid_h=9, grid_w=11)
+# (row0, row1, col0, col1) of a window in WIN_CFG; "empty" is a grid nothing reached.
+WINDOWS = {
+    "empty": (0, 0, 0, 0),
+    "top-left-cell": (0, 1, 0, 1),
+    "bottom-right-cell": (8, 9, 10, 11),
+    "top": (0, 3, 4, 7),
+    "bottom": (6, 9, 2, 5),
+    "left": (3, 6, 0, 2),
+    "right": (2, 5, 8, 11),
+    "interior": (3, 6, 4, 7),
+    "whole": (0, 9, 0, 11),
+}
+WINDOW_PAIRS = [(name, name) for name in WINDOWS] + [
+    ("top-left-cell", "bottom-right-cell"),
+    ("left", "right"),
+    ("top", "bottom"),
+    ("empty", "interior"),
+    ("right", "empty"),
+    ("top", "left"),
+]
+
+
+def windowed(rng, name, channels=3):
+    """A WIN_CFG grid with random values, signed zeros among them, in one window."""
+    r0, r1, c0, c1 = WINDOWS[name]
+    values = rng.normal(size=(r1 - r0, c1 - c0, channels))
+    values[rng.random(values.shape) < 0.2] = -0.0
+    return BevFeatureGrid(values, WIN_CFG, (r0, c0))
+
+
+@pytest.mark.parametrize("student_win, teacher_win", WINDOW_PAIRS)
+class TestWindows:
+    def test_joint_encoding_matches_full_grid_oracle(self, student_win, teacher_win):
+        rng = np.random.default_rng(12)
+        s, t = windowed(rng, student_win), windowed(rng, teacher_win)
+        full = np.stack([s.values, t.values])
+        blur_s, blur_t = encode_joint(BoxBlurEncoder(), s, t)
+        want = oracles.box_blur_reference(full)
+        assert blur_s.values.tobytes() == want[0].tobytes()
+        assert blur_t.values.tobytes() == want[1].tobytes()
+        assert BoxBlurEncoder()(t).values.tobytes() == want[1].tobytes()
+        same_s, same_t = encode_joint(IdentityEncoder(), s, t)
+        assert same_s.values.tobytes() == full[0].tobytes()
+        assert same_t.values.tobytes() == full[1].tobytes()
+
+    def test_loss_matches_oracle_and_whole_grid_window(self, student_win, teacher_win):
+        rng = np.random.default_rng(13)
+        s, t = windowed(rng, student_win), windowed(rng, teacher_win)
+        for enc_s, enc_t in ((s, t), encode_joint(BoxBlurEncoder(), s, t)):
+            got = distillation_loss(enc_t, enc_s)
+            whole = distillation_loss(
+                BevFeatureGrid(enc_t.values, WIN_CFG), BevFeatureGrid(enc_s.values, WIN_CFG)
+            )
+            assert got == whole  # bit for bit, count included
+            want, want_n = oracles.distill_loss_reference(enc_t.values, enc_s.values, 1e-6)
+            assert got[1] == want_n
+            assert abs(got[0] - want) < 1e-9
+
+
 class TestDistillationLoss:
     def test_equal_grids_zero_loss(self):
         rng = np.random.default_rng(3)

@@ -390,15 +390,45 @@ class TestSweepSharesPrepare:
         assert "synth_features" in capsys.readouterr().err
 
 
-def test_traced_benchmark_patches_resolve():
-    """Every (module, attribute) the traced benchmark wraps is a callable in fgbev."""
+def load_tracing():
+    """perfbench/tracing.py, loaded by path as the benchmark worker imports it."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_benchmark_patches_resolve():
+    """Every (module, attribute) the traced benchmark wraps is a callable in fgbev."""
+    tracing = load_tracing()
     unresolved = [
         f"{module}.{attr}"
         for module, attr, _ in tracing.PATCHES
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert unresolved == []
+
+
+@pytest.mark.parametrize("threshold_as", ["positional", "keyword"])
+def test_traced_benchmark_counts_the_pool(threshold_as):
+    """The traced benchmark's pooling counter reads the frustum and grid fgbev builds."""
+    tracing = load_tracing()
+    cfg = small_config(soft_label_noise=1.0)
+    prep = fgbev.pipeline.prepare(cfg, {})
+    args = (prep.ctx, prep.soft_depth, prep.soft_seg, prep.frustum, cfg.bev)
+    kwargs = {"seg_threshold": cfg.seg_threshold}
+    if threshold_as == "positional":
+        args, kwargs = args + (cfg.seg_threshold,), {}
+    counts = collections.Counter()
+    tracing._count_pool(counts, args, kwargs, fgbev.pipeline.sa_bev_pool(*args, **kwargs))
+
+    gate = prep.soft_seg.values >= cfg.seg_threshold
+    rows, cols, bins, points = prep.frustum.entries(*np.nonzero(gate))
+    brow, bcol, ok = cfg.bev.cells_for_points(points)
+    n_bins = cfg.bins.n_bins
+    assert counts["pool_entries"] == gate.size * n_bins
+    assert 0 < counts["gate_passes"] == gate.sum() * n_bins < gate.size * n_bins
+    assert counts["cells_touched"] == len(set(zip(brow[ok], bcol[ok]))) > 0
+    channels = cfg.context_channels
+    assert counts["pool_bytes_computed"] == ok.sum() * channels * 8

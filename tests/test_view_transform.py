@@ -4,12 +4,17 @@ import pytest
 from fgbev import oracles
 from fgbev.geometry import CameraModel, RigidTransform, project_point
 from fgbev.labels import DepthBinConfig, DepthDistributionMap, SegmentationMap
-from fgbev.selfcheck import random_hard_labels, random_soft_labels
+from fgbev.scene import SceneConfig, generate_scene
+from fgbev.selfcheck import (
+    level_camera,
+    random_hard_labels,
+    random_lift_frustum,
+    random_soft_labels,
+)
 from fgbev.view_transform import (
     BevFeatureGrid,
     BevGridConfig,
     ContextFeatureMap,
-    Frustum,
     build_frustum,
     sa_bev_pool,
     teacher_bev,
@@ -85,17 +90,6 @@ class TestBuildFrustum:
             build_frustum(camera(w=60), BIN_CFG, 8)
 
 
-def one_entry_frustum(point, cell=(0, 0), bin_index=0, shape=(1, 1), n_bins=2):
-    return Frustum(
-        rows=np.array([cell[0]]),
-        cols=np.array([cell[1]]),
-        bins=np.array([bin_index]),
-        points=np.asarray([point], dtype=float),
-        feature_shape=shape,
-        n_bins=n_bins,
-    )
-
-
 class TestSaBevPool:
     def test_zero_seg_filters_everything(self):
         rng = np.random.default_rng(1)
@@ -105,10 +99,17 @@ class TestSaBevPool:
         seg = SegmentationMap(np.zeros((4, 8)))
         out = sa_bev_pool(ctx, depth, seg, frustum, BevGridConfig(range_xy=8, grid_h=8, grid_w=8), 0.25)
         assert not out.values.any()
+        assert out.window.shape == (0, 0, 3)
+        assert np.array_equal(out.occupancy(), np.zeros((8, 8)))
 
     def test_single_entry_accumulation(self):
         cfg = BevGridConfig(range_xy=10.0, grid_h=4, grid_w=4, z_range=(-1, 1))
-        frustum = one_entry_frustum((0.0, 0.0, 0.0))
+        # One 16x16 cell looking up from 2 m below the ego origin: bin 0 (depth
+        # 2) lands exactly on (0, 0, 0), bin 1 (depth 4) above the z range.
+        cam_to_ego = RigidTransform(np.eye(3), np.array([0.0, 0.0, -2.0]))
+        cam = CameraModel(80.0, 80.0, 8.0, 8.0, cam_to_ego.inverse(), 16, 16)
+        frustum = build_frustum(cam, DepthBinConfig(1.0, 5.0, 2.0), 16)
+        assert np.array_equal(frustum.points[0], (0.0, 0.0, 0.0))
         ctx = ContextFeatureMap(np.array([[[1.0, 2.0]]]))
         depth = DepthDistributionMap(
             np.array([[[0.7, 0.3]]]), DepthBinConfig(1.0, 5.0, 2.0)
@@ -128,15 +129,7 @@ class TestSaBevPool:
                 grid_w=int(rng.integers(4, 17)),
                 z_range=(-3, 3),
             )
-            n = h * w * BIN_CFG.n_bins
-            frustum = Frustum(
-                rows=np.repeat(np.arange(h), w * BIN_CFG.n_bins),
-                cols=np.tile(np.repeat(np.arange(w), BIN_CFG.n_bins), h),
-                bins=np.tile(np.arange(BIN_CFG.n_bins), h * w),
-                points=rng.uniform(-18, 18, (n, 3)),
-                feature_shape=(h, w),
-                n_bins=BIN_CFG.n_bins,
-            )
+            frustum = random_lift_frustum(rng, h, w, BIN_CFG)
             ctx = ContextFeatureMap(rng.normal(0, 1, (h, w, 2)))
             depth, seg = random_soft_labels(rng, h, w, BIN_CFG)
             thr = float(rng.uniform(0, 0.8))
@@ -162,17 +155,15 @@ class TestSaBevPool:
         bev = BevGridConfig(range_xy=6, grid_h=8, grid_w=8)
         depth, seg = random_soft_labels(rng, 4, 8, BIN_CFG)
         ctx = ContextFeatureMap(rng.normal(0, 1, (4, 8, 3)))
-        mask = rng.random(len(frustum)) < 0.5
+        mask = rng.random(seg.shape) < 0.5
         whole = sa_bev_pool(ctx, depth, seg, frustum, bev, 0.2)
 
         def part(m):
-            f = frustum
-            return Frustum(
-                f.rows[m], f.cols[m], f.bins[m], f.points[m], f.feature_shape, f.n_bins
-            )
+            # Zero seg fails the 0.2 gate, so each part lifts only its own cells.
+            return SegmentationMap(np.where(m, seg.values, 0.0))
 
-        first = sa_bev_pool(ctx, depth, seg, part(mask), bev, 0.2)
-        second = sa_bev_pool(ctx, depth, seg, part(~mask), bev, 0.2)
+        first = sa_bev_pool(ctx, depth, part(mask), frustum, bev, 0.2)
+        second = sa_bev_pool(ctx, depth, part(~mask), frustum, bev, 0.2)
         assert np.allclose(whole.values, first.values + second.values, atol=1e-9)
 
     def test_threshold_monotonicity(self):
@@ -204,6 +195,62 @@ class TestSaBevPool:
         ctx = ContextFeatureMap(rng.normal(0, 1, (4, 8, 3)))
         with pytest.raises(ValueError, match="depth"):
             sa_bev_pool(ctx, bad_depth, seg, frustum, BevGridConfig(), 0.25)
+
+
+LIFT_CONFIGS = {
+    "default": SceneConfig(),
+    "lib-large": SceneConfig(n_boxes=40, image_width=1408, image_height=512, n_frames=9),
+}
+
+
+class TestGateFirstLift:
+    @pytest.mark.parametrize("config", sorted(LIFT_CONFIGS))
+    def test_entries_are_the_full_table_rows_bitwise(self, config):
+        cam = generate_scene(LIFT_CONFIGS[config], 0).current.cameras[0]
+        frustum = build_frustum(cam, DepthBinConfig(), 16)
+        full = (frustum.rows, frustum.cols, frustum.bins, frustum.points)
+        assert len(frustum) == len(full[0])
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            gate = rng.random(frustum.feature_shape) < (0.0, 0.03, 0.3, 0.7, 1.0, 0.5)[seed]
+            keep = gate[frustum.rows, frustum.cols]
+            got = frustum.entries(*np.nonzero(gate))
+            for have, table in zip(got, full):
+                assert have.dtype == table.dtype
+                assert have.tobytes() == table[keep].tobytes()
+
+    def test_threshold_zero_lifts_every_cell_over_the_whole_grid(self):
+        # From 10 m behind the grid, the bins reach across it and the wide
+        # view covers every row, so every BEV cell receives an entry.
+        bin_cfg = DepthBinConfig(1.0, 17.0, 2.0)
+        cam = level_camera(0.0, (-10.0, 0.0, 0.0), 20.0, 20.0, 64, 32)
+        frustum = build_frustum(cam, bin_cfg, 8)
+        bev = BevGridConfig(range_xy=4, grid_h=4, grid_w=4)
+        rng = np.random.default_rng(8)
+        ctx = ContextFeatureMap(rng.normal(0, 1, (4, 8, 3)))
+        depth, seg = random_soft_labels(rng, 4, 8, bin_cfg)
+        out = sa_bev_pool(ctx, depth, seg, frustum, bev, 0.0)
+        assert out.bounds == (0, 4, 0, 4)
+        want = oracles.pool_reference(ctx, depth, seg, frustum, bev, 0.0)
+        assert out.values.tobytes() == want.tobytes()
+
+    def test_window_is_the_box_of_touched_cells(self):
+        rng = np.random.default_rng(9)
+        for _ in range(25):
+            h, w = int(rng.integers(2, 9)), int(rng.integers(2, 9))
+            frustum = random_lift_frustum(rng, h, w, BIN_CFG)
+            bev = BevGridConfig(range_xy=float(rng.uniform(4, 16)), grid_h=12, grid_w=10)
+            ctx = ContextFeatureMap(rng.normal(0, 1, (h, w, 2)))
+            depth, seg = random_soft_labels(rng, h, w, BIN_CFG)
+            thr = float(rng.uniform(0, 0.8))
+            out = sa_bev_pool(ctx, depth, seg, frustum, bev, thr)
+            rows, cols = np.nonzero(out.occupancy())
+            if len(rows) == 0:
+                assert out.window.size == 0
+                continue
+            assert out.bounds == (rows.min(), rows.max() + 1, cols.min(), cols.max() + 1)
+            want = oracles.pool_reference(ctx, depth, seg, frustum, bev, thr)
+            assert out.values.tobytes() == want.tobytes()
 
 
 class TestStudentTeacher:
@@ -280,3 +327,19 @@ class TestBevFeatureGrid:
         cfg = BevGridConfig(range_xy=4, grid_h=2, grid_w=2)
         with pytest.raises(ValueError, match="inconsistent"):
             BevFeatureGrid(np.zeros((3, 2, 1)), cfg)
+        with pytest.raises(ValueError, match="inconsistent"):
+            BevFeatureGrid(np.zeros((1, 2, 1)), cfg)  # a window needs its origin
+        for origin in ((1, 1), (-1, 0), (0, 2)):
+            with pytest.raises(ValueError, match="inconsistent"):
+                BevFeatureGrid(np.zeros((2, 1, 1)), cfg, origin)
+
+    def test_window_reads_as_zero_padded_grid(self):
+        cfg = BevGridConfig(range_xy=4, grid_h=3, grid_w=4)
+        grid = BevFeatureGrid(np.array([[[3.0, 4.0]], [[0.0, -1.0]]]), cfg, (1, 2))
+        want = np.zeros((3, 4, 2))
+        want[1:3, 2] = [[3.0, 4.0], [0.0, -1.0]]
+        assert grid.shape == (3, 4, 2)
+        assert grid.bounds == (1, 3, 2, 3)
+        assert np.array_equal(grid.values, want)
+        assert np.array_equal(grid.occupancy(), np.linalg.norm(want, axis=2))
+        assert np.array_equal(grid.crop((0, 2, 1, 4)), want[0:2, 1:4])
