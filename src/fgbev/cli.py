@@ -152,7 +152,7 @@ def _write(obj, nl: str, out: list[str]) -> None:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _resolve_input(path_str: str) -> Path:
+def _resolve_input(path_str: str, flag: str) -> Path:
     path = Path(path_str)
     if path.exists():
         return path
@@ -161,11 +161,11 @@ def _resolve_input(path_str: str) -> Path:
         candidate = Path(env_dir) / path
         if candidate.exists():
             return candidate
-    raise ValueError(f"config file not found: {path_str}")
+    raise ValueError(f"{flag} file not found: {path_str}")
 
 
 def _load_json(path_str: str) -> dict:
-    path = _resolve_input(path_str)
+    path = _resolve_input(path_str, "--config")
     try:
         data = json.loads(path.read_text())
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -177,7 +177,7 @@ def _load_json(path_str: str) -> dict:
 
 def _scene_and_camera(args) -> tuple[Scene, CameraModel]:
     """The --scene file and its current frame's camera number --cam."""
-    scene = load_scene(_resolve_input(args.scene))
+    scene = load_scene(_resolve_input(args.scene, "--scene"))
     cameras = scene.current.cameras
     if not 0 <= args.cam < len(cameras):
         raise ValueError(f"camera index {args.cam} out of range (scene has {len(cameras)})")
@@ -307,6 +307,8 @@ def _pipeline_config(args) -> PipelineConfig:
 
 
 def _cmd_pipeline(args) -> int:
+    if args.timing and args.format == "csv":
+        raise ValueError("--timing adds stage timings to JSON output; --format csv has none")
     cfg = _pipeline_config(args)
     out_dir = _out_dir(args.out) if args.out else None
     result = run_pipeline(cfg)
@@ -360,6 +362,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_selfcheck(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     results = run_selfcheck(seed=args.seed, quick=args.quick)
     all_ok = True
     for r in results:

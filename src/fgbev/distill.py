@@ -1,6 +1,6 @@
-"""Self-distillation core: shared-parameter BEV encoding and the
-teacher-normalized per-cell L2 alignment loss, plus a finite-difference
-harness that validates the analytic student gradient."""
+"""Self-distillation core: one shared-parameter BEV encoder for student and
+teacher, the teacher-normalized per-cell L2 alignment loss, and a
+finite-difference harness that validates the analytic student gradient."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .view_transform import BevFeatureGrid, window_bounds
+from .view_transform import BevFeatureGrid
 
 DEFAULT_NORM_EPS = 1e-6
 
@@ -30,7 +30,11 @@ class BevEncoder:
         raise NotImplementedError
 
     def __call__(self, grid: BevFeatureGrid) -> BevFeatureGrid:
-        r0, r1, c0, c1 = window_bounds([grid], self.margin)
+        """Encode the window grown by `margin` and clipped to the grid; an empty one stays empty."""
+        r0, r1, c0, c1 = grid.bounds
+        if r0 < r1 and c0 < c1:
+            m, h, w = self.margin, grid.cfg.grid_h, grid.cfg.grid_w
+            r0, r1, c0, c1 = max(r0 - m, 0), min(r1 + m, h), max(c0 - m, 0), min(c1 + m, w)
         out = self.apply(grid.crop((r0, r1, c0, c1))[None])[0]
         return BevFeatureGrid(out, grid.cfg, (r0, c0))
 
@@ -87,17 +91,10 @@ def get_encoder(kind: str) -> BevEncoder:
 def encode_joint(
     encoder: BevEncoder, student: BevFeatureGrid, teacher: BevFeatureGrid
 ) -> tuple[BevFeatureGrid, BevFeatureGrid]:
-    """Encode student and teacher grids as one batch with shared parameters.
-
-    The batch covers the bounding box of both windows grown by the encoder's
-    margin, and both results keep that window.
-    """
+    """Encode student and teacher with the one shared encoder, each on its own window."""
     if student.shape != teacher.shape:
         raise ValueError(f"shape mismatch: student {student.shape} vs teacher {teacher.shape}")
-    bounds = window_bounds([student, teacher], encoder.margin)
-    out = encoder.apply(np.stack([student.crop(bounds), teacher.crop(bounds)]))
-    origin = bounds[0], bounds[2]
-    return BevFeatureGrid(out[0], student.cfg, origin), BevFeatureGrid(out[1], teacher.cfg, origin)
+    return encoder(student), encoder(teacher)
 
 
 def _cell_norms(values: np.ndarray) -> np.ndarray:

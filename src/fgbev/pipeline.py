@@ -2,13 +2,13 @@
 
 prepare: scene -> synthetic features -> foreground fusion diagnostics -> soft
 labels -> frustum -> student pooling. teacher_branch: hard labels on the
-densified cloud -> pseudo points -> teacher pooling -> joint encoding ->
+densified cloud -> pseudo points -> teacher pooling -> shared encoding ->
 distillation loss. Only the teacher branch depends on fc_enabled/ppa_enabled.
 The frustum stage only fixes the lift geometry; each pooling lifts the cells
-its own seg gate passes. The BEV grids, their encodings and the loss work on
-the window of occupied cells, and the full occupancy grids are padded out
-only for the result. Deterministic per seed; each stage is timed with a
-monotonic clock.
+its own seg gate passes. The one encoder encodes each BEV grid on its own
+occupied window, the loss reads the teacher's window, and the full occupancy
+grids are padded out only for the result. Deterministic per seed; each
+stage is timed with a monotonic clock.
 """
 
 from __future__ import annotations

@@ -169,27 +169,6 @@ class BevFeatureGrid:
         return out
 
 
-def window_bounds(
-    grids: list[BevFeatureGrid], margin: int = 0
-) -> tuple[int, int, int, int]:
-    """Bounding box of the grids' non-empty windows, grown by margin and clipped to the grid.
-
-    Grids without a non-empty window contribute nothing; with none left the
-    box is the empty (0, 0, 0, 0).
-    """
-    boxes = [g.bounds for g in grids if g.window.shape[0] and g.window.shape[1]]
-    if not boxes:
-        return 0, 0, 0, 0
-    row0, row1, col0, col1 = zip(*boxes)
-    cfg = grids[0].cfg
-    return (
-        max(min(row0) - margin, 0),
-        min(max(row1) + margin, cfg.grid_h),
-        max(min(col0) - margin, 0),
-        min(max(col1) + margin, cfg.grid_w),
-    )
-
-
 @dataclass(frozen=True)
 class Frustum:
     """Lift geometry of one camera: feature cells at `stride` times depth bins.

@@ -316,6 +316,18 @@ def test_malformed_scene_exits_1_naming_path(scene_path, tmp_path, capsys, comma
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["labels", "pci-stats", "heatmap"])
+def test_missing_scene_exits_1_naming_flag(tmp_path, capsys, command):
+    missing = tmp_path / "nope.json"
+    argv = [command, "--scene", str(missing)]
+    if command != "pci-stats":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert f"--scene file not found: {missing}" in captured.err
+    assert captured.out == ""
+
+
 # Deeper than the JSON reader's recursion limit.
 DEEP = "[" * 100_000 + "]" * 100_000
 
@@ -432,6 +444,14 @@ class TestPipelineCommand:
         assert main(["pipeline", "--config", str(pipe_cfg_path), "--timing"]) == 0
         result = json.loads(capsys.readouterr().out)
         assert "timing" in result
+
+    def test_timing_with_csv_exits_1_before_any_stage(self, pipe_cfg_path, capsys):
+        argv = ["pipeline", "--config", str(pipe_cfg_path), "--timing", "--format", "csv"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "--timing" in captured.err
+        assert "[timing]" not in captured.err
+        assert captured.out == ""
 
     def test_flag_overrides_config(self, tmp_path, capsys):
         def stdout(config, *flags):
@@ -660,6 +680,13 @@ class TestSelfcheckCommand:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert "oracle suites passed" in out
+
+    def test_negative_seed_exits_1_naming_flag(self, capsys):
+        assert main(["selfcheck", "--quick", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert "--seed" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
 
 def _oracle(obj) -> str:

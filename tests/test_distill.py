@@ -104,6 +104,15 @@ WINDOW_PAIRS = [(name, name) for name in WINDOWS] + [
 ]
 
 
+def grown(name, margin):
+    """WINDOWS[name] grown by margin and clipped to WIN_CFG; an empty window stays empty."""
+    r0, r1, c0, c1 = WINDOWS[name]
+    if r0 == r1 or c0 == c1:
+        return r0, r1, c0, c1
+    h, w = WIN_CFG.grid_h, WIN_CFG.grid_w
+    return max(r0 - margin, 0), min(r1 + margin, h), max(c0 - margin, 0), min(c1 + margin, w)
+
+
 def windowed(rng, name, channels=3):
     """A WIN_CFG grid with random values, signed zeros among them, in one window."""
     r0, r1, c0, c1 = WINDOWS[name]
@@ -126,6 +135,13 @@ class TestWindows:
         same_s, same_t = encode_joint(IdentityEncoder(), s, t)
         assert same_s.values.tobytes() == full[0].tobytes()
         assert same_t.values.tobytes() == full[1].tobytes()
+        # Each grid keeps its own window grown by the encoder's margin.
+        encoded = {BoxBlurEncoder(): (blur_s, blur_t), IdentityEncoder(): (same_s, same_t)}
+        for enc, got in encoded.items():
+            for g, name in zip(got, (student_win, teacher_win)):
+                r0, r1, c0, c1 = grown(name, enc.margin)
+                assert g.bounds == (r0, r1, c0, c1), enc.name
+                assert g.window.shape == (r1 - r0, c1 - c0, 3)
 
     def test_loss_matches_oracle_and_whole_grid_window(self, student_win, teacher_win):
         rng = np.random.default_rng(13)

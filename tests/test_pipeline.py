@@ -432,3 +432,23 @@ def test_traced_benchmark_counts_the_pool(threshold_as):
     assert counts["cells_touched"] == len(set(zip(brow[ok], bcol[ok]))) > 0
     channels = cfg.context_channels
     assert counts["pool_bytes_computed"] == ok.sum() * channels * 8
+
+
+def test_traced_benchmark_metrics_enter_their_spans(capsys):
+    """Every span a per-layer metric reads is entered by the ops the benchmark traces.
+
+    A refactor that moves work out of a wrapped name fails here rather than
+    leaving its metric to read 0 ms.
+    """
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    with tracer.op(0, "pipeline.run_pipeline"):
+        fgbev.run_pipeline(PipelineConfig())
+    with tracer.op(1, "cli.main"):
+        assert main(["sweep", "--toggles", "fc,ppa"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    calls = tracer.calls()
+    spans = {*tracing.SELF_TIME_METRICS.values(), *tracing.CALL_METRICS.values()}
+    assert sorted(span for span in spans if calls[0][span] == 0) == []
+    assert calls[1]["pipeline.ablation_sweep"] == 1
+    assert calls[1]["distill.encode_joint"] == len(rows) == 4
