@@ -11,6 +11,8 @@ import numpy as np
 from .view_transform import BevFeatureGrid
 
 DEFAULT_NORM_EPS = 1e-6
+# Teacher rows per loss block are chosen so a block's features take about this many bytes.
+LOSS_BLOCK_BYTES = 1 << 20
 
 
 class BevEncoder:
@@ -119,15 +121,23 @@ def distillation_loss(
         )
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    t, s = teacher_enc.window, student_enc.crop(teacher_enc.bounds)
-    norms = _cell_norms(t)
-    included = norms >= eps
-    count = int(included.sum())
-    if count == 0:
+    t = teacher_enc.window
+    r0, _, c0, c1 = teacher_enc.bounds
+    # Row blocks of about LOSS_BLOCK_BYTES keep the temporaries small; each
+    # term depends only on its own cell, and the blocks keep row-major order.
+    rows = max(1, LOSS_BLOCK_BYTES // max(t[:1].nbytes, 1))
+    terms = []
+    for a in range(0, len(t), rows):
+        block = t[a : a + rows]
+        norms = _cell_norms(block)
+        included = norms >= eps
+        if included.any():
+            s = student_enc.crop((r0 + a, r0 + a + len(block), c0, c1))
+            terms.append(_cell_norms(block - s)[included] / norms[included])
+    if not terms:
         return 0.0, 0
-    diff = _cell_norms(t - s)
-    terms = diff[included] / norms[included]
-    return float(terms.mean()), count
+    terms = np.concatenate(terms)
+    return float(terms.mean()), len(terms)
 
 
 @dataclass(frozen=True)

@@ -229,19 +229,53 @@ def _inside(box: Box3D, pts: np.ndarray) -> np.ndarray:
     return np.all(np.abs(local) <= box.half_size, axis=1)
 
 
+# Relative growth of each candidate window. A point that `_inside` accepts lies
+# within the box's circumscribed xy radius r of its center up to a rounding error
+# of a few ulps of r + |cx| + |cy| (about 1e-15 of it); this slack is far larger.
+WINDOW_SLACK = 1e-9
+
+
+def _box_candidates(boxes: list[Box3D], pts: np.ndarray):
+    """Yield (box index, ascending point indices) for each box with candidates.
+
+    The candidates of a box are the points whose x and y each lie within its
+    circumscribed xy radius, grown by WINDOW_SLACK, of its center: a superset of
+    the points inside it. The cloud is sorted by x once, so each box's x range
+    is one slice of that order.
+    """
+    if not boxes or not len(pts):
+        return
+    order = np.argsort(pts[:, 0], kind="stable")
+    xs, ys = pts[order, 0], pts[order, 1]
+    centers = np.array([box.center[:2] for box in boxes])
+    reach = np.array([math.hypot(*box.size[:2]) / 2.0 for box in boxes])
+    reach += WINDOW_SLACK * (reach + np.abs(centers).sum(axis=1))
+    lo = np.searchsorted(xs, centers[:, 0] - reach, "left").tolist()
+    hi = np.searchsorted(xs, centers[:, 0] + reach, "right").tolist()
+    for i, (a, b, cy, r) in enumerate(zip(lo, hi, centers[:, 1].tolist(), reach.tolist())):
+        if a == b:
+            continue
+        near = np.abs(ys[a:b] - cy) <= r
+        if near.any():
+            yield i, np.sort(order[a:b][near])
+
+
 def points_in_box(boxes: list[Box3D], points: np.ndarray) -> np.ndarray:
     """(N,) bools: True where a point lies in at least one box (faces count as inside)."""
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     inside = np.zeros(len(pts), dtype=bool)
-    for box in boxes:
-        inside |= _inside(box, pts)
+    for i, idx in _box_candidates(boxes, pts):
+        inside[idx[_inside(boxes[i], pts[idx])]] = True
     return inside
 
 
 def box_point_counts(boxes: list[Box3D], points: np.ndarray) -> np.ndarray:
     """(B,) int64: how many points lie in each box (faces count as inside)."""
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    return np.array([np.count_nonzero(_inside(box, pts)) for box in boxes], dtype=np.int64)
+    counts = np.zeros(len(boxes), dtype=np.int64)
+    for i, idx in _box_candidates(boxes, pts):
+        counts[i] = np.count_nonzero(_inside(boxes[i], pts[idx]))
+    return counts
 
 
 def point_in_box(box: Box3D, p_ego) -> bool:

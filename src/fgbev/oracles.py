@@ -71,6 +71,39 @@ def point_in_box_reference(box: Box3D, p) -> bool:
     return True
 
 
+def ray_entry_depth_reference(
+    cam: CameraModel, boxes: list[Box3D], h_f: int, w_f: int, stride: int
+) -> np.ndarray:
+    """Every cell's center ray against every box, one scalar slab test at a time.
+
+    The rays are set up with the production array expressions over all cells
+    at once, so each box-frame ray has the production bits; the slab test then
+    runs on every (box, cell) pair, with no box skipped and no cell culled.
+    """
+    rr, cc = np.mgrid[0:h_f, 0:w_f]
+    u = (cc.ravel() + 0.5) * stride
+    v = (rr.ravel() + 0.5) * stride
+    dirs_cam = np.stack([(u - cam.cx) / cam.fx, (v - cam.cy) / cam.fy, np.ones(len(u))], axis=1)
+    c2e = cam.cam_to_ego
+    dirs = dirs_cam @ c2e.rotation.T
+    out = np.full(h_f * w_f, math.inf)
+    for box in boxes:
+        rot = rotation_about_z(box.yaw)
+        origin = (rot.T @ (c2e.translation - box.center)).tolist()
+        half = box.half_size.tolist()
+        for k, d in enumerate((dirs @ rot).tolist()):
+            t_near, t_far = -math.inf, math.inf
+            for axis in range(3):
+                step = d[axis] if d[axis] != 0.0 else 1e-300
+                t1 = (-half[axis] - origin[axis]) / step
+                t2 = (half[axis] - origin[axis]) / step
+                t_near = max(t_near, min(t1, t2))
+                t_far = min(t_far, max(t1, t2))
+            if 0.0 < t_near <= t_far and t_near < out[k]:
+                out[k] = t_near
+    return out.reshape(h_f, w_f)
+
+
 def _project_pixel(cam: CameraModel, p_ego) -> tuple[float, float, float]:
     """Inline pinhole projection; returns (u, v, z) with no filtering."""
     q = cam.ego_to_cam.rotation @ np.asarray(p_ego, dtype=np.float64) + cam.ego_to_cam.translation

@@ -119,13 +119,13 @@ def pseudo_point_assignment(
     corner depth.
     """
     lo, hi = depth_range
+    gated = [i for i, box in enumerate(boxes) if box.visibility in VISIBILITY_GATE]
+    counts = box_point_counts([boxes[i] for i in gated], combined.points)
     out = []
-    for i, box in enumerate(boxes):
-        if box.visibility not in VISIBILITY_GATE:
+    for i, n in zip(gated, counts):
+        if n:
             continue
-        if points_in_box([box], combined.points).any():
-            continue
-        rect = visible_corner_rect(cam, box)
+        rect = visible_corner_rect(cam, boxes[i])
         if rect is None:
             continue
         x1, y1, x2, y2, d_corner = rect
@@ -147,7 +147,10 @@ def pci_statistics(
     off) and pseudo the points assigned to it (empty when assignment is off).
     """
     before = int((box_point_counts(current.boxes, current.lidar.points) == 0).sum())
-    after_fc = int((box_point_counts(current.boxes, combined.points) == 0).sum())
+    if combined is current.lidar:
+        after_fc = before
+    else:
+        after_fc = int((box_point_counts(current.boxes, combined.points) == 0).sum())
     return PciReport(
         total_boxes=len(current.boxes),
         boxes_without_points_before=before,

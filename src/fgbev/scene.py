@@ -390,32 +390,49 @@ def _ray_box_entry_depths(
     cam: CameraModel, boxes: list[Box3D], h_f: int, w_f: int, stride: int
 ) -> np.ndarray:
     """Camera-frame depth where each feature cell's center ray enters the
-    nearest box; +inf where no box is hit."""
-    rr, cc = np.mgrid[0:h_f, 0:w_f]
-    u = (cc.ravel() + 0.5) * stride
-    v = (rr.ravel() + 0.5) * stride
+    nearest box; +inf where no box is hit.
+
+    A ray point at parameter t has depth t > 0, so a box whose 8 corners all
+    have depth <= 0 is skipped. A box wholly in front of the camera is tested
+    only on the cells inside its projected corner rectangle grown by one
+    stride; a box straddling depth 0 is tested on every cell.
+    """
+    u_centers, v_centers = _cell_centers(w_f, stride), _cell_centers(h_f, stride)
+    u, v = np.tile(u_centers, h_f), np.repeat(v_centers, w_f)  # row-major cells
     dirs_cam = np.stack(
         [(u - cam.cx) / cam.fx, (v - cam.cy) / cam.fy, np.ones_like(u, dtype=np.float64)],
         axis=1,
     )
     c2e = cam.cam_to_ego
     origin = c2e.translation
-    dirs = dirs_cam @ c2e.rotation.T  # ego-frame direction per unit depth
+    # Ego-frame direction per unit depth, one (row, col) cell per entry.
+    dirs = (dirs_cam @ c2e.rotation.T).reshape(h_f, w_f, 3)
 
-    best = np.full(u.shape, np.inf)
+    best = np.full((h_f, w_f), np.inf)
     for box in boxes:
+        uv, depth = project_points_unbounded(cam, box3d_corners(box))
+        if not (depth > 0.0).any():
+            continue
+        rows = cols = slice(None)
+        if (depth > 0.0).all():
+            (x1, y1), (x2, y2) = uv.min(axis=0) - stride, uv.max(axis=0) + stride
+            rows = slice(np.searchsorted(v_centers, y1), np.searchsorted(v_centers, y2, "right"))
+            cols = slice(np.searchsorted(u_centers, x1), np.searchsorted(u_centers, x2, "right"))
+        cells = best[rows, cols]
+        if not cells.size:
+            continue
         rot = rotation_about_z(box.yaw)
         o_b = rot.T @ (origin - box.center)
-        d_b = dirs @ rot
+        d_b = dirs[rows, cols].reshape(-1, 3) @ rot
         half = box.half_size
         d_safe = np.where(d_b == 0.0, 1e-300, d_b)
         t1 = (-half - o_b) / d_safe
         t2 = (half - o_b) / d_safe
-        tmin = np.minimum(t1, t2).max(axis=1)
-        tmax = np.maximum(t1, t2).min(axis=1)
+        tmin = np.minimum(t1, t2).max(axis=1).reshape(cells.shape)
+        tmax = np.maximum(t1, t2).min(axis=1).reshape(cells.shape)
         hit = (tmax >= np.maximum(tmin, 0.0)) & (tmin > 0.0)
-        best = np.where(hit & (tmin < best), tmin, best)
-    return best.reshape(h_f, w_f)
+        best[rows, cols] = np.where(hit & (tmin < cells), tmin, cells)
+    return best
 
 
 def soft_labels_from_frame(

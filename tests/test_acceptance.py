@@ -357,10 +357,12 @@ def test_criterion_10_encoder_contract():
             s = random_bev_grid(rng, cfg, 4)
             t = random_bev_grid(rng, cfg, 4)
             js, jt = encode_joint(encoder, s, t)
-            assert np.array_equal(js.values, encoder(s).values)
-            assert np.array_equal(jt.values, encoder(t).values)
-    report(10, "joint encoding bitwise-equal to independent calls for both "
-               "reference encoders on 100 grid pairs each")
+            full = np.stack([s.values, t.values])
+            if encoder.name == "box_blur":
+                full = oracles.box_blur_reference(full)
+            assert np.stack([js.values, jt.values]).tobytes() == full.tobytes()
+    report(10, "joint encoding bitwise-equal to the zero-padded full-grid oracle for "
+               "both reference encoders on 100 grid pairs each")
 
 
 def test_criterion_11_determinism_and_performance(tmp_path, capsys):

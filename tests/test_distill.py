@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fgbev import oracles
+from fgbev import distill, oracles
 from fgbev.distill import (
     BoxBlurEncoder,
     IdentityEncoder,
@@ -10,7 +10,7 @@ from fgbev.distill import (
     get_encoder,
     loss_gradient_check,
 )
-from fgbev.selfcheck import random_bev_grid
+from fgbev.selfcheck import random_bev_grid, random_windowed_grid
 from fgbev.view_transform import BevFeatureGrid, BevGridConfig
 
 CFG = BevGridConfig(range_xy=8.0, grid_h=5, grid_w=7)
@@ -58,14 +58,16 @@ class TestEncoders:
         assert fast.tobytes() == ref.tobytes()
 
     def test_joint_equals_separate_bitwise(self):
+        # Each grid is encoded as the oracle encodes it alone on the zero-padded full grid.
         rng = np.random.default_rng(1)
         for _ in range(100):
-            s = random_bev_grid(rng, CFG, 4)
-            t = random_bev_grid(rng, CFG, 4)
+            s = random_windowed_grid(rng, CFG, 4)
+            t = random_windowed_grid(rng, CFG, 4)
+            full = np.stack([s.values, t.values])
+            want = {"identity": full, "box_blur": oracles.box_blur_reference(full)}
             for enc in (IdentityEncoder(), BoxBlurEncoder()):
                 js, jt = encode_joint(enc, s, t)
-                assert np.array_equal(js.values, enc(s).values)
-                assert np.array_equal(jt.values, enc(t).values)
+                assert np.stack([js.values, jt.values]).tobytes() == want[enc.name].tobytes()
 
     def test_joint_shape_mismatch_rejected(self):
         rng = np.random.default_rng(2)
@@ -155,6 +157,24 @@ class TestWindows:
             want, want_n = oracles.distill_loss_reference(enc_t.values, enc_s.values, 1e-6)
             assert got[1] == want_n
             assert abs(got[0] - want) < 1e-9
+
+    @pytest.mark.parametrize("block_bytes", [1, 2 * 11 * 3 * 8, 1 << 30])
+    def test_row_blocks_leave_loss_bits_unchanged(
+        self, student_win, teacher_win, block_bytes, monkeypatch
+    ):
+        """One row per block, two full-width rows per block, or one block: the
+        loss equals the whole-grid expression bit for bit."""
+        rng = np.random.default_rng(14)
+        s, t = windowed(rng, student_win), windowed(rng, teacher_win)
+        t.window[0:1, 0:1] = 0.0  # an excluded cell inside the window
+        monkeypatch.setattr(distill, "LOSS_BLOCK_BYTES", block_bytes)
+        for enc_s, enc_t in ((s, t), encode_joint(BoxBlurEncoder(), s, t)):
+            tv, sv = enc_t.values, enc_s.values
+            norms = np.linalg.norm(tv, axis=2)
+            included = norms >= 1e-6
+            terms = np.linalg.norm(tv - sv, axis=2)[included] / norms[included]
+            want = (float(terms.mean()), int(included.sum())) if included.any() else (0.0, 0)
+            assert distillation_loss(enc_t, enc_s) == want
 
 
 class TestDistillationLoss:

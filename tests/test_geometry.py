@@ -6,17 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fgbev.geometry import (
+    _CORNER_SIGNS,
     Box2D,
     Box3D,
     CameraModel,
     PointCloud,
     RigidTransform,
+    _inside,
     box3d_corners,
     box_point_counts,
     point_in_box,
     points_in_box,
     project_box3d_to_box2d,
     project_point,
+    rotation_about_z,
 )
 from fgbev import oracles
 
@@ -193,9 +196,106 @@ class TestPointInBox:
             assert point_in_box(box, p) == point_in_box(moved_box, t.apply(p))
 
 
-def _near_boundary(box, p, tol=1e-9):
-    from fgbev.geometry import rotation_about_z
+def _unculled(boxes, pts):
+    """(B, N) bools: the exact test of every box against the whole cloud."""
+    want = np.array([_inside(box, pts) for box in boxes], dtype=bool)
+    return want.reshape(len(boxes), len(pts))
 
+
+def _surface_points(box, rng, n_per_face=6):
+    """(on, near): the box's corners and face points, and those points moved 1e-9 out and in."""
+    half = box.half_size
+    local = [_CORNER_SIGNS * half]
+    for axis in range(3):
+        for sign in (-1.0, 1.0):
+            face = rng.uniform(-half, half, (n_per_face, 3))
+            face[:, axis] = sign * half[axis]
+            local.append(face)
+    local = np.vstack(local)
+    # Offset along every axis in which the point sits on a face: outward, then inward.
+    normal = np.where(np.abs(local) == half, np.sign(local), 0.0)
+    to_ego = lambda q: q @ rotation_about_z(box.yaw).T + box.center
+    return to_ego(local), np.vstack([to_ego(local + 1e-9 * normal), to_ego(local - 1e-9 * normal)])
+
+
+class TestCulledMembership:
+    """The windowed kernels against the exact test on the whole cloud, and against the oracle."""
+
+    YAWS = (0.0, math.pi / 4, -math.pi / 4, math.pi / 2, -math.pi / 2, math.pi, -math.pi)
+
+    def _scene(self, seed):
+        rng = np.random.default_rng(seed)
+        centers = rng.uniform(-6, 6, (len(self.YAWS), 3))
+        centers[1] = centers[0]  # so at least two boxes overlap
+        boxes = [
+            Box3D(center=c, size=tuple(rng.uniform(0.5, 5.0, 3)), yaw=yaw)
+            for c, yaw in zip(centers, self.YAWS)
+        ]
+        # One box far from the origin, where rounding scales with |center|, and one with
+        # no points near it.
+        boxes.append(Box3D(center=(4e5, -3e5, 1.0), size=(4.0, 2.0, 1.5), yaw=0.3))
+        boxes.append(Box3D(center=(0.0, 900.0, 0.0), size=(2.0, 2.0, 2.0), yaw=1.0))
+        on, near = zip(*(_surface_points(box, rng) for box in boxes[:-1]))
+        on, near = np.vstack(on), np.vstack(near)
+        cloud = rng.uniform(-12, 12, (600, 3))
+        cloud[:, 0] = np.round(cloud[:, 0] * 4) / 4  # many tied x coordinates
+        far = boxes[-2].center + rng.uniform(-5, 5, (100, 3))
+        # Points sharing x with the corners, among them the ends of each box's x range. At
+        # yaws that are multiples of pi/2 these lie on face planes, so they join `on`.
+        tied = np.repeat(np.vstack([box3d_corners(box) for box in boxes[:-1]]), 3, axis=0)
+        tied[:, 1:] += rng.uniform(-3, 3, (len(tied), 2))
+        return boxes, np.vstack([on, tied]), np.vstack([near, cloud, far])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_unculled_and_oracle(self, seed):
+        boxes, on, off = self._scene(seed)
+        assert len(np.unique(off[:, 0])) < len(off) and len(np.unique(on[:, 0])) < len(on)
+        for pts in (np.vstack([on, off]), off[::-1], on):
+            want = _unculled(boxes, pts)
+            assert want.sum(axis=1).min() == 0 and want.sum(axis=0).max() >= 2  # empty and overlap
+            assert np.array_equal(box_point_counts(boxes, pts), want.sum(axis=1))
+            assert np.array_equal(points_in_box(boxes, pts), want.any(axis=0))
+            for i, box in enumerate(boxes):
+                assert np.array_equal(points_in_box([box], pts), want[i])
+        # Points on faces are within rounding of the boundary, so only the 1e-9 offsets
+        # and the cloud, well clear of the oracle's 1e-12 band, are compared with it.
+        want = np.array([[oracles.point_in_box_reference(b, p) for p in off] for b in boxes[:-2]])
+        assert np.array_equal(_unculled(boxes[:-2], off), want)
+        assert np.array_equal(box_point_counts(boxes[:-2], off), want.sum(axis=1))
+
+    def test_window_slack_keeps_rounded_corners(self):
+        # The diagonal of this box lies along x. Rounding puts two of its corners just
+        # beyond cx - r, with r the circumscribed radius, and `_inside` accepts them.
+        box = Box3D(
+            center=(5.1238409799613365, 28.39491473676398, -8.519984132201017),
+            size=(4.275542607047636, 4.050317018883277, 1.0311727592115978),
+            yaw=-0.7583534275655599,
+        )
+        corners = box3d_corners(box)
+        inside = _inside(box, corners)
+        r = math.hypot(*box.size[:2]) / 2.0
+        assert (inside & (corners[:, 0] < box.center[0] - r)).sum() == 2
+        assert np.array_equal(points_in_box([box], corners), inside)
+        assert np.array_equal(box_point_counts([box], corners), [inside.sum()])
+
+    def test_single_points_equal_whole_cloud_rows(self):
+        boxes, on, off = self._scene(7)
+        pts = np.vstack([on, off[:200]])
+        want = _unculled(boxes, pts).any(axis=0)
+        assert [points_in_box(boxes, p)[0] for p in pts] == want.tolist()
+
+    def test_empty_inputs(self):
+        boxes, on, _ = self._scene(0)
+        empty = np.zeros((0, 3))
+        assert points_in_box(boxes, empty).shape == (0,)
+        assert np.array_equal(box_point_counts(boxes, empty), np.zeros(len(boxes)))
+        assert not points_in_box([], on).any() and len(points_in_box([], on)) == len(on)
+        assert box_point_counts([], on).shape == box_point_counts([], empty).shape == (0,)
+        far_only = [Box3D(center=(50.0, 50.0, 0.0), size=(1.0, 1.0, 1.0), yaw=0.0)]
+        assert np.array_equal(box_point_counts(far_only, on), [0])
+
+
+def _near_boundary(box, p, tol=1e-9):
     local = np.abs(rotation_about_z(box.yaw).T @ (np.asarray(p) - box.center))
     return bool(np.any(np.abs(local - box.half_size) < tol))
 

@@ -63,6 +63,21 @@ GOLDEN = {
         {"scene": {"dropout_fraction": 0.5, "n_frames": 4}},
         "789af317815d47057fa940153b035a087a3509a2fd1cbdc375e841e1f9ec3dfd",
     ),
+    # 400 boxes spread over a 300 m range, 122 of them empty at the start: the
+    # box-membership and ray-casting kernels see many boxes and many far ones.
+    "pipeline-many-boxes": (
+        ["pipeline"],
+        {
+            "scene": {
+                "n_boxes": 400,
+                "lidar_rays_per_box": 2,
+                "clutter_points": 64,
+                "detection_range_xy": 300,
+                "dropout_fraction": 0.3,
+            }
+        },
+        "43f5f1284bb713b660b5e9c2f992d82e4acc82a4250bc6194c230ad8f2e3075c",
+    ),
 }
 
 # The foreground gate inside its range. At the default noise the soft seg is

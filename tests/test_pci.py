@@ -257,6 +257,30 @@ class TestPciStatistics:
             )
             assert report.boxes_without_points_after_fc <= report.boxes_without_points_before
 
+    def test_each_cloud_counted_once(self, monkeypatch):
+        import fgbev.pci as pci
+
+        counted = []
+        real = pci.box_point_counts
+        monkeypatch.setattr(
+            pci, "box_point_counts", lambda boxes, p: counted.append(len(boxes)) or real(boxes, p)
+        )
+        cfg = SceneConfig(n_frames=3, n_boxes=10, dropout_fraction=0.5, image_width=256,
+                          image_height=128)
+        scene = generate_scene(cfg, 5)
+        current = scene.current
+        # With frame combination off the combined cloud is the current one: one count.
+        off = pci_statistics(current, current.lidar, [])
+        assert counted == [10]
+        assert off.boxes_without_points_after_fc == off.boxes_without_points_before > 0
+        combined = frame_combination(current, scene.past)
+        pci_statistics(current, combined, [])
+        assert counted == [10, 10, 10]
+        # One count over the visibility-gated boxes, whatever their number.
+        gated = sum(box.visibility >= 3 for box in current.boxes)
+        pseudo_point_assignment(combined, current.boxes, current.cameras[0], (1.0, 60.0))
+        assert counted == [10, 10, 10, gated]
+
     def test_flags_reflected_in_report(self):
         cfg = SceneConfig(
             n_frames=3,

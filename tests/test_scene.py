@@ -7,14 +7,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fgbev import oracles
-from fgbev.geometry import Box3D, box_point_counts, points_in_box, rotation_about_z
+from fgbev.geometry import (
+    Box3D,
+    box3d_corners,
+    box_point_counts,
+    points_in_box,
+    project_points_unbounded,
+    rotation_about_z,
+)
 from fgbev.labels import DepthBinConfig, generate_hard_labels
+from fgbev.selfcheck import level_camera
 from fgbev.scene import (
     BACKGROUND_SEG_FLOOR,
     Frame,
     Scene,
     SceneConfig,
     _facing_side_faces,
+    _ray_box_entry_depths,
     _sample_surface_points,
     background_feature_level,
     generate_scene,
@@ -291,6 +300,63 @@ class TestSoftLabels:
     def test_negative_noise_rejected(self, scene):
         with pytest.raises(ValueError, match="noise"):
             soft_labels_from_frame(scene.current, 0, DepthBinConfig(), -0.1, seed=0)
+
+
+class TestRayEntryDepths:
+    """The culled ray caster against the unculled scalar oracle, bit for bit with inf."""
+
+    def _check(self, cam, boxes, stride=8):
+        h_f, w_f = cam.feature_grid_shape(stride)
+        got = _ray_box_entry_depths(cam, boxes, h_f, w_f, stride)
+        want = oracles.ray_entry_depth_reference(cam, boxes, h_f, w_f, stride)
+        assert np.array_equal(got, want)
+        return want
+
+    @staticmethod
+    def _corner_depths(cam, box):
+        return project_points_unbounded(cam, box3d_corners(box))[1]
+
+    def test_rectangle_edges_on_cell_centers(self):
+        cam = level_camera(0.0, (0.0, 0.0, 0.0), 64.0, 64.0, 128, 64)
+        # The near face is at x = 16 and its corners project exactly to u in {44, 84}
+        # and v in {12, 52}: the centers of columns 5 and 10 and of rows 1 and 6. The
+        # rays through those centers graze the box's edges at depth 16.
+        box = Box3D(center=(24.0, -0.125, -0.125), size=(16.0, 10.0, 10.0), yaw=0.0)
+        want = self._check(cam, [box])
+        assert (want[1:7, 5:11] == 16.0).all()
+        assert np.isinf(want[:, [4, 11]]).all() and np.isinf(want[[0, 7]]).all()
+        # A nearer box in front of part of it, and a farther one behind it.
+        near = Box3D(center=(12.0, 1.0, 1.0), size=(2.0, 2.0, 2.0), yaw=0.2)
+        far = Box3D(center=(40.0, 0.0, 0.0), size=(4.0, 200.0, 200.0), yaw=0.0)
+        both = self._check(cam, [far, box, near])
+        assert both.min() < 16.0 and (both[np.isfinite(want)] <= 16.0).all()
+        assert (both[np.isinf(want)] == 38.0).all()
+
+    def test_behind_across_and_off_image(self):
+        cam = level_camera(0.0, (0.0, 0.0, 0.0), 16.0, 16.0, 128, 128)
+        behind = Box3D(center=(-6.0, 0.0, 0.0), size=(4.0, 4.0, 4.0), yaw=0.3)
+        across = Box3D(center=(0.5, 0.0, 2.0), size=(3.0, 20.0, 2.0), yaw=0.0)
+        off_image = Box3D(center=(20.0, 200.0, 0.0), size=(2.0, 2.0, 2.0), yaw=0.0)
+        assert (self._corner_depths(cam, behind) <= 0).all()
+        assert (self._corner_depths(cam, off_image) > 0).all()
+        d = self._corner_depths(cam, across)
+        assert (d > 0).any() and (d <= 0).any()
+        assert np.isinf(self._check(cam, [behind])).all()
+        assert np.isinf(self._check(cam, [off_image])).all()
+        want = self._check(cam, [across])
+        # Row 0's rays meet the bottom face just ahead of the camera, far outside
+        # the rectangle of the corners in front of it (v from 39.5 to 55.5).
+        assert np.isfinite(want[0]).any()
+        assert np.array_equal(self._check(cam, [behind, across, off_image]), want)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_generated_scenes(self, seed):
+        cfg = SceneConfig(n_boxes=30, n_cameras=2, detection_range_xy=30.0,
+                          image_width=256, image_height=128)
+        frame = generate_scene(cfg, seed).current
+        for cam in frame.cameras:
+            for stride in (8, 16):
+                assert np.isfinite(self._check(cam, frame.boxes, stride)).any()
 
 
 class TestSceneSerialization:
