@@ -43,6 +43,9 @@ from .labels import DepthBinConfig, generate_hard_labels
 from .msfe import elliptical_gaussian_heatmap, threshold_filter
 from .pci import frame_combination, pci_statistics, pseudo_point_assignment
 from .pipeline import (
+    FEATURE_STRIDE,
+    HEATMAP_STRIDE,
+    SWEEP_TOGGLES,
     PipelineConfig,
     PipelineStageError,
     ablation_sweep,
@@ -61,12 +64,6 @@ CONFIG_FLAGS = {
     "seg_threshold": dict(type=float, help="override the pooling gate"),
     "beta": dict(type=float, help="override the heatmap threshold"),
 }
-
-SWEEP_TOGGLES = {
-    "fc": ("fc_enabled", True),
-    "ppa": ("ppa_enabled", True),
-}
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage errors mapped to the validation exit code."""
@@ -180,7 +177,7 @@ def _scene_and_camera(args) -> tuple[Scene, CameraModel]:
     scene = load_scene(_resolve_input(args.scene, "--scene"))
     cameras = scene.current.cameras
     if not 0 <= args.cam < len(cameras):
-        raise ValueError(f"camera index {args.cam} out of range (scene has {len(cameras)})")
+        raise ValueError(f"camera index --cam {args.cam} out of range (scene has {len(cameras)})")
     return scene, cameras[args.cam]
 
 
@@ -224,7 +221,10 @@ def _cmd_labels(args) -> int:
     scene, cam = _scene_and_camera(args)
     frame = scene.current
     bin_cfg = DepthBinConfig(d_min=args.d_min, d_max=args.d_max, bin_size=args.bin_size)
-    h_f, w_f = cam.feature_grid_shape(args.stride)
+    try:
+        h_f, w_f = cam.feature_grid_shape(args.stride)
+    except ValueError as exc:
+        raise ValueError(f"--stride: {exc}") from None
     check_budget(
         h_f * w_f * bin_cfg.n_bins,
         "depth cells of the camera's image_width x image_height at --stride times "
@@ -273,13 +273,13 @@ def _cmd_heatmap(args) -> int:
     scene, cam = _scene_and_camera(args)
     frame = scene.current
     if not 0.0 <= args.beta <= 1.0:
-        raise ValueError(f"beta must be in [0, 1], got {args.beta}")
-    h, w = cam.image_height // 4, cam.image_width // 4
+        raise ValueError(f"--beta must be in [0, 1], got {args.beta}")
+    h, w = cam.image_height // HEATMAP_STRIDE, cam.image_width // HEATMAP_STRIDE
     check_budget(h * w, "stride-4 cells of the camera's image_width x image_height")
     out_dir = _out_dir(args.out)
     rects = [project_box3d_to_box2d(cam, b) for b in frame.boxes]
     rects = [r for r in rects if r is not None]
-    hm = elliptical_gaussian_heatmap(rects, h, w, 4)
+    hm = elliptical_gaussian_heatmap(rects, h, w, HEATMAP_STRIDE)
     filtered = threshold_filter(hm, args.beta)
     write_pgm16(out_dir / "s4.pgm", prob_to_u16(hm.values))
     write_pgm16(out_dir / "s4_filtered.pgm", prob_to_u16(filtered.values))
@@ -337,19 +337,8 @@ def _cmd_pipeline(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    base = _pipeline_config(args)
-    toggles = []
-    for name in [t.strip() for t in args.toggles.split(",") if t.strip()]:
-        if name not in SWEEP_TOGGLES:
-            raise ValueError(
-                f"unknown toggle {name!r}; available: {sorted(SWEEP_TOGGLES)}"
-            )
-        if any(name == seen for seen, _ in toggles):
-            raise ValueError(f"toggle {name!r} is given more than once")
-        field_name, on_value = SWEEP_TOGGLES[name]
-        base = dataclasses.replace(base, **{field_name: not on_value})
-        toggles.append((name, {field_name: on_value}))
-    rows = ablation_sweep(base, toggles)
+    names = [t.strip() for t in args.toggles.split(",") if t.strip()]
+    rows = ablation_sweep(_pipeline_config(args), names)
     if args.format == "csv":
         records = [
             {**row, **row["pci_report"], "toggles": "+".join(row["toggles"]) or "(base)"}
@@ -386,14 +375,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="override the scene seed")
     p.set_defaults(func=_cmd_gen_scene)
 
+    bins = DepthBinConfig()
     p = sub.add_parser("labels", help="rasterize hard labels from a scene's current frame")
     p.add_argument("--scene", required=True, help="scene JSON path")
     p.add_argument("--cam", type=int, default=0, help="camera index (default 0)")
     p.add_argument("--out", required=True, help="output directory for PGM rasters")
-    p.add_argument("--stride", type=int, default=16, help="feature stride (default 16)")
-    p.add_argument("--d-min", type=float, default=1.0, help="minimum binned depth")
-    p.add_argument("--d-max", type=float, default=60.0, help="maximum binned depth")
-    p.add_argument("--bin-size", type=float, default=0.5, help="depth bin width")
+    p.add_argument(
+        "--stride", type=int, default=FEATURE_STRIDE, help="feature stride (default %(default)s)"
+    )
+    p.add_argument("--d-min", type=float, default=bins.d_min, help="minimum binned depth")
+    p.add_argument("--d-max", type=float, default=bins.d_max, help="maximum binned depth")
+    p.add_argument("--bin-size", type=float, default=bins.bin_size, help="depth bin width")
     p.add_argument(
         "--bin", action="store_true", help="also write depth/seg as flat binary + JSON header"
     )
@@ -403,14 +395,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scene", required=True, help="scene JSON path")
     p.add_argument("--cam", type=int, default=0, help="camera index (default 0)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--d-min", type=float, default=1.0, help="perception range near limit")
-    p.add_argument("--d-max", type=float, default=60.0, help="perception range far limit")
+    p.add_argument("--d-min", type=float, default=bins.d_min, help="perception range near limit")
+    p.add_argument("--d-max", type=float, default=bins.d_max, help="perception range far limit")
     p.set_defaults(func=_cmd_pci_stats)
 
     p = sub.add_parser("heatmap", help="render stride-4 foreground heatmaps for a scene")
     p.add_argument("--scene", required=True, help="scene JSON path")
     p.add_argument("--cam", type=int, default=0, help="camera index (default 0)")
-    p.add_argument("--beta", type=float, default=0.1, help="foreground threshold (default 0.1)")
+    p.add_argument(
+        "--beta",
+        type=float,
+        default=PipelineConfig().beta,
+        help="foreground threshold (default %(default)s)",
+    )
     p.add_argument("--out", required=True, help="output directory for PGM rasters")
     p.set_defaults(func=_cmd_heatmap)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ConfigError, bounded, check_budget, check_fields, from_dict
-from .distill import ENCODERS, distillation_loss, encode_joint, get_encoder
+from .distill import DEFAULT_NORM_EPS, ENCODERS, distillation_loss, encode_joint, get_encoder
 from .geometry import project_box3d_to_box2d
 from .labels import DepthBinConfig, DepthDistributionMap, SegmentationMap, generate_hard_labels
 from .msfe import ForegroundHeatmap, elliptical_gaussian_heatmap, gaussian_focal_loss, msfe_fuse
@@ -34,6 +34,7 @@ from .pci import (
 )
 from .scene import Scene, SceneConfig, generate_scene, soft_labels_from_frame, synth_feature_pyramid
 from .view_transform import (
+    DEFAULT_SEG_THRESHOLD,
     BevFeatureGrid,
     BevGridConfig,
     ContextFeatureMap,
@@ -56,9 +57,9 @@ class PipelineConfig:
     scene: SceneConfig = field(default_factory=SceneConfig)
     bins: DepthBinConfig = field(default_factory=DepthBinConfig)
     bev: BevGridConfig = field(default_factory=BevGridConfig)
-    seg_threshold: float = bounded(0.25, ge=0, le=1)
+    seg_threshold: float = bounded(DEFAULT_SEG_THRESHOLD, ge=0, le=1)
     beta: float = bounded(0.1, ge=0, le=1)
-    eps: float = bounded(1e-6, gt=0)
+    eps: float = bounded(DEFAULT_NORM_EPS, gt=0)
     encoder_kind: str = "identity"
     fc_enabled: bool = True
     ppa_enabled: bool = True
@@ -271,36 +272,27 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     )
 
 
-def ablation_sweep(
-    base: PipelineConfig, toggles: list[tuple[str, dict]]
-) -> list[dict]:
-    """Run every on/off combination of the named config deltas ({field: value}).
+# Sweep toggle name -> the PipelineConfig flag it switches.
+SWEEP_TOGGLES = {"fc": "fc_enabled", "ppa": "ppa_enabled"}
 
-    Row order enumerates subset bitmasks 0..2^n-1 with toggle k on bit k, so
-    the base configuration always comes first. Each row records the applied
-    toggle names and the headline result fields. Rows whose configs differ
-    only in fc_enabled/ppa_enabled share one prepare(); each row runs its own
-    teacher branch.
+
+def ablation_sweep(base: PipelineConfig, toggles: list[str]) -> list[dict]:
+    """One prepare(), then a teacher branch per on/off combination of the named SWEEP_TOGGLES.
+
+    Row k sets toggle i's flag to bit i of k (all off first); other flags keep base's value.
+    Unknown or repeated names fail before any stage runs.
     """
+    for k, name in enumerate(toggles):
+        if name not in SWEEP_TOGGLES:
+            raise ValueError(f"unknown toggle {name!r}; available: {sorted(SWEEP_TOGGLES)}")
+        if name in toggles[:k]:
+            raise ValueError(f"toggle {name!r} is given more than once")
+    prep = prepare(base, {})
     rows = []
-    prepared: dict[PipelineConfig, PreparedFrame] = {}
     for mask in range(1 << len(toggles)):
-        names = []
-        cfg = base
-        for k, (name, delta) in enumerate(toggles):
-            if mask >> k & 1:
-                names.append(name)
-                cfg = dataclasses.replace(cfg, **delta)
-        key = dataclasses.replace(cfg, fc_enabled=False, ppa_enabled=False)
-        if key not in prepared:
-            prepared[key] = prepare(cfg, {})
-        loss, included, report, _ = teacher_branch(cfg, prepared[key], {})
-        rows.append(
-            {
-                "toggles": names,
-                "loss": loss,
-                "included_cells": included,
-                "pci_report": dataclasses.asdict(report),
-            }
-        )
+        on = [name for k, name in enumerate(toggles) if mask >> k & 1]
+        cfg = dataclasses.replace(base, **{SWEEP_TOGGLES[n]: n in on for n in toggles})
+        loss, included, report, _ = teacher_branch(cfg, prep, {})
+        pci = dataclasses.asdict(report)
+        rows.append({"toggles": on, "loss": loss, "included_cells": included, "pci_report": pci})
     return rows

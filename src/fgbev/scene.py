@@ -40,6 +40,7 @@ from .msfe import FeaturePyramid
 SCENE_FORMAT = "fgbev-scene-v1"
 
 EGO_SPEED = 6.0  # m/s along world x
+MAX_BOX_SPEED = 8.0  # m/s; a dynamic box draws its speed from [1, MAX_BOX_SPEED)
 EGO_YAW_RATE = 0.03  # rad/s, keeps relative poses non-trivial
 CAMERA_HEIGHT = 1.6
 CAMERA_FORWARD_OFFSET = 0.5
@@ -48,6 +49,9 @@ MAX_PLACEMENT_ATTEMPTS = 1000
 
 BACKGROUND_SEG_FLOOR = 0.05
 SURFACE_INSET = 1e-6  # keeps sampled surface points strictly inside the closed box
+# Largest distance (m) a scene spans: its detection range and its fastest mover's travel.
+# A coordinate's ulp stays near 1e-10 m, far below SURFACE_INSET, and nothing overflows.
+MAX_SCENE_EXTENT = 1e6
 
 
 @dataclass(frozen=True)
@@ -60,7 +64,7 @@ class SceneConfig:
     frame_interval: float = bounded(0.5, gt=0)
     lidar_rays_per_box: int = bounded(32, ge=0)
     stationary_fraction: float = bounded(0.5, ge=0, le=1)
-    detection_range_xy: float = bounded(51.2, gt=0)
+    detection_range_xy: float = bounded(51.2, gt=0, le=MAX_SCENE_EXTENT)
     dropout_fraction: float = bounded(0.0, ge=0, le=1)
     clutter_points: int = bounded(128, ge=0)
     image_width: int = bounded(704, ge=1)
@@ -68,6 +72,12 @@ class SceneConfig:
 
     def __post_init__(self):
         check_fields(self)
+        travel = max(MAX_BOX_SPEED, EGO_SPEED) * self.frame_interval * (self.n_frames - 1)
+        if not travel <= MAX_SCENE_EXTENT:
+            raise ValueError(
+                f"frame_interval x (n_frames - 1) x {max(MAX_BOX_SPEED, EGO_SPEED)} m/s, the "
+                f"farthest a box or the ego moves, must be <= {MAX_SCENE_EXTENT} m, got {travel}"
+            )
         check_budget(
             self.n_frames * (self.n_boxes * self.lidar_rays_per_box + self.clutter_points),
             "LiDAR points n_frames x (n_boxes x lidar_rays_per_box + clutter_points)",
@@ -257,7 +267,7 @@ def generate_scene(cfg: SceneConfig, seed: int) -> Scene:
         if stationary:
             vel_w = np.zeros(2)
         else:
-            speed = rng.uniform(1.0, 8.0)
+            speed = rng.uniform(1.0, MAX_BOX_SPEED)
             heading = rng.uniform(0.0, 2.0 * math.pi)
             vel_w = speed * np.array([math.cos(heading), math.sin(heading)])
 

@@ -384,13 +384,19 @@ def test_criterion_11_determinism_and_performance(tmp_path, capsys):
     assert first.out.encode() == second.out.encode()
     assert "[timing]" in first.err
 
-    # Byte identity must also hold across separate processes.
+    # Byte identity must also hold across separate processes, which import the
+    # fgbev this test imported whether or not it is installed.
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    src = str(Path(oracles.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     cmd = [sys.executable, "-m", "fgbev.cli", "pipeline", "--config", str(cfg_path)]
     runs = [
-        subprocess.run(cmd, capture_output=True, check=True).stdout for _ in range(2)
+        subprocess.run(cmd, capture_output=True, check=True, env=env).stdout for _ in range(2)
     ]
     assert runs[0] == runs[1]
     assert runs[0] == first.out.encode()

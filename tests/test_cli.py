@@ -141,7 +141,8 @@ class TestLabelsCommand:
     def test_bad_camera_index_exits_1(self, scene_path, capsys):
         rc = main(["labels", "--scene", str(scene_path), "--cam", "9", "--out", "/tmp/x"])
         assert rc == 1
-        assert "camera index" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "camera index" in err and "--cam" in err
 
     def test_bin_flag_writes_flat_arrays(self, scene_path, tmp_path, capsys):
         out = tmp_path / "labels"
@@ -171,6 +172,14 @@ class TestLabelsCommand:
         assert main(argv + ["--d-max", "1e308", "--bin-size", "1e-10"]) == 1
         captured = capsys.readouterr()
         assert "bin_size" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_stride_not_dividing_image_names_flag(self, scene_path, tmp_path, capsys):
+        argv = ["labels", "--scene", str(scene_path), "--out", str(tmp_path / "l")]
+        assert main(argv + ["--stride", "3"]) == 1
+        captured = capsys.readouterr()
+        assert "--stride" in captured.err and "does not divide" in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
@@ -255,9 +264,13 @@ class TestHeatmapCommand:
         assert (filt <= raw).all()
         assert (filt[filt > 0] == raw[filt > 0]).all()
 
-    def test_bad_beta_exits_1(self, scene_path, capsys):
-        rc = main(["heatmap", "--scene", str(scene_path), "--beta", "1.5", "--out", "/tmp/x"])
-        assert rc == 1
+    def test_bad_beta_exits_1(self, scene_path, tmp_path, capsys):
+        out = tmp_path / "hm"
+        argv = ["heatmap", "--scene", str(scene_path), "--out", str(out)]
+        assert main(argv + ["--beta", "1.5"]) == 1
+        captured = capsys.readouterr()
+        assert "--beta" in captured.err
+        assert captured.out == "" and not out.exists()
 
 
 # Each case edits a valid scene file; stderr must name the path of the bad value.
@@ -416,6 +429,44 @@ def test_unplaceable_scene_is_a_config_error(tmp_path, capsys, command, case):
     assert "scene.n_boxes" in captured.err and "scene.detection_range_xy" in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+# Scenes wider than MAX_SCENE_EXTENT (1e6 m), in their detection range or in the
+# distance a box (8 m/s) moves over the frames, and the fields the error names.
+TRAVEL_FIELDS = ["frame_interval", "n_frames"]
+TOO_WIDE_SCENES = {
+    "range-1e308": ({"detection_range_xy": 1e308}, ["detection_range_xy"]),
+    "range-1e160": ({"detection_range_xy": 1e160}, ["detection_range_xy"]),
+    "range-just-over": ({"detection_range_xy": 1.000001e6}, ["detection_range_xy"]),
+    "travel-1e308": ({"frame_interval": 1e308, "n_frames": 3}, TRAVEL_FIELDS),
+    "travel-1e200": ({"frame_interval": 1e200}, TRAVEL_FIELDS),
+    "travel-just-over": ({"frame_interval": 62500.01, "n_frames": 3}, TRAVEL_FIELDS),
+}
+WIDEST_SCENE = {"detection_range_xy": 1e6, "frame_interval": 62500, "n_frames": 3}
+
+
+def _scene_command(tmp_path, command, scene):
+    """argv running `command` on the scene config `scene`, with --out under tmp_path."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(scene if command == "gen-scene" else {"scene": scene}))
+    return [command, "--config", str(path), "--out", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize("command", ["gen-scene", "pipeline"])
+@pytest.mark.parametrize("case", sorted(TOO_WIDE_SCENES))
+def test_scene_too_wide_exits_1_naming_fields(tmp_path, capsys, command, case):
+    scene, fields = TOO_WIDE_SCENES[case]
+    assert main(_scene_command(tmp_path, command, scene)) == 1
+    captured = capsys.readouterr()
+    assert all(name in captured.err for name in fields), captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == "" and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["gen-scene", "pipeline"])
+def test_widest_scene_runs(tmp_path, capsys, command):
+    # RuntimeWarnings are errors under pytest, so no overflow happens at the limit.
+    assert main(_scene_command(tmp_path, command, WIDEST_SCENE)) == 0
 
 
 class TestPipelineCommand:

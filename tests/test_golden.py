@@ -47,6 +47,17 @@ GOLDEN = {
         {"scene": {"dropout_fraction": 0.5, "n_frames": 4}},
         "a0c04563ed11c08636b30722899a8c6075c2d1bcac379fdc8b22e4b262c83cfa",
     ),
+    # One toggle leaves fc on from the config; "ppa,fc" reverses the row order.
+    "sweep-ppa": (
+        ["sweep", "--toggles", "ppa"],
+        {"scene": {"dropout_fraction": 0.5, "n_frames": 4}},
+        "e3ab2bb8f0fcff2c7d2cee0f545f982ec32394fc68660cb6de2b0ec35cbf96c6",
+    ),
+    "sweep-ppa-fc": (
+        ["sweep", "--toggles", "ppa,fc"],
+        {"scene": {"dropout_fraction": 0.5, "n_frames": 4}},
+        "f6da9ff25ff50519b84eb8955d2cc63a73cf645ac3b541bee2949cae8b279e09",
+    ),
     # The CSV renderers do not go through the JSON writer; pin them apart.
     "pipeline-default-csv": (
         ["pipeline", "--format", "csv"],

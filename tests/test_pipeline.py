@@ -15,6 +15,7 @@ from fgbev.cli import main
 from fgbev.labels import DepthBinConfig, generate_hard_labels
 from fgbev.pci import frame_combination
 from fgbev.pipeline import (
+    SWEEP_TOGGLES,
     PipelineConfig,
     PipelineResult,
     PipelineStageError,
@@ -314,11 +315,9 @@ class TestAblationSweep:
             scene=dataclasses.replace(
                 SMALL_SCENE, dropout_fraction=1.0, stationary_fraction=1.0
             ),
-            fc_enabled=False,
             ppa_enabled=False,
         )
-        rows = ablation_sweep(base, [("fc", {"fc_enabled": True})])
-        off, on = rows
+        off, on = ablation_sweep(base, ["fc"])
         assert off["toggles"] == [] and on["toggles"] == ["fc"]
         assert (
             on["pci_report"]["boxes_without_points_after_fc"]
@@ -326,24 +325,14 @@ class TestAblationSweep:
         )
 
     def test_two_toggles_four_rows_ordered(self):
-        base = small_config(fc_enabled=False, ppa_enabled=False)
-        rows = ablation_sweep(
-            base, [("fc", {"fc_enabled": True}), ("ppa", {"ppa_enabled": True})]
-        )
+        rows = ablation_sweep(small_config(), ["fc", "ppa"])
         assert [r["toggles"] for r in rows] == [[], ["fc"], ["ppa"], ["fc", "ppa"]]
 
 
-FC_PPA = [("fc", {"fc_enabled": True}), ("ppa", {"ppa_enabled": True})]
-
-
 def dropout_sweep_base():
-    """The CLI's `sweep --toggles fc,ppa` base row on a scene where fc and ppa rescue boxes."""
+    """A sweep base on a scene where fc and ppa rescue boxes; fc starts off, ppa on."""
     return config_from_dict(
-        {
-            "scene": {"dropout_fraction": 0.5, "n_frames": 4},
-            "fc_enabled": False,
-            "ppa_enabled": False,
-        }
+        {"scene": {"dropout_fraction": 0.5, "n_frames": 4}, "fc_enabled": False}
     )
 
 
@@ -362,25 +351,34 @@ def count_calls(monkeypatch, *names):
 
 class TestSweepSharesPrepare:
     @pytest.mark.parametrize(
-        "toggles, prepares",
-        [(FC_PPA, 1), ([("fc", {"fc_enabled": True}), ("seed", {"seed": 5})], 2)],
-        ids=["fc-ppa", "fc-seed"],
+        "toggles",
+        [[], ["fc"], ["ppa"], ["fc", "ppa"], ["ppa", "fc"]],
+        ids=["none", "fc", "ppa", "fc-ppa", "ppa-fc"],
     )
-    def test_rows_equal_run_pipeline(self, toggles, prepares, monkeypatch):
+    def test_rows_equal_run_pipeline(self, toggles, monkeypatch):
         base = dropout_sweep_base()
         calls = count_calls(monkeypatch, "generate_scene", "build_frustum")
         rows = ablation_sweep(base, toggles)
-        assert calls == {"generate_scene": prepares, "build_frustum": prepares}
-        assert len({r["loss"] for r in rows}) > 1  # the toggles change the teacher
-        deltas = dict(toggles)
+        assert calls == {"generate_scene": 1, "build_frustum": 1}
+        assert len(rows) == 1 << len(toggles)
+        # The toggles change the teacher.
+        assert len(rows) == 1 or len({r["loss"] for r in rows}) > 1
         for row in rows:
-            cfg = base
-            for name in row["toggles"]:
-                cfg = dataclasses.replace(cfg, **deltas[name])
-            result = run_pipeline(cfg)
+            # A toggled flag is on exactly in the rows that name it; the rest keep base's value.
+            flags = {SWEEP_TOGGLES[name]: name in row["toggles"] for name in toggles}
+            result = run_pipeline(dataclasses.replace(base, **flags))
             assert row["loss"] == result.loss
             assert row["included_cells"] == result.included_cells
             assert row["pci_report"] == dataclasses.asdict(result.pci_report)
+
+    @pytest.mark.parametrize(
+        "toggles", [["seed"], ["fc", "fc"], ["msfe"]], ids=["seed", "fc-fc", "msfe"]
+    )
+    def test_bad_toggle_rejected_before_any_stage(self, toggles, monkeypatch):
+        calls = count_calls(monkeypatch, "generate_scene")
+        with pytest.raises(ValueError, match=repr(toggles[-1])):
+            ablation_sweep(dropout_sweep_base(), toggles)
+        assert calls["generate_scene"] == 0
 
     def test_stage_error_named_by_cli(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(fgbev.pipeline, "synth_feature_pyramid", failing_stage)
