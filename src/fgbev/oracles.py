@@ -15,7 +15,7 @@ import numpy as np
 from .geometry import Box2D, Box3D, CameraModel, rotation_about_z
 from .labels import DepthBinConfig, DepthDistributionMap, HardLabels, SegmentationMap
 from .msfe import FeaturePyramid, ForegroundHeatmap
-from .scene import SURFACE_INSET, Frame, _facing_side_faces
+from .scene import SURFACE_INSET, Frame
 from .view_transform import BevGridConfig, ContextFeatureMap, Frustum
 
 
@@ -322,13 +322,25 @@ def focal_loss_reference(
     return total / max(n_pos, 1)
 
 
+def facing_side_faces(sensor_box_frame: np.ndarray, half) -> list[tuple[int, float]]:
+    """(axis, sign) of the side faces whose outward normal points at the sensor."""
+    faces = []
+    for axis in (0, 1):
+        for sign in (1.0, -1.0):
+            # Outward normal is sign * e_axis; the face center sits at
+            # sign * half[axis] along that axis.
+            if sign * sensor_box_frame[axis] > half[axis]:
+                faces.append((axis, sign))
+    return faces
+
+
 def surface_points_reference(rng, box: Box3D, n: int) -> np.ndarray:
     """Surface sampling one point at a time: face, then in-plane, then height."""
     if n == 0:
         return np.zeros((0, 3))
     half = box.half_size
     rot = rotation_about_z(box.yaw)
-    faces = _facing_side_faces(rot.T @ (-box.center), half)
+    faces = facing_side_faces(rot.T @ (-box.center), half)
     if not faces:
         return np.zeros((0, 3))
     areas = np.array([2 * half[1 - axis] * 2 * half[2] for axis, _ in faces])

@@ -52,13 +52,17 @@ SURFACE_INSET = 1e-6  # keeps sampled surface points strictly inside the closed 
 # Largest distance (m) a scene spans: its detection range and its fastest mover's travel.
 # A coordinate's ulp stays near 1e-10 m, far below SURFACE_INSET, and nothing overflows.
 MAX_SCENE_EXTENT = 1e6
+# Every frame costs its ego pose, boxes, cameras and scene-file record even
+# with no LiDAR points (about 0.3 ms and 1.2 KB each), so the frame count has
+# its own bound besides the point budget.
+MAX_FRAMES = 1000
 
 
 @dataclass(frozen=True)
 class SceneConfig:
     """Knobs for the synthetic scene generator."""
 
-    n_frames: int = bounded(2, ge=2)
+    n_frames: int = bounded(2, ge=2, le=MAX_FRAMES)
     n_boxes: int = bounded(12, ge=0)
     n_cameras: int = bounded(1, ge=1)
     frame_interval: float = bounded(0.5, gt=0)
@@ -164,45 +168,60 @@ def _assign_visibility(corners_ego: np.ndarray, cameras: list[CameraModel]) -> i
     return 1 + sum(best >= n for n in (1, 4, 8))
 
 
-def _facing_side_faces(sensor_box_frame: np.ndarray, half) -> list[tuple[int, float]]:
-    """(axis, sign) of the side faces whose outward normal points at the sensor."""
-    faces = []
-    for axis in (0, 1):
-        for sign in (1.0, -1.0):
-            # Outward normal is sign * e_axis; the face center sits at
-            # sign * half[axis] along that axis.
-            if sign * sensor_box_frame[axis] > half[axis]:
-                faces.append((axis, sign))
-    return faces
+def _sample_frame_surface(rng, boxes: list[Box3D], dropped: np.ndarray, n: int) -> np.ndarray:
+    """n LiDAR returns on the sensor-facing side faces of each box, in box order
+    and ego coordinates, from one `rng.random` call.
 
+    A dropped box, or one with no side face toward the sensor, gets no
+    returns and draws nothing. Each drawing box's slice of the draws holds
+    its n face draws, then its n (in-plane, height) pairs: the draws, and the
+    arithmetic on them, of `rng.choice` over its facing faces weighted by
+    area followed by `rng.uniform` over the pairs (README "Determinism").
+    """
+    if n == 0 or not boxes:
+        return np.zeros((0, 3))
+    rots = [rotation_about_z(box.yaw) for box in boxes]
+    # The ego origin in each box frame.
+    sensor = np.array([rot.T @ (-box.center) for rot, box in zip(rots, boxes)])
+    half = np.array([box.size for box in boxes]) / 2.0
+    # A side face's outward normal is sign * e_axis and its center sits at
+    # sign * half[axis]; at most one sign per axis can face the sensor.
+    facing = np.abs(sensor[:, :2]) > half[:, :2]
+    drawing = np.flatnonzero(facing.any(axis=1) & ~dropped)
+    if not len(drawing):
+        return np.zeros((0, 3))
+    half, facing = half[drawing], facing[drawing]
+    sign = np.sign(sensor[drawing, :2])
+    fx, fy = facing[:, 0], facing[:, 1]
 
-def _sample_surface_points(rng, box: Box3D, n: int) -> np.ndarray:
-    """n LiDAR returns on the sensor-facing faces of a box, in ego coordinates."""
-    if n == 0:
-        return np.zeros((0, 3))
-    half = box.half_size
-    rot = rotation_about_z(box.yaw)
-    sensor_bf = rot.T @ (-box.center)  # ego origin expressed in the box frame
-    faces = _facing_side_faces(sensor_bf, half)
-    if not faces:
-        return np.zeros((0, 3))
-    areas = np.array(
-        [2 * half[1 - axis] * 2 * half[2] for axis, _ in faces]
+    u = rng.random(3 * n * len(drawing)).reshape(len(drawing), 3 * n)
+    # Faces are listed x first. With two, `choice` returns the second iff
+    # u >= cdf[0] = p0 / (p0 + p1), since its cdf ends at exactly 1.0 > u.
+    area_x = 2 * half[:, 1] * 2 * half[:, 2]
+    area_y = 2 * half[:, 0] * 2 * half[:, 2]
+    a0 = np.where(fx, area_x, area_y)
+    a1 = np.where(fx & fy, area_y, 0.0)
+    total = a0 + a1
+    p0, p1 = a0 / total, a1 / total
+    second = u[:, :n] >= (p0 / (p0 + p1))[:, None]
+    in_x = fx[:, None] & ~second  # the point's face is an x face
+
+    lim = half - SURFACE_INSET
+    face = np.where(in_x, sign[:, :1] * lim[:, :1], sign[:, 1:] * lim[:, 1:2])
+    plane_lim = np.where(in_x, lim[:, 1:2], lim[:, :1])
+    pairs = u[:, n:].reshape(len(drawing), n, 2)
+    # `uniform(low, high)` returns low + (high - low) * u.
+    in_plane = -plane_lim + (plane_lim - -plane_lim) * pairs[:, :, 0]
+    height_lim = lim[:, 2:]
+    height = -height_lim + (height_lim - -height_lim) * pairs[:, :, 1]
+
+    pts = np.empty((len(drawing), n, 3))
+    pts[:, :, 0] = np.where(in_x, face, in_plane)
+    pts[:, :, 1] = np.where(in_x, in_plane, face)
+    pts[:, :, 2] = height
+    return np.concatenate(
+        [p @ rots[k].T + boxes[k].center for p, k in zip(pts, drawing)]
     )
-    choice = rng.choice(len(faces), size=n, p=areas / areas.sum())
-    axis = np.array([a for a, _ in faces])[choice]
-    sign = np.array([s for _, s in faces])[choice]
-    other = 1 - axis
-    # One (in-plane, height) pair per point; the C-order fill draws them in
-    # the same order as a per-point loop would.
-    lim = np.column_stack([half[other], np.full(n, half[2])]) - SURFACE_INSET
-    draws = rng.uniform(-lim, lim)
-    rows = np.arange(n)
-    pts = np.empty((n, 3))
-    pts[rows, axis] = sign * (half[axis] - SURFACE_INSET)
-    pts[rows, other] = draws[:, 0]
-    pts[:, 2] = draws[:, 1]
-    return pts @ rot.T + box.center
 
 
 def _sample_clutter(rng, cfg: SceneConfig, boxes: list[Box3D]) -> np.ndarray:
@@ -320,13 +339,11 @@ def generate_scene(cfg: SceneConfig, seed: int) -> Scene:
     for idx, (t, pose) in enumerate(zip(times, poses)):
         is_current = idx == cfg.n_frames - 1
         boxes = current_boxes if is_current else boxes_at(t, pose, visibilities)
-        surf = [
-            _sample_surface_points(rng, box, cfg.lidar_rays_per_box)
-            for box, dropped in zip(boxes, dropped_current)
-            if not (is_current and dropped)
-        ]
+        surf = _sample_frame_surface(
+            rng, boxes, dropped_current & is_current, cfg.lidar_rays_per_box
+        )
         clutter = _sample_clutter(rng, cfg, boxes)
-        lidar = PointCloud(np.concatenate(surf + [clutter]), f"frame-{idx}")
+        lidar = PointCloud(np.concatenate([surf, clutter]), f"frame-{idx}")
         frames.append(Frame(t, pose, boxes, lidar, cameras))
     return Scene(frames, seed)
 

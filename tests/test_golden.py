@@ -166,6 +166,9 @@ def test_large_result_digest():
 # empty clouds (no boxes, no clutter) and three cameras. "crowded" packs 100
 # boxes into a 40 m range, so placement rejects many candidates (7,514 clash
 # distances at seed 0); "3-cameras" has boxes at all four visibility levels.
+# "dropout-0.5" leaves 5 of 12 boxes empty in the current frame, so that
+# frame's surface draws skip them; "rays-1" and "rays-0" pin one return per box
+# and none; "lib-large" is the lib-large benchmark's scene.
 CROWDED = {"n_boxes": 100, "detection_range_xy": 40}
 SCENE_FILE_GOLDEN = {
     "seed-0": (0, None, "4c1f4513361c5111db5006579f4a8b38513bf642b36fa71775931eae1676171c"),
@@ -196,6 +199,26 @@ SCENE_FILE_GOLDEN = {
         0,
         {"n_cameras": 3, "n_boxes": 40, "n_frames": 3},
         "11f64a87e7d4e654e2631c3eaa45a1fb06dd3f3fcbefbf835035edeab7e0ce82",
+    ),
+    "dropout-0.5": (
+        0,
+        {"dropout_fraction": 0.5},
+        "df6158c9c509587874f02ef7c9d6129fd1c4db0a78a0f5587fa60d9467406d67",
+    ),
+    "rays-1": (
+        0,
+        {"lidar_rays_per_box": 1},
+        "8d12128a2f707ec76146cfbe6fbc10d2aae23c8fd9d21fdc1dd8b10e17cc9f61",
+    ),
+    "rays-0": (
+        0,
+        {"lidar_rays_per_box": 0},
+        "acfac8dacb58609b3c0cabf64f96498ae38c2be3b3aa23891e799ec7b922e0ec",
+    ),
+    "lib-large": (
+        0,
+        LARGE["scene"],
+        "32ec42c1410aa84d10df6ad8ba776804a8a580abe2586419845ce63bb6fbf497",
     ),
 }
 

@@ -22,9 +22,8 @@ from fgbev.scene import (
     Frame,
     Scene,
     SceneConfig,
-    _facing_side_faces,
     _ray_box_entry_depths,
-    _sample_surface_points,
+    _sample_frame_surface,
     background_feature_level,
     generate_scene,
     load_scene,
@@ -163,7 +162,20 @@ SURFACE_BOXES = {
     "one-face": (Box3D(center=(12.0, 0.0, 0.8), size=(4.2, 1.8, 1.6), yaw=0.0), 1),
     "two-faces": (Box3D(center=(9.0, -7.5, 0.8), size=(4.2, 1.8, 1.6), yaw=0.3), 2),
     "two-small-faces": (Box3D(center=(-3.0, 4.0, 0.4), size=(0.6, 0.5, 0.9), yaw=-2.1), 2),
+    # The sensor sits in the box's xy footprint, so no side face faces it.
+    "no-face": (Box3D(center=(0.5, -0.3, 0.8), size=(4.2, 1.8, 1.6), yaw=0.7), 0),
 }
+
+
+class RecordingRng:
+    """A Generator that records the name of each method it is asked for."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.default_rng(seed), []
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self.rng, name)
 
 
 class TestSurfaceSamplingOracle:
@@ -171,18 +183,39 @@ class TestSurfaceSamplingOracle:
     def test_box_has_the_named_face_count(self, name):
         box, n_faces = SURFACE_BOXES[name]
         sensor_bf = rotation_about_z(box.yaw).T @ (-box.center)
-        assert len(_facing_side_faces(sensor_bf, box.half_size)) == n_faces
+        assert len(oracles.facing_side_faces(sensor_bf, box.half_size)) == n_faces
 
     @pytest.mark.parametrize("n", [0, 1, 33])
     @pytest.mark.parametrize("name", sorted(SURFACE_BOXES))
     def test_same_points_and_rng_state_as_loop(self, name, n):
-        box, _ = SURFACE_BOXES[name]
+        box, n_faces = SURFACE_BOXES[name]
         fast_rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
-        fast = _sample_surface_points(fast_rng, box, n)
+        fast = _sample_frame_surface(fast_rng, [box], np.zeros(1, bool), n)
         ref = oracles.surface_points_reference(ref_rng, box, n)
-        assert fast.shape == ref.shape == (n, 3)
+        assert fast.shape == ref.shape == ((n if n_faces else 0), 3)
         assert np.array_equal(fast, ref)
         assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("n", [0, 1, 33])
+    @pytest.mark.parametrize("n_boxes", [0, 9])
+    def test_frame_matches_per_box_loop_with_one_draw(self, n_boxes, n):
+        # Boxes with 0, 1 and 2 facing faces, each once kept and once dropped,
+        # interleaved, plus a kept two-face box at the end.
+        names = ["one-face", "no-face", "two-faces", "two-small-faces"]
+        boxes = [SURFACE_BOXES[name][0] for name in names + names + ["two-faces"]][:n_boxes]
+        dropped = np.array([False] * 4 + [True] * 4 + [False])[:n_boxes]
+        fast_rng, ref_rng = RecordingRng(11), np.random.default_rng(11)
+        fast = _sample_frame_surface(fast_rng, boxes, dropped, n)
+        ref = [
+            oracles.surface_points_reference(ref_rng, box, n)
+            for box, drop in zip(boxes, dropped)
+            if not drop
+        ]
+        ref = np.concatenate(ref + [np.zeros((0, 3))])
+        assert fast.shape == ref.shape == ((4 * n if n_boxes else 0), 3)
+        assert np.array_equal(fast, ref)
+        assert fast_rng.rng.bit_generator.state == ref_rng.bit_generator.state
+        assert fast_rng.calls == (["random"] if n and n_boxes else [])
 
 
 class TestBackgroundLevelOracle:
@@ -212,6 +245,7 @@ class TestSceneValidation:
             dict(stationary_fraction=1.5),
             dict(dropout_fraction=-0.1),
             dict(detection_range_xy=0.0),
+            dict(n_frames=1001),
         ],
     )
     def test_config_validation(self, kwargs):
