@@ -237,3 +237,41 @@ def test_scene_file_digest_and_resave(name, tmp_path, capsys):
     # save -> load -> save reproduces the file byte for byte.
     save_scene(load_scene(tmp_path / "scene.json"), tmp_path / "again.json")
     assert (tmp_path / "again.json").read_bytes() == written
+
+
+# `gen-scene` then `labels --bin` at seed 0: one digest over stdout (the --out
+# path replaced) and every file written, per scene config and stride.
+LABEL_FILES = ("depth.bin", "depth.json", "depth.pgm", "seg.bin", "seg.json", "seg.pgm", "valid.pgm")
+# Valid and foreground cells: default 43 and 15 at stride 16, 64 and 32 at
+# stride 8; dropout 0.5 gives 31 and 1, then 40 and 4.
+LABELS_GOLDEN = {
+    ("default", 16): (None, "cb67c11e717aa4d8547a8e2928043822dfeba2e73b32a2da0429ba4865c16374"),
+    ("default", 8): (None, "dd6e670291a67c43404f8648606783f8a713ddd9fcc7c51843b3ba1e3eca6ff3"),
+    ("dropout-0.5", 16): (
+        {"dropout_fraction": 0.5},
+        "c6a251e4a01915ccf9913e68482c11d4fba5596f8a305eaedfbdc1deff7c4199",
+    ),
+    ("dropout-0.5", 8): (
+        {"dropout_fraction": 0.5},
+        "a18a3f4d2c73cd3c9aa886c9fe9f92d72bf18f8e59efe6072742cd32d5135667",
+    ),
+}
+
+
+@pytest.mark.parametrize("name,stride", sorted(LABELS_GOLDEN))
+def test_labels_digest(name, stride, tmp_path, capsys):
+    config, digest = LABELS_GOLDEN[name, stride]
+    argv = ["gen-scene", "--out", str(tmp_path), "--seed", "0"]
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    out = tmp_path / "labels"
+    scene = str(tmp_path / "scene.json")
+    assert main(["labels", "--scene", scene, "--out", str(out), "--stride", str(stride), "--bin"]) == 0
+    h = hashlib.sha256(capsys.readouterr().out.replace(str(out), "OUT").encode())
+    for file in LABEL_FILES:
+        h.update(file.encode() + b"\0" + hashlib.sha256((out / file).read_bytes()).digest())
+    assert h.hexdigest() == digest
