@@ -13,18 +13,15 @@ Conventions (also documented in the README):
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 
-PCI_CSV_COLUMNS = (
-    "total_boxes",
-    "boxes_without_points_before",
-    "boxes_without_points_after_fc",
-    "boxes_assigned_pseudo",
-    "boxes_unrecoverable",
-)
+from .pci import PciReport
+
+PCI_CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(PciReport))
 RESULT_CSV_COLUMNS = (
     "loss",
     "included_cells",

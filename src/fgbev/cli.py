@@ -23,8 +23,6 @@ import traceback
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
-import numpy as np
-
 from .arrayio import (
     PCI_CSV_COLUMNS,
     RESULT_CSV_COLUMNS,
@@ -233,18 +231,18 @@ def _cmd_labels(args) -> int:
     out_dir = _out_dir(args.out)
     hard = generate_hard_labels(frame.lidar, frame.boxes, cam, bin_cfg, args.stride)
     write_pgm16(out_dir / "depth.pgm", depth_to_u16(hard.depth_meters()))
-    write_pgm16(out_dir / "seg.pgm", prob_to_u16(hard.seg.values))
-    write_pgm16(out_dir / "valid.pgm", prob_to_u16(hard.valid_mask.astype(np.float64)))
+    write_pgm16(out_dir / "seg.pgm", prob_to_u16(hard.foreground))
+    write_pgm16(out_dir / "valid.pgm", prob_to_u16(hard.valid_mask))
     if args.bin:
-        save_array(out_dir / "depth", hard.depth.values)
-        save_array(out_dir / "seg", hard.seg.values)
+        save_array(out_dir / "depth", hard.one_hot())
+        save_array(out_dir / "seg", hard.foreground)
     print(
         _dump(
             {
                 "out": str(out_dir),
                 "grid": list(hard.shape),
                 "valid_cells": int(hard.valid_mask.sum()),
-                "foreground_cells": int((hard.seg.values == 1.0).sum()),
+                "foreground_cells": int(hard.foreground.sum()),
             }
         )
     )

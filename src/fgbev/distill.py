@@ -16,19 +16,18 @@ LOSS_BLOCK_BYTES = 1 << 20
 
 
 class BevEncoder:
-    """Deterministic per-sample map over BEV grids with fixed shared parameters.
+    """Deterministic map over BEV grids with fixed shared parameters.
 
-    Subclasses implement apply() on a (B, H, W, C) batch; per-sample results
-    must not depend on the other samples in the batch, so batching is purely
-    an execution detail. An output cell depends only on the input cells at
-    most `margin` rows and columns away and is +0.0 when they all are, so
-    encoding a grid's window grown by `margin` gives the whole grid's result.
+    Subclasses implement apply() on one (H, W, C) window. An output cell
+    depends only on the input cells at most `margin` rows and columns away
+    and is +0.0 when they all are, so encoding a grid's window grown by
+    `margin` gives the whole grid's result.
     """
 
     name = "base"
     margin = 0
 
-    def apply(self, batch: np.ndarray) -> np.ndarray:
+    def apply(self, window: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def __call__(self, grid: BevFeatureGrid) -> BevFeatureGrid:
@@ -37,15 +36,15 @@ class BevEncoder:
         if r0 < r1 and c0 < c1:
             m, h, w = self.margin, grid.cfg.grid_h, grid.cfg.grid_w
             r0, r1, c0, c1 = max(r0 - m, 0), min(r1 + m, h), max(c0 - m, 0), min(c1 + m, w)
-        out = self.apply(grid.crop((r0, r1, c0, c1))[None])[0]
+        out = self.apply(grid.crop((r0, r1, c0, c1)))
         return BevFeatureGrid(out, grid.cfg, (r0, c0))
 
 
 class IdentityEncoder(BevEncoder):
     name = "identity"
 
-    def apply(self, batch: np.ndarray) -> np.ndarray:
-        return np.array(batch, dtype=np.float64, copy=True)
+    def apply(self, window: np.ndarray) -> np.ndarray:
+        return np.array(window, dtype=np.float64, copy=True)
 
 
 class BoxBlurEncoder(BevEncoder):
@@ -58,18 +57,18 @@ class BoxBlurEncoder(BevEncoder):
     name = "box_blur"
     margin = 1
 
-    def apply(self, batch: np.ndarray) -> np.ndarray:
-        arr = np.asarray(batch, dtype=np.float64)
-        if arr.ndim != 4:
-            raise ValueError(f"expected (B, H, W, C), got shape {arr.shape}")
-        h, w = arr.shape[1:3]
+    def apply(self, window: np.ndarray) -> np.ndarray:
+        arr = np.asarray(window, dtype=np.float64)
+        if arr.ndim != 3:
+            raise ValueError(f"expected (H, W, C), got shape {arr.shape}")
+        h, w = arr.shape[:2]
         out = np.zeros_like(arr)
         # Taps that fall outside the grid would add +0.0, which leaves a sum
         # that starts at +0.0 unchanged, so they are skipped.
         for dy in (-1, 0, 1):
             for dx in (-1, 0, 1):
                 (oy, iy), (ox, ix) = _tap(dy, h), _tap(dx, w)
-                out[:, oy, ox, :] += arr[:, iy, ix, :]
+                out[oy, ox] += arr[iy, ix]
         out /= 9.0
         return out
 

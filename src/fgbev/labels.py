@@ -1,9 +1,9 @@
 """Depth/segmentation label maps and their generation from LiDAR point clouds.
 
 Hard labels are derived by projecting points into a camera and binning their
-depths on a feature-cell grid; the valid mask marks cells that received at
-least one in-range point. Merging overlays hard labels onto soft (predicted)
-labels wherever the mask is set.
+depths on a feature-cell grid: each cell stores its winning point's depth bin,
+or -1 where no in-range point landed. Merging overlays hard labels onto soft
+(predicted) labels wherever a cell is valid.
 """
 
 from __future__ import annotations
@@ -70,11 +70,7 @@ class DepthBinConfig:
 
 @dataclass(frozen=True)
 class DepthDistributionMap:
-    """Per-cell categorical depth distribution, shape (H_f, W_f, n_bins).
-
-    Every cell either sums to 1 (a normalized distribution) or is all-zero;
-    all-zero rows only occur inside HardLabels at invalid cells.
-    """
+    """Per-cell categorical depth distribution, shape (H_f, W_f, n_bins); every cell sums to 1."""
 
     values: np.ndarray
     bin_cfg: DepthBinConfig
@@ -90,12 +86,10 @@ class DepthDistributionMap:
         if np.any(v < 0) or not np.all(np.isfinite(v)):
             raise ValueError("depth distributions must be finite and nonnegative")
         sums = v.sum(axis=2)
-        ok = (np.abs(sums - 1.0) <= NORMALIZATION_TOL) | (sums == 0.0)
+        ok = np.abs(sums - 1.0) <= NORMALIZATION_TOL
         if not ok.all():
-            bad = np.argwhere(~ok)[0]
-            raise ValueError(
-                f"cell {tuple(bad)} sums to {sums[tuple(bad)]:.6g}; expected 1 or all-zero"
-            )
+            bad = tuple(np.argwhere(~ok)[0].tolist())
+            raise ValueError(f"cell {bad} sums to {sums[bad]:.6g}; expected 1")
         object.__setattr__(self, "values", v)
 
     @property
@@ -124,45 +118,48 @@ class SegmentationMap:
 
 @dataclass(frozen=True)
 class HardLabels:
-    """LiDAR-derived labels: one-hot depth, binary segmentation, validity mask."""
+    """LiDAR-derived labels: each feature cell's depth bin and foreground flag.
 
-    depth: DepthDistributionMap
-    seg: SegmentationMap
-    valid_mask: np.ndarray
+    `bins` is an (H_f, W_f) integer array holding -1 at cells no in-range
+    point reached; `foreground` is a bool array that is set only at valid cells.
+    """
+
+    bins: np.ndarray
+    foreground: np.ndarray
+    bin_cfg: DepthBinConfig
 
     def __post_init__(self):
-        mask = np.asarray(self.valid_mask, dtype=bool)
-        if mask.shape != self.depth.shape or mask.shape != self.seg.shape:
+        bins = np.asarray(self.bins)
+        fg = np.asarray(self.foreground, dtype=bool)
+        if bins.ndim != 2 or fg.shape != bins.shape:
             raise ValueError(
-                f"shape mismatch: depth {self.depth.shape}, seg {self.seg.shape}, "
-                f"mask {mask.shape}"
+                f"bins {bins.shape} and foreground {fg.shape} must be equal 2-D shapes"
             )
-        dv, sv = self.depth.values, self.seg.values
-        if not np.isin(dv[mask], (0.0, 1.0)).all() or not np.allclose(
-            dv[mask].sum(axis=-1), 1.0
-        ):
-            raise ValueError("valid cells must carry exactly one-hot depth")
-        if not np.isin(sv[mask], (0.0, 1.0)).all():
-            raise ValueError("valid cells must carry binary segmentation")
-        if dv[~mask].any() or sv[~mask].any():
-            raise ValueError("invalid cells must be all-zero")
-        object.__setattr__(self, "valid_mask", mask)
+        if bins.dtype.kind not in "iu" or ((bins < -1) | (bins >= self.bin_cfg.n_bins)).any():
+            raise ValueError(f"bins must be integers in [-1, {self.bin_cfg.n_bins})")
+        if (fg & (bins < 0)).any():
+            raise ValueError("foreground cells must be valid (bins >= 0)")
+        object.__setattr__(self, "bins", bins.astype(np.int64, copy=False))
+        object.__setattr__(self, "foreground", fg)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.seg.shape
-
-    def depth_meters(self) -> np.ndarray:
-        """Per-cell metric depth (bin center of the one-hot), 0 at invalid cells."""
-        out = np.zeros(self.shape)
-        if self.valid_mask.any():
-            bins = self.depth.values[self.valid_mask].argmax(axis=-1)
-            out[self.valid_mask] = self.bin_cfg.bin_centers()[bins]
-        return out
+        return self.bins.shape
 
     @property
-    def bin_cfg(self) -> DepthBinConfig:
-        return self.depth.bin_cfg
+    def valid_mask(self) -> np.ndarray:
+        return self.bins >= 0
+
+    def depth_meters(self) -> np.ndarray:
+        """Per-cell metric depth (the bin's center), 0 at invalid cells."""
+        return np.where(self.valid_mask, self.bin_cfg.bin_centers()[self.bins], 0.0)
+
+    def one_hot(self) -> np.ndarray:
+        """The dense (H_f, W_f, n_bins) one-hot depth, all-zero at invalid cells."""
+        out = np.zeros((*self.shape, self.bin_cfg.n_bins))
+        valid = self.valid_mask
+        out[valid, self.bins[valid]] = 1.0
+        return out
 
 
 def generate_hard_labels(
@@ -174,48 +171,37 @@ def generate_hard_labels(
 ) -> HardLabels:
     """Project a point cloud into the camera and rasterize hard labels.
 
-    Each in-range projected point contributes a one-hot depth at its feature
-    cell (pixel // stride); when several points share a cell the minimum
-    depth wins, with a coordinate tie-break so the result is independent of
-    input order. A cell is foreground iff its winning point lies inside any
-    of the boxes. Out-of-range depths are skipped, leaving cells invalid.
+    Each in-range projected point lands in its feature cell (pixel // stride),
+    and the cell stores its winning point's depth bin. When several points
+    share a cell the minimum depth wins, with a coordinate tie-break so the
+    result is independent of input order. A cell is foreground iff its
+    winning point lies inside any of the boxes. Out-of-range depths are
+    skipped, leaving cells invalid.
     """
     h_f, w_f = cam.feature_grid_shape(feature_stride)
-    n_bins = bin_cfg.n_bins
-
-    depth_vals = np.zeros((h_f, w_f, n_bins))
-    seg_vals = np.zeros((h_f, w_f))
-    valid = np.zeros((h_f, w_f), dtype=bool)
     pts = points.points
-    if len(pts):
-        uv, z = project_points_unbounded(cam, pts)
-        bins, in_range = bin_cfg.bin_indices(z)
-        keep = cam.in_image(uv[:, 0], uv[:, 1]) & in_range
-        if keep.any():
-            u, v, z = uv[keep, 0], uv[keep, 1], z[keep]
-            src = pts[keep]
-            rows = np.floor(v / feature_stride).astype(np.int64)
-            cols = np.floor(u / feature_stride).astype(np.int64)
-            cells = rows * w_f + cols
-            # Winner per cell: minimum depth, ties broken on point coordinates
-            # so permutations of the input cannot change the outcome.
-            order = np.lexsort((src[:, 2], src[:, 1], src[:, 0], z, cells))
-            cells_sorted = cells[order]
-            first = np.ones(len(order), dtype=bool)
-            first[1:] = cells_sorted[1:] != cells_sorted[:-1]
-            winners = order[first]
+    uv, z = project_points_unbounded(cam, pts)
+    bins, in_range = bin_cfg.bin_indices(z)
+    keep = cam.in_image(uv[:, 0], uv[:, 1]) & in_range
+    u, v, z = uv[keep, 0], uv[keep, 1], z[keep]
+    src = pts[keep]
+    rows = np.floor(v / feature_stride).astype(np.int64)
+    cols = np.floor(u / feature_stride).astype(np.int64)
+    cells = rows * w_f + cols
+    # Winner per cell: minimum depth, ties broken on point coordinates
+    # so permutations of the input cannot change the outcome.
+    order = np.lexsort((src[:, 2], src[:, 1], src[:, 0], z, cells))
+    cells_sorted = cells[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = cells_sorted[1:] != cells_sorted[:-1]
+    winners = order[first]
 
-            win_rows, win_cols = rows[winners], cols[winners]
-            win_bins = bins[keep][winners]
-            depth_vals[win_rows, win_cols, win_bins] = 1.0
-            valid[win_rows, win_cols] = True
-            seg_vals[win_rows, win_cols] = points_in_box(boxes, src[winners])
-
-    return HardLabels(
-        depth=DepthDistributionMap(depth_vals, bin_cfg),
-        seg=SegmentationMap(seg_vals),
-        valid_mask=valid,
-    )
+    win_rows, win_cols = rows[winners], cols[winners]
+    cell_bins = np.full((h_f, w_f), -1, dtype=np.int64)
+    cell_bins[win_rows, win_cols] = bins[keep][winners]
+    foreground = np.zeros((h_f, w_f), dtype=bool)
+    foreground[win_rows, win_cols] = points_in_box(boxes, src[winners])
+    return HardLabels(cell_bins, foreground, bin_cfg)
 
 
 def merge_labels(
@@ -225,8 +211,8 @@ def merge_labels(
 ) -> tuple[DepthDistributionMap, SegmentationMap]:
     """Overlay hard labels onto soft labels wherever the valid mask is set.
 
-    With a binary mask the convex mix m*hard + (1-m)*soft reduces to exact
-    per-cell selection, which is how it is computed here.
+    A valid cell takes its bin's one-hot depth and its foreground flag as
+    seg; every other cell keeps the soft labels.
     """
     if hard.shape != soft_depth.shape or hard.shape != soft_seg.shape:
         raise ValueError(
@@ -238,8 +224,10 @@ def merge_labels(
             f"bin config mismatch: hard {hard.bin_cfg} vs soft {soft_depth.bin_cfg}"
         )
     m = hard.valid_mask
-    merged_depth = np.where(m[:, :, None], hard.depth.values, soft_depth.values)
-    merged_seg = np.where(m, hard.seg.values, soft_seg.values)
+    merged_depth = soft_depth.values.copy()
+    merged_depth[m] = 0.0
+    merged_depth[m, hard.bins[m]] = 1.0
+    merged_seg = np.where(m, hard.foreground, soft_seg.values)
     return (
         DepthDistributionMap(merged_depth, hard.bin_cfg),
         SegmentationMap(merged_seg),

@@ -172,9 +172,9 @@ def merge_reference(
     seg = np.zeros_like(soft_seg.values)
     for i in range(h):
         for j in range(w):
-            if hard.valid_mask[i, j]:
-                depth[i, j] = hard.depth.values[i, j]
-                seg[i, j] = hard.seg.values[i, j]
+            if hard.bins[i, j] >= 0:
+                depth[i, j, hard.bins[i, j]] = 1.0
+                seg[i, j] = float(hard.foreground[i, j])
             else:
                 depth[i, j] = soft_depth.values[i, j]
                 seg[i, j] = soft_seg.values[i, j]

@@ -10,7 +10,7 @@ depth.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -22,11 +22,7 @@ from .geometry import (
     points_in_box,
     visible_corner_rect,
 )
-from .labels import (
-    DepthDistributionMap,
-    HardLabels,
-    SegmentationMap,
-)
+from .labels import HardLabels
 from .scene import Frame
 
 log = logging.getLogger(__name__)
@@ -59,14 +55,7 @@ class PciReport:
     boxes_unrecoverable: int
 
     def __post_init__(self):
-        counts = (
-            self.total_boxes,
-            self.boxes_without_points_before,
-            self.boxes_without_points_after_fc,
-            self.boxes_assigned_pseudo,
-            self.boxes_unrecoverable,
-        )
-        if any(c < 0 for c in counts):
+        if any(c < 0 for c in astuple(self)):
             raise ValueError(f"negative count in report: {self}")
         if self.boxes_without_points_after_fc > self.boxes_without_points_before:
             raise ValueError(
@@ -170,9 +159,8 @@ def inject_pseudo_points(
     depths outside the bin range are skipped and logged.
     """
     h_f, w_f = hard.shape
-    depth = hard.depth.values.copy()
-    seg = hard.seg.values.copy()
-    valid = hard.valid_mask.copy()
+    bins = hard.bins.copy()
+    foreground = hard.foreground.copy()
     cfg = hard.bin_cfg
     for p in pseudo:
         col = int(p.u // feature_stride)
@@ -192,13 +180,8 @@ def inject_pseudo_points(
                 cfg.d_max,
             )
             continue
-        if valid[row, col]:
+        if bins[row, col] >= 0:
             continue
-        depth[row, col, b] = 1.0
-        seg[row, col] = 1.0
-        valid[row, col] = True
-    return HardLabels(
-        depth=DepthDistributionMap(depth, cfg),
-        seg=SegmentationMap(seg),
-        valid_mask=valid,
-    )
+        bins[row, col] = b
+        foreground[row, col] = True
+    return HardLabels(bins, foreground, cfg)

@@ -56,6 +56,9 @@ MAX_SCENE_EXTENT = 1e6
 # with no LiDAR points (about 0.3 ms and 1.2 KB each), so the frame count has
 # its own bound besides the point budget.
 MAX_FRAMES = 1000
+# Ten times the 6-camera nuScenes rig. Each camera adds a model to every frame
+# and a record to the scene file, with or without LiDAR points.
+MAX_CAMERAS = 64
 
 
 @dataclass(frozen=True)
@@ -64,7 +67,7 @@ class SceneConfig:
 
     n_frames: int = bounded(2, ge=2, le=MAX_FRAMES)
     n_boxes: int = bounded(12, ge=0)
-    n_cameras: int = bounded(1, ge=1)
+    n_cameras: int = bounded(1, ge=1, le=MAX_CAMERAS)
     frame_interval: float = bounded(0.5, gt=0)
     lidar_rays_per_box: int = bounded(32, ge=0)
     stationary_fraction: float = bounded(0.5, ge=0, le=1)
@@ -492,16 +495,12 @@ def soft_labels_from_frame(
     depth = np.full((h_f, w_f, n_bins), 1.0 / n_bins)
     seg = np.full((h_f, w_f), BACKGROUND_SEG_FLOOR)
 
-    measured = hard.valid_mask
-    depth[measured] = hard.depth.values[measured]
-    seg[measured & (hard.seg.values == 1.0)] = 1.0
-
-    ray_fg = ~measured & ray_ok
-    if ray_fg.any():
-        rows, cols = np.nonzero(ray_fg)
-        depth[ray_fg] = 0.0
-        depth[rows, cols, ray_bins[ray_fg]] = 1.0
-        seg[ray_fg] = 1.0
+    ray_fg = ~hard.valid_mask & ray_ok
+    bins = np.where(ray_fg, ray_bins, hard.bins)
+    peaked = bins >= 0
+    depth[peaked] = 0.0
+    depth[peaked, bins[peaked]] = 1.0
+    seg[hard.foreground | ray_fg] = 1.0
 
     if noise > 0:
         rng = np.random.default_rng(seed)

@@ -132,13 +132,12 @@ def random_soft_labels(rng, h: int, w: int, bin_cfg: DepthBinConfig):
 
 def random_hard_labels(rng, h: int, w: int, bin_cfg: DepthBinConfig) -> HardLabels:
     mask = rng.random((h, w)) < 0.4
-    depth = np.zeros((h, w, bin_cfg.n_bins))
-    seg = np.zeros((h, w))
-    rows, cols = np.nonzero(mask)
-    bins = rng.integers(0, bin_cfg.n_bins, len(rows))
-    depth[rows, cols, bins] = 1.0
-    seg[rows, cols] = rng.integers(0, 2, len(rows)).astype(np.float64)
-    return HardLabels(DepthDistributionMap(depth, bin_cfg), SegmentationMap(seg), mask)
+    n = int(mask.sum())
+    bins = np.full((h, w), -1, dtype=np.int64)
+    bins[mask] = rng.integers(0, bin_cfg.n_bins, n)
+    foreground = np.zeros((h, w), dtype=bool)
+    foreground[mask] = rng.integers(0, 2, n) == 1
+    return HardLabels(bins, foreground, bin_cfg)
 
 
 def random_bev_grid(rng, cfg: BevGridConfig, channels: int) -> BevFeatureGrid:
@@ -380,7 +379,7 @@ def _suite_inject(seed: int, n: int) -> SuiteResult:
             combined, current.boxes, cam, (bin_cfg.d_min, bin_cfg.d_max)
         )
         injected = inject_pseudo_points(hard, pseudo, 16)
-        want = hard.valid_mask.copy()
+        want = hard.valid_mask
         for p in pseudo:
             if bin_cfg.bin_index(p.depth) is not None:
                 want[int(p.v // 16), int(p.u // 16)] = True

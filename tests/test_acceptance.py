@@ -103,26 +103,16 @@ def test_criterion_02_label_merge_exactness():
         assert np.array_equal(got_s.values, want_s)
 
     # Degenerate masks.
-    from fgbev.labels import DepthDistributionMap, HardLabels, SegmentationMap
+    from fgbev.labels import HardLabels
 
     h, w = 4, 6
-    depth = np.zeros((h, w, bin_cfg.n_bins))
-    depth[:, :, 1] = 1.0
-    all_true = HardLabels(
-        DepthDistributionMap(depth, bin_cfg),
-        SegmentationMap(np.ones((h, w))),
-        np.ones((h, w), dtype=bool),
-    )
+    all_true = HardLabels(np.ones((h, w), dtype=np.int64), np.ones((h, w), dtype=bool), bin_cfg)
     soft_d, soft_s = random_soft_labels(rng, h, w, bin_cfg)
     d, s = merge_labels(all_true, soft_d, soft_s)
-    assert np.array_equal(d.values, all_true.depth.values)
-    assert np.array_equal(s.values, all_true.seg.values)
+    assert np.array_equal(d.values, all_true.one_hot())
+    assert np.array_equal(s.values, np.ones((h, w)))
 
-    all_false = HardLabels(
-        DepthDistributionMap(np.zeros((h, w, bin_cfg.n_bins)), bin_cfg),
-        SegmentationMap(np.zeros((h, w))),
-        np.zeros((h, w), dtype=bool),
-    )
+    all_false = HardLabels(np.full((h, w), -1), np.zeros((h, w), dtype=bool), bin_cfg)
     d, s = merge_labels(all_false, soft_d, soft_s)
     assert np.array_equal(d.values, soft_d.values)
     assert np.array_equal(s.values, soft_s.values)
@@ -248,7 +238,7 @@ def test_criterion_06_pci_monotonicity_and_bookkeeping():
             assert box.visibility in (3, 4)
             r, c = int(p.v // 16), int(p.u // 16)
             assert injected.valid_mask[r, c]
-            assert injected.seg.values[r, c] == 1.0
+            assert injected.foreground[r, c]
     assert strict_decrease >= 1
     assert emitted_total > 0
 

@@ -117,6 +117,17 @@ class TestGenScene:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_too_many_cameras_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_cameras": 65, "n_boxes": 12, "clutter_points": 0}))
+        out = tmp_path / "x"
+        assert main(["gen-scene", "--config", str(cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "n_cameras" in captured.err and "64" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_scene_rules_of_the_pipeline_do_not_apply(self, tmp_path, capsys):
         # Stride 16 and a single camera are pipeline rules; stride-4 heatmaps
         # of any camera still work on such a scene.

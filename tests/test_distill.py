@@ -52,7 +52,8 @@ class TestEncoders:
         # Signed zeros are where skipping the out-of-grid taps could differ.
         values[rng.random(values.shape) < 0.3] = -0.0
         values.flat[::7] = 0.0
-        fast = BoxBlurEncoder().apply(values)
+        # Each window on its own matches the oracle's batch form.
+        fast = np.stack([BoxBlurEncoder().apply(v) for v in values])
         ref = oracles.box_blur_reference(values)
         assert np.array_equal(fast, ref)
         assert fast.tobytes() == ref.tobytes()

@@ -59,27 +59,30 @@ class TestMapValidation:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             SegmentationMap(np.array([[0.5, 1.2]]))
 
-    def test_hard_labels_reject_soft_depth_on_valid_cell(self):
+    def test_depth_rejects_all_zero_cell(self):
         cfg = DepthBinConfig(1.0, 5.0, 1.0)
-        depth = np.zeros((1, 1, 4))
-        depth[0, 0] = (0.25, 0.25, 0.25, 0.25)
-        with pytest.raises(ValueError, match="one-hot"):
-            HardLabels(
-                DepthDistributionMap(depth, cfg),
-                SegmentationMap(np.ones((1, 1))),
-                np.ones((1, 1), dtype=bool),
-            )
+        depth = np.full((1, 2, 4), 0.25)
+        depth[0, 1] = 0.0
+        with pytest.raises(ValueError, match=r"cell \(0, 1\) sums to 0; expected 1"):
+            DepthDistributionMap(depth, cfg)
 
-    def test_hard_labels_reject_nonzero_invalid_cell(self):
+    @pytest.mark.parametrize("bins", [[[0, -2]], [[0, 4]], [[0.0, 1.0]]])
+    def test_hard_labels_reject_bin_out_of_range(self, bins):
+        # 4 bins, so the bins run from -1 (invalid) to 3; float bins are rejected too.
         cfg = DepthBinConfig(1.0, 5.0, 1.0)
-        depth = np.zeros((1, 1, 4))
-        depth[0, 0, 2] = 1.0
-        with pytest.raises(ValueError, match="all-zero"):
-            HardLabels(
-                DepthDistributionMap(depth, cfg),
-                SegmentationMap(np.zeros((1, 1))),
-                np.zeros((1, 1), dtype=bool),
-            )
+        with pytest.raises(ValueError, match=r"integers in \[-1, 4\)"):
+            HardLabels(np.array(bins), np.zeros((1, 2), dtype=bool), cfg)
+
+    def test_hard_labels_reject_foreground_on_invalid_cell(self):
+        cfg = DepthBinConfig(1.0, 5.0, 1.0)
+        with pytest.raises(ValueError, match="foreground cells must be valid"):
+            HardLabels(np.array([[2, -1]]), np.array([[True, True]]), cfg)
+
+    @pytest.mark.parametrize("bins_shape,fg_shape", [((2, 3), (3, 2)), ((6,), (6,))])
+    def test_hard_labels_reject_shape_mismatch(self, bins_shape, fg_shape):
+        cfg = DepthBinConfig(1.0, 5.0, 1.0)
+        with pytest.raises(ValueError, match="equal 2-D shapes"):
+            HardLabels(np.zeros(bins_shape, dtype=np.int64), np.zeros(fg_shape, dtype=bool), cfg)
 
 
 class TestGenerateHardLabels:
@@ -91,9 +94,12 @@ class TestGenerateHardLabels:
         cell = np.argwhere(hard.valid_mask)
         assert len(cell) == 1
         r, c = cell[0]
-        assert hard.depth.values[r, c, 18] == 1.0
-        assert hard.depth.values[r, c].sum() == 1.0
-        assert hard.seg.values[r, c] == 0.0
+        assert hard.bins[r, c] == 18
+        assert not hard.foreground.any()
+        one_hot = hard.one_hot()
+        assert one_hot[r, c, 18] == 1.0 and one_hot.sum() == 1.0
+        assert hard.depth_meters()[r, c] == cfg.bin_centers()[18]
+        assert hard.depth_meters().sum() == cfg.bin_centers()[18]
 
     def test_min_depth_wins_per_cell(self):
         cfg = DepthBinConfig(d_min=1.0, d_max=60.0, bin_size=0.5)
@@ -102,7 +108,7 @@ class TestGenerateHardLabels:
         cloud = PointCloud(np.array([[0.0, 0.0, 30.0], [0.0, 0.0, 12.0]]), "t")
         hard = generate_hard_labels(cloud, [], cam, cfg, 16)
         r, c = np.argwhere(hard.valid_mask)[0]
-        assert hard.depth.values[r, c, cfg.bin_index(12.0)] == 1.0
+        assert hard.bins[r, c] == cfg.bin_index(12.0)
 
     def test_out_of_range_depth_leaves_cell_invalid(self):
         cfg = DepthBinConfig(d_min=1.0, d_max=20.0, bin_size=0.5)
@@ -117,8 +123,7 @@ class TestGenerateHardLabels:
         inside = [0.0, 0.0, 10.0]
         outside = [2.0, 0.0, 10.0]  # same depth, different cell, not in the box
         hard = generate_hard_labels(PointCloud(np.array([inside, outside]), "t"), [box], cam, cfg, 8)
-        fg_cells = int((hard.seg.values == 1.0).sum())
-        assert fg_cells == 1
+        assert hard.foreground.sum() == 1
         assert hard.valid_mask.sum() == 2
 
     def test_permutation_invariance(self):
@@ -133,9 +138,8 @@ class TestGenerateHardLabels:
         for _ in range(5):
             perm = rng.permutation(len(pts))
             shuffled = generate_hard_labels(PointCloud(pts[perm], "t"), [box], cam, cfg, 8)
-            assert np.array_equal(base.valid_mask, shuffled.valid_mask)
-            assert np.array_equal(base.depth.values, shuffled.depth.values)
-            assert np.array_equal(base.seg.values, shuffled.seg.values)
+            assert np.array_equal(base.bins, shuffled.bins)
+            assert np.array_equal(base.foreground, shuffled.foreground)
 
     def test_valid_cell_count_matches_counting_oracle(self):
         rng = np.random.default_rng(8)
@@ -147,14 +151,14 @@ class TestGenerateHardLabels:
         assert int(hard.valid_mask.sum()) == want
 
     def test_foreground_consistency_recheck(self):
-        # Every seg=1 cell's recorded depth corresponds to a point inside some box.
+        # Every foreground cell's recorded depth corresponds to a point inside some box.
         rng = np.random.default_rng(9)
         cfg = DepthBinConfig(1.0, 40.0, 0.5)
         cam = camera()
         box = Box3D(center=(0.5, 0.2, 12), size=(4, 3, 3), yaw=0.5)
         pts = rng.uniform((-4, -2, 2), (4, 2, 30), (300, 3))
         hard = generate_hard_labels(PointCloud(pts, "t"), [box], cam, cfg, 8)
-        fg = np.argwhere(hard.seg.values == 1.0)
+        fg = np.argwhere(hard.foreground)
         assert len(fg)
         for r, c in fg:
             assert hard.valid_mask[r, c]
@@ -173,22 +177,18 @@ class TestMergeLabels:
 
     def test_all_valid_returns_hard(self):
         hard = HardLabels(
-            DepthDistributionMap(_forced_one_hot(self.rng, 4, 5, self.cfg), self.cfg),
-            SegmentationMap(self.rng.integers(0, 2, (4, 5)).astype(float)),
-            np.ones((4, 5), dtype=bool),
+            self.rng.integers(0, self.cfg.n_bins, (4, 5)),
+            self.rng.integers(0, 2, (4, 5)).astype(bool),
+            self.cfg,
         )
         soft_d, soft_s = random_soft_labels(self.rng, 4, 5, self.cfg)
         got_d, got_s = merge_labels(hard, soft_d, soft_s)
-        assert np.array_equal(got_d.values, hard.depth.values)
-        assert np.array_equal(got_s.values, hard.seg.values)
+        assert np.array_equal(got_d.values, hard.one_hot())
+        assert np.array_equal(got_s.values, hard.foreground.astype(float))
 
     def test_none_valid_returns_soft(self):
         h, w = 4, 5
-        hard = HardLabels(
-            DepthDistributionMap(np.zeros((h, w, self.cfg.n_bins)), self.cfg),
-            SegmentationMap(np.zeros((h, w))),
-            np.zeros((h, w), dtype=bool),
-        )
+        hard = HardLabels(np.full((h, w), -1), np.zeros((h, w), dtype=bool), self.cfg)
         soft_d, soft_s = random_soft_labels(self.rng, h, w, self.cfg)
         got_d, got_s = merge_labels(hard, soft_d, soft_s)
         assert np.array_equal(got_d.values, soft_d.values)
@@ -223,10 +223,3 @@ class TestMergeLabels:
         with pytest.raises(ValueError, match="bin config"):
             merge_labels(hard, soft_d, soft_s)
 
-
-def _forced_one_hot(rng, h, w, cfg):
-    out = np.zeros((h, w, cfg.n_bins))
-    rows, cols = np.mgrid[0:h, 0:w]
-    bins = rng.integers(0, cfg.n_bins, (h, w))
-    out[rows.ravel(), cols.ravel(), bins.ravel()] = 1.0
-    return out

@@ -11,9 +11,7 @@ from fgbev.geometry import (
 )
 from fgbev.labels import (
     DepthBinConfig,
-    DepthDistributionMap,
     HardLabels,
-    SegmentationMap,
     generate_hard_labels,
 )
 from fgbev.pci import (
@@ -309,33 +307,24 @@ class TestPciStatistics:
 
 def empty_hard_labels(h=8, w=16, cfg=None):
     cfg = cfg or DepthBinConfig()
-    return HardLabels(
-        DepthDistributionMap(np.zeros((h, w, cfg.n_bins)), cfg),
-        SegmentationMap(np.zeros((h, w))),
-        np.zeros((h, w), dtype=bool),
-    )
+    return HardLabels(np.full((h, w), -1), np.zeros((h, w), dtype=bool), cfg)
 
 
 class TestInjectPseudoPoints:
     def test_empty_cell_becomes_foreground_one_hot(self):
         hard = empty_hard_labels()
         out = inject_pseudo_points(hard, [PseudoPoint(40.0, 24.0, 10.2, 0)], 16)
-        assert out.valid_mask[1, 2]
-        assert out.seg.values[1, 2] == 1.0
-        assert out.depth.values[1, 2, 18] == 1.0
-        assert out.depth.values[1, 2].sum() == 1.0
+        assert out.bins[1, 2] == 18
+        assert out.foreground[1, 2]
+        assert out.valid_mask.sum() == 1
 
     def test_occupied_cell_untouched(self):
-        cfg = DepthBinConfig()
-        depth = np.zeros((8, 16, cfg.n_bins))
-        depth[1, 2, 5] = 1.0
-        seg = np.zeros((8, 16))
-        mask = np.zeros((8, 16), dtype=bool)
-        mask[1, 2] = True
-        hard = HardLabels(DepthDistributionMap(depth, cfg), SegmentationMap(seg), mask)
+        bins = np.full((8, 16), -1)
+        bins[1, 2] = 5
+        hard = HardLabels(bins, np.zeros((8, 16), dtype=bool), DepthBinConfig())
         out = inject_pseudo_points(hard, [PseudoPoint(40.0, 24.0, 10.2, 0)], 16)
-        assert np.array_equal(out.depth.values, hard.depth.values)
-        assert np.array_equal(out.seg.values, hard.seg.values)
+        assert np.array_equal(out.bins, hard.bins)
+        assert np.array_equal(out.foreground, hard.foreground)
 
     def test_out_of_range_depth_skipped(self):
         hard = empty_hard_labels()
@@ -351,12 +340,10 @@ class TestInjectPseudoPoints:
         rng = np.random.default_rng(5)
         cfg = DepthBinConfig()
         h, w, stride = 8, 16, 16
-        depth = np.zeros((h, w, cfg.n_bins))
-        seg = np.zeros((h, w))
         mask = rng.random((h, w)) < 0.3
-        rows, cols = np.nonzero(mask)
-        depth[rows, cols, rng.integers(0, cfg.n_bins, len(rows))] = 1.0
-        hard = HardLabels(DepthDistributionMap(depth, cfg), SegmentationMap(seg), mask)
+        bins = np.full((h, w), -1)
+        bins[mask] = rng.integers(0, cfg.n_bins, int(mask.sum()))
+        hard = HardLabels(bins, np.zeros((h, w), dtype=bool), cfg)
 
         pseudo = [
             PseudoPoint(
@@ -413,10 +400,11 @@ class TestQualifyingBoxGainsCoverage:
                 r, c = int(p.v // 16), int(p.u // 16)
                 assert out.valid_mask[r, c]
                 if not hard.valid_mask[r, c]:
-                    assert out.seg.values[r, c] == 1.0
-                    assert out.depth.values[r, c, bin_cfg.bin_index(p.depth)] == 1.0
+                    assert out.foreground[r, c]
+                    assert out.bins[r, c] == bin_cfg.bin_index(p.depth)
                 else:
-                    assert np.array_equal(out.depth.values[r, c], hard.depth.values[r, c])
+                    assert out.bins[r, c] == hard.bins[r, c]
+                    assert out.foreground[r, c] == hard.foreground[r, c]
         assert seen > 0
 
     def test_clutter_free_scenes_always_gain_foreground(self):
@@ -446,6 +434,5 @@ class TestQualifyingBoxGainsCoverage:
             for p in pseudo:
                 seen += 1
                 r, c = int(p.v // 16), int(p.u // 16)
-                assert out.valid_mask[r, c]
-                assert out.seg.values[r, c] == 1.0
+                assert out.foreground[r, c]
         assert seen > 0

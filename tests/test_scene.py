@@ -311,11 +311,9 @@ class TestSoftLabels:
         frame = scene.current
         depth, seg = soft_labels_from_frame(frame, 0, cfg, 0.0, seed=0)
         hard = generate_hard_labels(frame.lidar, frame.boxes, frame.cameras[0], cfg, 16)
-        fg = hard.valid_mask & (hard.seg.values == 1.0)
+        fg = hard.foreground
         assert fg.any()
-        assert np.array_equal(
-            depth.values[fg].argmax(axis=1), hard.depth.values[fg].argmax(axis=1)
-        )
+        assert np.array_equal(depth.values[fg].argmax(axis=1), hard.bins[fg])
         assert (seg.values[fg] == 1.0).all()
 
     def test_empty_frame_is_floor(self):

@@ -270,11 +270,7 @@ class TestStudentTeacher:
     def test_teacher_degenerates_without_hard_labels(self):
         from fgbev.labels import HardLabels
 
-        empty = HardLabels(
-            DepthDistributionMap(np.zeros((4, 8, BIN_CFG.n_bins)), BIN_CFG),
-            SegmentationMap(np.zeros((4, 8))),
-            np.zeros((4, 8), dtype=bool),
-        )
+        empty = HardLabels(np.full((4, 8), -1), np.zeros((4, 8), dtype=bool), BIN_CFG)
         t = teacher_bev(
             self.ctx, empty, self.soft_depth, self.soft_seg, self.frustum, self.bev, 0.3
         )
@@ -296,15 +292,9 @@ class TestStudentTeacher:
         from fgbev.labels import HardLabels
 
         r0, c0 = 2, 5
-        depth = np.zeros((4, 8, BIN_CFG.n_bins))
-        depth[r0, c0, 1] = 1.0
-        seg = np.zeros((4, 8))
-        seg[r0, c0] = 1.0
-        mask = np.zeros((4, 8), dtype=bool)
-        mask[r0, c0] = True
-        hard = HardLabels(
-            DepthDistributionMap(depth, BIN_CFG), SegmentationMap(seg), mask
-        )
+        bins = np.full((4, 8), -1)
+        bins[r0, c0] = 1
+        hard = HardLabels(bins, bins == 1, BIN_CFG)
         t = teacher_bev(
             self.ctx, hard, self.soft_depth, self.soft_seg, self.frustum, self.bev, 0.3
         )
