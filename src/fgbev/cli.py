@@ -223,11 +223,11 @@ def _cmd_labels(args) -> int:
         h_f, w_f = cam.feature_grid_shape(args.stride)
     except ValueError as exc:
         raise ValueError(f"--stride: {exc}") from None
-    check_budget(
-        h_f * w_f * bin_cfg.n_bins,
-        "depth cells of the camera's image_width x image_height at --stride times "
-        "--d-min/--d-max/--bin-size bins",
-    )
+    # Only --bin builds the dense one-hot depth; every other map is (H_f, W_f).
+    cells, what = h_f * w_f, "feature cells of the camera's image_width x image_height at --stride"
+    if args.bin:
+        cells, what = cells * bin_cfg.n_bins, f"{what} times --d-min/--d-max/--bin-size bins for --bin"
+    check_budget(cells, what)
     out_dir = _out_dir(args.out)
     hard = generate_hard_labels(frame.lidar, frame.boxes, cam, bin_cfg, args.stride)
     write_pgm16(out_dir / "depth.pgm", depth_to_u16(hard.depth_meters()))

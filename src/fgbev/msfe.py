@@ -4,6 +4,7 @@ focal loss that supervises heatmaps."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,6 +12,10 @@ import numpy as np
 from .geometry import Box2D
 
 DEFAULT_SIGMA_DIVISOR = 6.0
+# exp(-x) rounds to +0.0 for every x above about 745.13. More than this many
+# sigmas from the center on either axis, that axis' term of the exponent alone
+# exceeds 746, so a Gaussian is exactly +0.0 there and max(hm, +0.0) keeps hm.
+GAUSSIAN_SUPPORT_SIGMAS = math.sqrt(2 * 746)
 FOCAL_CLAMP_EPS = 1e-6
 
 
@@ -74,20 +79,35 @@ def elliptical_gaussian_heatmap(
     Per-axis spread scales with the box dimensions: sigma_x = width /
     (stride * sigma_divisor), likewise for y, so the default divisor puts the
     box edge at roughly three sigma from the center. Degenerate (zero-extent)
-    axes collapse to a near-delta.
+    axes collapse to a near-delta. Each Gaussian is evaluated only on its
+    support, the cells within GAUSSIAN_SUPPORT_SIGMAS sigmas of its center on
+    both axes; every other cell it would set to exactly +0.0.
     """
     hm = np.zeros((out_h, out_w))
-    if not boxes2d:
-        return ForegroundHeatmap(hm)
-    yy, xx = np.mgrid[0:out_h, 0:out_w].astype(np.float64)
     for box in boxes2d:
         cu, cv = box.center
+        if not (math.isfinite(cu) and math.isfinite(cv)):
+            raise ValueError(f"Box2D center must be finite, got {box}")
         cx, cy = cu / stride, cv / stride
         sx = max(box.width / (stride * sigma_divisor), 1e-12)
         sy = max(box.height / (stride * sigma_divisor), 1e-12)
+        x0, x1 = _support(cx, sx, out_w)
+        y0, y1 = _support(cy, sy, out_h)
+        if x0 == x1 or y0 == y1:
+            continue
+        xx = np.arange(x0, x1, dtype=np.float64)
+        yy = np.arange(y0, y1, dtype=np.float64)[:, None]
         g = np.exp(-((xx - cx) ** 2 / (2 * sx**2) + (yy - cy) ** 2 / (2 * sy**2)))
-        np.maximum(hm, g, out=hm)
+        support = hm[y0:y1, x0:x1]
+        np.maximum(support, g, out=support)
     return ForegroundHeatmap(hm)
+
+
+def _support(center: float, sigma: float, size: int) -> tuple[int, int]:
+    """Cells lo:hi within GAUSSIAN_SUPPORT_SIGMAS * sigma of center, clipped to 0:size."""
+    half = GAUSSIAN_SUPPORT_SIGMAS * sigma
+    lo, hi = np.clip([np.ceil(center - half), np.floor(center + half) + 1], 0, size)
+    return int(lo), int(hi)
 
 
 def threshold_filter(heatmap: ForegroundHeatmap, beta: float) -> ForegroundHeatmap:

@@ -277,15 +277,14 @@ def _random_pool_case(rng):
 
 def _suite_pooling(seed: int, n: int) -> SuiteResult:
     rng = np.random.default_rng(seed)
-    worst = 0.0
     for _ in range(n):
         ctx, depth, seg, frustum, bev = _random_pool_case(rng)
         thr = float(rng.uniform(0.0, 0.9))
         got = sa_bev_pool(ctx, depth, seg, frustum, bev, thr)
         want = oracles.pool_reference(ctx, depth, seg, frustum, bev, thr)
-        worst = max(worst, np.abs(got.values - want).max())
-    ok = worst < 1e-9
-    return SuiteResult("sa-bev-pool", ok, f"max |err| {worst:.2e} over {n} cases")
+        if got.values.tobytes() != want.tobytes():
+            return SuiteResult("sa-bev-pool", False, "serial accumulation oracle disagrees")
+    return SuiteResult("sa-bev-pool", True, f"bitwise equal on {n} cases")
 
 
 def _suite_merge(seed: int, n: int) -> SuiteResult:
@@ -464,8 +463,9 @@ def _suite_heatmap(seed: int, n: int) -> SuiteResult:
         h, w = int(rng.integers(8, 20)), int(rng.integers(8, 20))
         boxes = []
         for _ in range(int(rng.integers(1, 4))):
-            x1 = rng.uniform(0, w * 4 - 8)
-            y1 = rng.uniform(0, h * 4 - 8)
+            # Some boxes overhang the map, so supports are clipped at its edges.
+            x1 = rng.uniform(-24, w * 4 + 8)
+            y1 = rng.uniform(-24, h * 4 + 8)
             boxes.append(
                 Box2D(x1, y1, x1 + rng.uniform(2, 30), y1 + rng.uniform(2, 30))
             )

@@ -269,12 +269,13 @@ def sa_bev_pool(
     if len(brow) == 0:
         return BevFeatureGrid(np.zeros((0, 0, channels)), bev_cfg, (0, 0))
     r0, c0 = int(brow.min()), int(bcol.min())
-    width = int(bcol.max()) + 1 - c0
-    window = np.zeros((int(brow.max()) + 1 - r0, width, channels))
+    height, width = int(brow.max()) + 1 - r0, int(bcol.max()) + 1 - c0
     weight = depth.values[rows, cols, bins] * seg.values[rows, cols]
     contrib = weight[:, None] * ctx.values[rows, cols]
-    np.add.at(window.reshape(-1, channels), (brow - r0) * width + (bcol - c0), contrib)
-    return BevFeatureGrid(window, bev_cfg, (r0, c0))
+    # bincount adds each (cell, channel) bucket's weights in entry order from +0.0.
+    bucket = ((brow - r0) * width + (bcol - c0))[:, None] * channels + np.arange(channels)
+    sums = np.bincount(bucket.ravel(), contrib.ravel(), minlength=height * width * channels)
+    return BevFeatureGrid(sums.reshape(height, width, channels), bev_cfg, (r0, c0))
 
 
 def teacher_bev(

@@ -215,12 +215,29 @@ class TestLabelsCommand:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    def test_dense_depth_is_charged_only_with_bin(self, tmp_path, capsys):
+        # Stride 1 on the default 704x256 camera has 180,224 feature cells; with
+        # 1,180 bins of 0.05 m, the dense one-hot that only --bin builds would
+        # hold 212,664,320, past the array budget.
+        assert main(["gen-scene", "--out", str(tmp_path / "s")]) == 0
+        capsys.readouterr()
+        scene = str(tmp_path / "s" / "scene.json")
+        argv = ["labels", "--scene", scene, "--stride", "1", "--bin-size", "0.05"]
+        assert main([*argv, "--out", str(tmp_path / "labels")]) == 0
+        assert json.loads(capsys.readouterr().out)["grid"] == [256, 704]
+        out = tmp_path / "binned"
+        assert main([*argv, "--out", str(out), "--bin"]) == 1
+        captured = capsys.readouterr()
+        for flag in ("--stride", "--bin-size", "for --bin", "array elements"):
+            assert flag in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == "" and not out.exists()
 
     # Default stride 16 with 118 bins, and stride 4, on a camera 2**31 pixels wide.
     @pytest.mark.parametrize(
         "command,flags,width,named",
         [
-            ("labels", ["--stride", "1", "--bin-size", "0.001"], None, "--bin-size"),
+            ("labels", ["--stride", "1", "--bin-size", "0.001", "--bin"], None, "--bin-size"),
             ("labels", [], 2**31, "image_width x image_height"),
             ("heatmap", [], 2**31, "image_width x image_height"),
         ],

@@ -91,6 +91,89 @@ class TestEllipticalHeatmap:
         assert hm.values.sum() == 1.0
 
 
+def whole_map_heatmap(boxes2d, out_h, out_w, stride, sigma_divisor=6.0):
+    """Each Gaussian evaluated over the whole map: the expression the support must match."""
+    hm = np.zeros((out_h, out_w))
+    yy, xx = np.mgrid[0:out_h, 0:out_w].astype(np.float64)
+    for box in boxes2d:
+        cu, cv = box.center
+        cx, cy = cu / stride, cv / stride
+        sx = max(box.width / (stride * sigma_divisor), 1e-12)
+        sy = max(box.height / (stride * sigma_divisor), 1e-12)
+        g = np.exp(-((xx - cx) ** 2 / (2 * sx**2) + (yy - cy) ** 2 / (2 * sy**2)))
+        np.maximum(hm, g, out=hm)
+    return hm
+
+
+# Boxes on a 16 x 24 map at stride 4 (64 x 96 pixels), with the map edge that
+# each one's non-zero cells must reach, if any.
+SUPPORT_CASES = {
+    "clipped-left": ([Box2D(-10.0, 20.0, 6.0, 36.0)], lambda v: v[:, 0]),
+    "clipped-right": ([Box2D(88.0, 20.0, 104.0, 36.0)], lambda v: v[:, -1]),
+    "clipped-top": ([Box2D(30.0, -12.0, 50.0, 4.0)], lambda v: v[0]),
+    "clipped-bottom": ([Box2D(30.0, 58.0, 50.0, 70.0)], lambda v: v[-1]),
+    # Zero width: sigma_x sits at its 1e-12 floor, so only column 10 is non-zero.
+    "sigma-floor-x": ([Box2D(40.0, 10.0, 40.0, 40.0)], lambda v: v[:, 10]),
+    "sigma-floor-x-between-cells": ([Box2D(41.0, 10.0, 41.0, 40.0)], None),
+    "sigma-floor-both": (
+        [Box2D(40.0, 32.0, 40.0, 32.0), Box2D(41.0, 33.0, 41.0, 33.0)],
+        lambda v: v[8, 10:11],
+    ),
+    "off-map": ([Box2D(1000.0, 1000.0, 1004.0, 1004.0), Box2D(-40.0, -9.0, -36.0, -8.0)], None),
+    # Centred off the map, but wide enough that its tail reaches every cell.
+    "off-map-wide-tail": ([Box2D(-300.0, 10.0, -200.0, 30.0)], lambda v: v[:, -1]),
+    "larger-than-map": ([Box2D(-400.0, -300.0, 500.0, 400.0)], lambda v: v.ravel()),
+}
+
+
+class TestHeatmapSupport:
+    @pytest.mark.parametrize("name", sorted(SUPPORT_CASES))
+    def test_matches_whole_map_bitwise(self, name):
+        boxes, edge = SUPPORT_CASES[name]
+        got = elliptical_gaussian_heatmap(boxes, 16, 24, 4).values
+        want = whole_map_heatmap(boxes, 16, 24, 4)
+        assert got.tobytes() == want.tobytes()
+        if edge is None:
+            assert not want.any()
+        else:
+            assert edge(want).all()
+
+    def test_all_cases_together_match_whole_map_bitwise(self):
+        boxes = [b for case, _ in SUPPORT_CASES.values() for b in case]
+        got = elliptical_gaussian_heatmap(boxes, 16, 24, 4).values
+        assert got.tobytes() == whole_map_heatmap(boxes, 16, 24, 4).tobytes()
+
+    def test_random_boxes_match_whole_map_bitwise(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            h, w = int(rng.integers(1, 30)), int(rng.integers(1, 30))
+            stride = int(rng.choice([1, 4, 16]))
+            divisor = float(rng.choice([0.5, 6.0, 20.0]))
+            boxes = []
+            for _ in range(int(rng.integers(1, 5))):
+                x1 = rng.uniform(-w * stride, 2 * w * stride)
+                y1 = rng.uniform(-h * stride, 2 * h * stride)
+                bw, bh = rng.uniform(0, 3 * w * stride), rng.uniform(0, 3 * h * stride)
+                boxes.append(Box2D(x1, y1, x1 + bw * (rng.random() < 0.8), y1 + bh))
+            got = elliptical_gaussian_heatmap(boxes, h, w, stride, divisor).values
+            assert got.tobytes() == whole_map_heatmap(boxes, h, w, stride, divisor).tobytes()
+
+    @pytest.mark.parametrize(
+        "coords",
+        [
+            (-math.inf, 0.0, 8.0, 8.0),
+            (0.0, 0.0, math.inf, 8.0),
+            (0.0, -math.inf, 8.0, math.inf),
+            (math.inf, math.inf, math.inf, math.inf),
+            (math.nan, 0.0, 8.0, 8.0),
+            (0.0, 0.0, 8.0, math.nan),
+        ],
+    )
+    def test_non_finite_box_raises_value_error(self, coords):
+        with pytest.raises(ValueError, match="finite"):
+            elliptical_gaussian_heatmap([Box2D(*coords)], 16, 24, 4)
+
+
 class TestThresholdFilter:
     def test_beta_zero_is_identity(self):
         rng = np.random.default_rng(2)

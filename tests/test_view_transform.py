@@ -97,10 +97,13 @@ class TestSaBevPool:
         ctx = ContextFeatureMap(rng.normal(0, 1, (4, 8, 3)))
         depth, _ = random_soft_labels(rng, 4, 8, BIN_CFG)
         seg = SegmentationMap(np.zeros((4, 8)))
-        out = sa_bev_pool(ctx, depth, seg, frustum, BevGridConfig(range_xy=8, grid_h=8, grid_w=8), 0.25)
+        bev = BevGridConfig(range_xy=8, grid_h=8, grid_w=8)
+        out = sa_bev_pool(ctx, depth, seg, frustum, bev, 0.25)
         assert not out.values.any()
         assert out.window.shape == (0, 0, 3)
         assert np.array_equal(out.occupancy(), np.zeros((8, 8)))
+        want = oracles.pool_reference(ctx, depth, seg, frustum, bev, 0.25)
+        assert out.values.tobytes() == want.tobytes()
 
     def test_single_entry_accumulation(self):
         cfg = BevGridConfig(range_xy=10.0, grid_h=4, grid_w=4, z_range=(-1, 1))
@@ -118,6 +121,25 @@ class TestSaBevPool:
         out = sa_bev_pool(ctx, depth, seg, frustum, cfg, 0.25)
         assert np.allclose(out.values[2, 2], (0.7, 1.4))
         assert np.count_nonzero(out.values) == 2
+        assert out.window.shape == (1, 1, 2)
+        want = oracles.pool_reference(ctx, depth, seg, frustum, cfg, 0.25)
+        assert out.values.tobytes() == want.tobytes()
+
+    def test_negative_zero_bucket_sums_to_positive_zero(self):
+        # Channel 0 is -0.0 everywhere, so each of its buckets receives only
+        # -0.0; a sum that starts from +0.0 ends at +0.0, as in the oracle.
+        rng = np.random.default_rng(7)
+        frustum = random_lift_frustum(rng, 4, 6, BIN_CFG)
+        bev = BevGridConfig(range_xy=8, grid_h=8, grid_w=8, z_range=(-3, 3))
+        values = rng.normal(0, 1, (4, 6, 2))
+        values[..., 0] = -0.0
+        ctx = ContextFeatureMap(values)
+        depth, seg = random_soft_labels(rng, 4, 6, BIN_CFG)
+        out = sa_bev_pool(ctx, depth, seg, frustum, bev, 0.0)
+        assert out.window.size > 0
+        assert not np.signbit(out.window[..., 0]).any()
+        want = oracles.pool_reference(ctx, depth, seg, frustum, bev, 0.0)
+        assert out.values.tobytes() == want.tobytes()
 
     def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(2)
@@ -135,7 +157,8 @@ class TestSaBevPool:
             thr = float(rng.uniform(0, 0.8))
             got = sa_bev_pool(ctx, depth, seg, frustum, bev, thr)
             want = oracles.pool_reference(ctx, depth, seg, frustum, bev, thr)
-            assert np.abs(got.values - want).max() < 1e-9
+            # Both sum each (cell, channel) in entry order from +0.0: equal bit for bit.
+            assert got.values.tobytes() == want.tobytes()
 
     def test_linearity_in_context(self):
         rng = np.random.default_rng(3)
