@@ -89,6 +89,25 @@ GOLDEN = {
         },
         "43f5f1284bb713b660b5e9c2f992d82e4acc82a4250bc6194c230ad8f2e3075c",
     ),
+    # The box blur on the default config (loss 0.04989, 64 included cells) and
+    # on the dropout sweep (631, 312, 600 and 312 included cells).
+    "pipeline-box-blur": (
+        ["pipeline", "--encoder-kind", "box_blur"],
+        None,
+        "3dc453c272b0336f77348a836627d3fba871af5b3f68392b4c3c250ef797225f",
+    ),
+    "sweep-fc-ppa-box-blur": (
+        ["sweep", "--toggles", "fc,ppa", "--encoder-kind", "box_blur"],
+        {"scene": {"dropout_fraction": 0.5, "n_frames": 4}},
+        "f87f3ea7b6496dfd115fd6575fa7a3b418f6b252f7831b6fe5b16c7897a19ee9",
+    ),
+    # Every feature cell passes the gate, so both poolings lift the whole
+    # frustum (loss 0.99459, 2611 included cells).
+    "pipeline-gate-all": (
+        ["pipeline"],
+        {"seg_threshold": 0.0},
+        "2b229e3687879566749e97a1e2da786b47f00619608081a2210c18ccd5fa8c9e",
+    ),
 }
 
 # The foreground gate inside its range. At the default noise the soft seg is
@@ -112,7 +131,7 @@ GOLDEN |= {
 
 
 # 40 boxes, 1408x512 images, 9 frames, a 256^2 grid, 16 channels and the box
-# blur encoder: the only pin on the box-blur path.
+# blur encoder: the box blur on a large grid.
 LARGE = {
     "scene": {"n_boxes": 40, "image_width": 1408, "image_height": 512, "n_frames": 9},
     "bev": {"grid_h": 256, "grid_w": 256},
