@@ -449,10 +449,10 @@ def _pin_allocator() -> None:
     """Serve arrays of up to 32 MiB from the heap and keep up to 64 MiB of it.
 
     Otherwise glibc maps each block above its mmap threshold afresh and raises
-    the threshold to the largest mapped block freed so far. The occupied-window
-    grids vary in size with the seed, so the page faults each stage paid
-    depended on the seeds the process had run. C libraries without mallopt
-    are left as they are.
+    the threshold to the largest mapped block freed so far. A BEV grid stores
+    its occupied cells, whose number varies with the seed, so the page faults
+    each stage paid depended on the seeds the process had run. C libraries
+    without mallopt are left as they are.
     """
     try:
         libc = ctypes.CDLL(None)

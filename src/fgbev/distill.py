@@ -1,6 +1,7 @@
 """Self-distillation core: one shared-parameter BEV encoder for student and
 teacher, the teacher-normalized per-cell L2 alignment loss, and a
-finite-difference harness that validates the analytic student gradient."""
+finite-difference harness that validates the analytic student gradient.
+Encoders and the loss work on each grid's stored cells, never the full grid."""
 
 from __future__ import annotations
 
@@ -11,40 +12,26 @@ import numpy as np
 from .view_transform import BevFeatureGrid
 
 DEFAULT_NORM_EPS = 1e-6
-# Teacher rows per loss block are chosen so a block's features take about this many bytes.
-LOSS_BLOCK_BYTES = 1 << 20
 
 
 class BevEncoder:
     """Deterministic map over BEV grids with fixed shared parameters.
 
-    Subclasses implement apply() on one (H, W, C) window. An output cell
-    depends only on the input cells at most `margin` rows and columns away
-    and is +0.0 when they all are, so encoding a grid's window grown by
-    `margin` gives the whole grid's result.
+    An output cell is +0.0 when every input cell it reads is, so an encoder
+    computes only the cells its input's stored cells reach.
     """
 
     name = "base"
-    margin = 0
-
-    def apply(self, window: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
 
     def __call__(self, grid: BevFeatureGrid) -> BevFeatureGrid:
-        """Encode the window grown by `margin` and clipped to the grid; an empty one stays empty."""
-        r0, r1, c0, c1 = grid.bounds
-        if r0 < r1 and c0 < c1:
-            m, h, w = self.margin, grid.cfg.grid_h, grid.cfg.grid_w
-            r0, r1, c0, c1 = max(r0 - m, 0), min(r1 + m, h), max(c0 - m, 0), min(c1 + m, w)
-        out = self.apply(grid.crop((r0, r1, c0, c1)))
-        return BevFeatureGrid(out, grid.cfg, (r0, c0))
+        raise NotImplementedError
 
 
 class IdentityEncoder(BevEncoder):
     name = "identity"
 
-    def apply(self, window: np.ndarray) -> np.ndarray:
-        return np.array(window, dtype=np.float64, copy=True)
+    def __call__(self, grid: BevFeatureGrid) -> BevFeatureGrid:
+        return grid
 
 
 class BoxBlurEncoder(BevEncoder):
@@ -55,27 +42,26 @@ class BoxBlurEncoder(BevEncoder):
     """
 
     name = "box_blur"
-    margin = 1
 
-    def apply(self, window: np.ndarray) -> np.ndarray:
-        arr = np.asarray(window, dtype=np.float64)
-        if arr.ndim != 3:
-            raise ValueError(f"expected (H, W, C), got shape {arr.shape}")
-        h, w = arr.shape[:2]
-        out = np.zeros_like(arr)
-        # Taps that fall outside the grid would add +0.0, which leaves a sum
-        # that starts at +0.0 unchanged, so they are skipped.
+    def __call__(self, grid: BevFeatureGrid) -> BevFeatureGrid:
+        h, w = grid.cfg.grid_h, grid.cfg.grid_w
+        stored = np.zeros((h, w), dtype=bool)
+        stored.flat[grid.cells] = True
+        reached = np.zeros((h + 2, w + 2), dtype=bool)
+        for dy in range(3):
+            for dx in range(3):
+                reached[dy : dy + h, dx : dx + w] |= stored
+        cells = np.flatnonzero(reached[1:-1, 1:-1])
+        r, c = np.divmod(cells, w)
+        lut, rows = grid.lookup(pad=1)
+        out = np.zeros((len(cells), grid.channels))
+        # A tap on a cell that is not stored, or outside the grid, adds the
+        # +0.0 row, which leaves a sum that starts at +0.0 unchanged.
         for dy in (-1, 0, 1):
             for dx in (-1, 0, 1):
-                (oy, iy), (ox, ix) = _tap(dy, h), _tap(dx, w)
-                out[oy, ox] += arr[iy, ix]
+                out += rows[lut[r + 1 + dy, c + 1 + dx]]
         out /= 9.0
-        return out
-
-
-def _tap(shift: int, n: int) -> tuple[slice, slice]:
-    """(output, input) slices along one axis for out[i] += in[i + shift]."""
-    return slice(max(0, -shift), n - max(0, shift)), slice(max(0, shift), n - max(0, -shift))
+        return BevFeatureGrid(cells, out, grid.cfg)
 
 
 # The encoder kinds configs and the CLI accept, by name.
@@ -92,14 +78,14 @@ def get_encoder(kind: str) -> BevEncoder:
 def encode_joint(
     encoder: BevEncoder, student: BevFeatureGrid, teacher: BevFeatureGrid
 ) -> tuple[BevFeatureGrid, BevFeatureGrid]:
-    """Encode student and teacher with the one shared encoder, each on its own window."""
+    """Encode student and teacher with the one shared encoder, each on its own cells."""
     if student.shape != teacher.shape:
         raise ValueError(f"shape mismatch: student {student.shape} vs teacher {teacher.shape}")
     return encoder(student), encoder(teacher)
 
 
 def _cell_norms(values: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(values, axis=2)
+    return np.linalg.norm(values, axis=-1)
 
 
 def distillation_loss(
@@ -111,8 +97,8 @@ def distillation_loss(
 
     Cells whose teacher norm falls below eps are excluded from the mean;
     with no included cells the loss is 0. Returns (loss, included_cells).
-    Only the teacher's window is read: outside it the teacher norm is 0 < eps,
-    and inside it the included cells keep their row-major order.
+    Only the teacher's stored cells are read: every other cell has teacher
+    norm 0 < eps, and the stored cells ascend in row-major order.
     """
     if teacher_enc.shape != student_enc.shape:
         raise ValueError(
@@ -120,22 +106,13 @@ def distillation_loss(
         )
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    t = teacher_enc.window
-    r0, _, c0, c1 = teacher_enc.bounds
-    # Row blocks of about LOSS_BLOCK_BYTES keep the temporaries small; each
-    # term depends only on its own cell, and the blocks keep row-major order.
-    rows = max(1, LOSS_BLOCK_BYTES // max(t[:1].nbytes, 1))
-    terms = []
-    for a in range(0, len(t), rows):
-        block = t[a : a + rows]
-        norms = _cell_norms(block)
-        included = norms >= eps
-        if included.any():
-            s = student_enc.crop((r0 + a, r0 + a + len(block), c0, c1))
-            terms.append(_cell_norms(block - s)[included] / norms[included])
-    if not terms:
+    norms = _cell_norms(teacher_enc.features)
+    included = norms >= eps
+    if not included.any():
         return 0.0, 0
-    terms = np.concatenate(terms)
+    lut, rows = student_enc.lookup()
+    s = rows[lut.reshape(-1)[teacher_enc.cells[included]]]
+    terms = _cell_norms(teacher_enc.features[included] - s) / norms[included]
     return float(terms.mean()), len(terms)
 
 
@@ -185,7 +162,7 @@ def loss_gradient_check(
     max_rel = 0.0
     n_checked = 0
     work = s.copy()
-    grid = lambda vals: BevFeatureGrid(vals, student_enc.cfg)
+    grid = lambda vals: BevFeatureGrid.from_values(vals, student_enc.cfg)
     for i, j in zip(rows, cols):
         for k in range(s.shape[2]):
             orig = work[i, j, k]

@@ -5,10 +5,10 @@ labels -> frustum -> student pooling. teacher_branch: hard labels on the
 densified cloud -> pseudo points -> teacher pooling -> shared encoding ->
 distillation loss. Only the teacher branch depends on fc_enabled/ppa_enabled.
 The frustum stage only fixes the lift geometry; each pooling lifts the cells
-its own seg gate passes. The one encoder encodes each BEV grid on its own
-occupied window, the loss reads the teacher's window, and the full occupancy
-grids are padded out only for the result. Deterministic per seed; each
-stage is timed with a monotonic clock.
+its own seg gate passes. Each BEV grid stores only its occupied cells: the
+one encoder encodes each grid's cells, the loss reads the teacher's cells,
+and the full occupancy grids are scattered out only for the result.
+Deterministic per seed; each stage is timed with a monotonic clock.
 """
 
 from __future__ import annotations
@@ -82,10 +82,13 @@ class PipelineConfig:
             raise ValueError(
                 f"scene.image_width x image_height ({w}x{h}) must be multiples of {FEATURE_STRIDE}"
             )
+        entries = h // FEATURE_STRIDE * (w // FEATURE_STRIDE) * self.bins.n_bins
         check_budget(
-            h // FEATURE_STRIDE * (w // FEATURE_STRIDE) * self.bins.n_bins,
+            entries,
             "depth cells of scene.image_width x image_height times bins.d_min/d_max/bin_size bins",
         )
+        # Pooling gathers an (entries, context_channels) array when every cell passes the gate.
+        check_budget(entries * c, "pooled depth cells x bins x context_channels")
         check_budget(
             2 * self.bev.grid_h * self.bev.grid_w * c, "2 x bev.grid_h x grid_w x context_channels"
         )

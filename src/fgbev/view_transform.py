@@ -5,8 +5,9 @@ pair back-projects to an ego-frame point at the bin-center depth. Pooling
 gates first: it finds the feature cells whose segmentation clears the
 threshold, lifts only their entries in (row, col, bin) lexicographic order,
 weights context features by depth probability times segmentation, and sums
-them into BEV cells. The BEV grid stores only the window of cells that
-received an entry; every other cell is zero.
+them into BEV cells. An entry of weight exactly 0 cannot change a sum, so it
+is dropped; the BEV grid stores only the cells that received an entry of
+non-zero weight, in row-major order, and every other cell is +0.0.
 """
 
 from __future__ import annotations
@@ -97,76 +98,70 @@ class ContextFeatureMap:
 class BevFeatureGrid:
     """BEV feature grid of shape (grid_h, grid_w, C), tied to its grid config.
 
-    Only a window is stored: `window` holds the rows origin[0]:origin[0]+h and
-    the columns origin[1]:origin[1]+w, and every cell outside it is +0.0.
-    Without an origin, `window` must be the whole grid.
+    Only occupied cells are stored: `cells` holds strictly increasing flat
+    cell ids (row * grid_w + col), row k of the (K, C) `features` is cell
+    cells[k], and every other cell is +0.0.
     """
 
-    window: np.ndarray
+    cells: np.ndarray
+    features: np.ndarray
     cfg: BevGridConfig
-    origin: tuple[int, int] | None = None
 
     def __post_init__(self):
-        v = np.asarray(self.window, dtype=np.float64)
-        grid = (self.cfg.grid_h, self.cfg.grid_w)
-        if self.origin is None:
-            fits = v.ndim == 3 and v.shape[:2] == grid
-            origin = (0, 0)
-        else:
-            origin = tuple(int(o) for o in self.origin)
-            fits = v.ndim == 3 and all(
-                0 <= o and o + n <= g for o, n, g in zip(origin, v.shape[:2], grid)
-            )
-        if not fits:
-            where = "" if self.origin is None else f" at {origin}"
-            raise ValueError(
-                f"grid values {v.shape}{where} inconsistent with config "
-                f"{self.cfg.grid_h}x{self.cfg.grid_w}"
-            )
+        cells = np.asarray(self.cells, dtype=np.int64)
+        v = np.asarray(self.features, dtype=np.float64)
+        n = self.cfg.grid_h * self.cfg.grid_w
+        if cells.ndim != 1 or v.ndim != 2 or len(v) != len(cells):
+            raise ValueError(f"cells {cells.shape} and features {v.shape} must be (K,) and (K, C)")
+        if len(cells) and not (cells[0] >= 0 and cells[-1] < n and np.all(cells[1:] > cells[:-1])):
+            raise ValueError(f"cell ids must be strictly increasing and in [0, {n})")
         if not np.all(np.isfinite(v)):
             raise ValueError("BEV features must be finite")
-        object.__setattr__(self, "window", v)
-        object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "features", v)
+
+    @classmethod
+    def from_values(cls, values: np.ndarray, cfg: BevGridConfig) -> "BevFeatureGrid":
+        """Every cell of a full (grid_h, grid_w, C) array, so `values` returns its bits."""
+        v = np.asarray(values, dtype=np.float64)
+        if v.ndim != 3 or v.shape[:2] != (cfg.grid_h, cfg.grid_w):
+            raise ValueError(
+                f"grid values {v.shape} inconsistent with config {cfg.grid_h}x{cfg.grid_w}"
+            )
+        return cls(np.arange(cfg.grid_h * cfg.grid_w), v.reshape(-1, v.shape[2]), cfg)
 
     @property
     def channels(self) -> int:
-        return self.window.shape[2]
+        return self.features.shape[1]
 
     @property
     def shape(self) -> tuple[int, int, int]:
         return self.cfg.grid_h, self.cfg.grid_w, self.channels
 
     @property
-    def bounds(self) -> tuple[int, int, int, int]:
-        """(row0, row1, col0, col1) of the window; rows row0:row1, cols col0:col1."""
-        (r0, c0), (h, w) = self.origin, self.window.shape[:2]
-        return r0, r0 + h, c0, c0 + w
-
-    def crop(self, bounds: tuple[int, int, int, int]) -> np.ndarray:
-        """The full grid's block at rows r0:r1, cols c0:c1 as an (r1-r0, c1-c0, C) array."""
-        if bounds == self.bounds:
-            return self.window
-        r0, r1, c0, c1 = bounds
-        sr0, sr1, sc0, sc1 = self.bounds
-        out = np.zeros((r1 - r0, c1 - c0, self.channels))
-        lo_r, hi_r, lo_c, hi_c = max(r0, sr0), min(r1, sr1), max(c0, sc0), min(c1, sc1)
-        if lo_r < hi_r and lo_c < hi_c:
-            out[lo_r - r0 : hi_r - r0, lo_c - c0 : hi_c - c0] = self.window[
-                lo_r - sr0 : hi_r - sr0, lo_c - sc0 : hi_c - sc0
-            ]
-        return out
-
-    @property
     def values(self) -> np.ndarray:
         """The full (grid_h, grid_w, C) array, built on each access."""
-        return self.crop((0, self.cfg.grid_h, 0, self.cfg.grid_w))
+        out = np.zeros((self.cfg.grid_h * self.cfg.grid_w, self.channels))
+        out[self.cells] = self.features
+        return out.reshape(self.shape)
 
     def occupancy(self) -> np.ndarray:
         """Per-cell L2 norm across channels, shape (grid_h, grid_w)."""
-        r0, r1, c0, c1 = self.bounds
-        out = np.zeros((self.cfg.grid_h, self.cfg.grid_w))
-        out[r0:r1, c0:c1] = np.linalg.norm(self.window, axis=2)
-        return out
+        out = np.zeros(self.cfg.grid_h * self.cfg.grid_w)
+        out[self.cells] = np.linalg.norm(self.features, axis=1)
+        return out.reshape(self.cfg.grid_h, self.cfg.grid_w)
+
+    def lookup(self, pad: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """(lut, rows) for gathering cells of the grid padded by `pad` cells on each side.
+
+        `rows` is `features` followed by one +0.0 row; lut[row + pad, col + pad]
+        is the row of `rows` that holds cell (row, col), and the +0.0 row for
+        every cell that is not stored or lies in the padding.
+        """
+        lut = np.full((self.cfg.grid_h + 2 * pad, self.cfg.grid_w + 2 * pad), len(self.cells))
+        r, c = np.divmod(self.cells, self.cfg.grid_w)
+        lut[r + pad, c + pad] = np.arange(len(self.cells))
+        return lut, np.concatenate([self.features, np.zeros((1, self.channels))])
 
 
 @dataclass(frozen=True)
@@ -248,8 +243,9 @@ def sa_bev_pool(
     cell containing its ego point, but only when seg(cell) >= seg_threshold
     and the point lies inside the grid range; everything else is dropped.
     Only the cells that pass the gate are lifted, in (row, col, bin) order,
-    and accumulation is summation in that order. The grid's window is the
-    bounding box of the BEV cells that receive an entry.
+    and accumulation is summation in that order. An entry of weight 0 is
+    dropped too, so the grid stores the BEV cells that receive an entry of
+    non-zero weight.
     """
     h_f, w_f = frustum.feature_shape
     if ctx.shape[:2] != (h_f, w_f):
@@ -265,17 +261,17 @@ def sa_bev_pool(
     channels = ctx.values.shape[2]
     rows, cols, bins, points = frustum.entries(*np.nonzero(seg.values >= seg_threshold))
     brow, bcol, ok = bev_cfg.cells_for_points(points)
-    rows, cols, bins, brow, bcol = rows[ok], cols[ok], bins[ok], brow[ok], bcol[ok]
-    if len(brow) == 0:
-        return BevFeatureGrid(np.zeros((0, 0, channels)), bev_cfg, (0, 0))
-    r0, c0 = int(brow.min()), int(bcol.min())
-    height, width = int(brow.max()) + 1 - r0, int(bcol.max()) + 1 - c0
     weight = depth.values[rows, cols, bins] * seg.values[rows, cols]
-    contrib = weight[:, None] * ctx.values[rows, cols]
+    # An entry of weight exactly 0 adds +-0.0, which never changes a sum that starts at +0.0.
+    keep = ok & (weight != 0)
+    rows, cols, weight = rows[keep], cols[keep], weight[keep]
+    cells, inv = np.unique(brow[keep] * bev_cfg.grid_w + bcol[keep], return_inverse=True)
+    contrib = ctx.values[rows, cols]
+    contrib *= weight[:, None]
     # bincount adds each (cell, channel) bucket's weights in entry order from +0.0.
-    bucket = ((brow - r0) * width + (bcol - c0))[:, None] * channels + np.arange(channels)
-    sums = np.bincount(bucket.ravel(), contrib.ravel(), minlength=height * width * channels)
-    return BevFeatureGrid(sums.reshape(height, width, channels), bev_cfg, (r0, c0))
+    bucket = inv[:, None] * channels + np.arange(channels)
+    sums = np.bincount(bucket.ravel(), contrib.ravel(), minlength=len(cells) * channels)
+    return BevFeatureGrid(cells, sums.reshape(-1, channels), bev_cfg)
 
 
 def teacher_bev(

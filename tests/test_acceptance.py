@@ -130,8 +130,8 @@ def test_criterion_03_distillation_loss_properties():
 
     one = BevGridConfig(range_xy=1.0, grid_h=1, grid_w=1)
     single, count = distillation_loss(
-        BevFeatureGrid(np.array([[[3.0, 4.0]]]), one),
-        BevFeatureGrid(np.array([[[0.0, 0.0]]]), one),
+        BevFeatureGrid.from_values(np.array([[[3.0, 4.0]]]), one),
+        BevFeatureGrid.from_values(np.array([[[0.0, 0.0]]]), one),
     )
     assert abs(single - 1.0) < 1e-12 and count == 1
 
@@ -140,7 +140,8 @@ def test_criterion_03_distillation_loss_properties():
     base, _ = distillation_loss(t, s)
     for c in (1e-3, 1.0, 1e3):
         scaled, _ = distillation_loss(
-            BevFeatureGrid(c * t.values, cfg), BevFeatureGrid(c * s.values, cfg)
+            BevFeatureGrid.from_values(c * t.values, cfg),
+            BevFeatureGrid.from_values(c * s.values, cfg),
         )
         assert abs(scaled - base) < 1e-9
 
@@ -151,7 +152,7 @@ def test_criterion_03_distillation_loss_properties():
         offset = rng.normal(0, 1, t.values.shape)
         offset /= np.linalg.norm(offset, axis=2, keepdims=True)
         offset *= rng.uniform(0.5, 1.5, (cfg.grid_h, cfg.grid_w, 1))
-        s = BevFeatureGrid(t.values + offset, cfg)
+        s = BevFeatureGrid.from_values(t.values + offset, cfg)
         res = loss_gradient_check(t, s, h=1e-5)
         assert res.checked_components > 0
         worst = max(worst, res.max_rel_error)

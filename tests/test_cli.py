@@ -621,6 +621,7 @@ class TestPipelineCommand:
             ({"bev": {"grid_h": 1_000_000}}, "grid_h"),
             ({"context_channels": 100_000_000}, "context_channels"),
             ({"scene": {"image_height": 2560}, "context_channels": 1200}, "context_channels"),
+            ({"seg_threshold": 0.0, "context_channels": 4096}, "context_channels"),
             ({"scene": {"n_frames": 100_000_000}}, "n_frames"),
             ({"scene": {"n_cameras": 6}}, "n_cameras"),
             ({"soft_label_noise": 1.5}, "soft_label_noise"),
@@ -634,6 +635,7 @@ class TestPipelineCommand:
             "bev-grid",
             "channels",
             "stride-4-level",
+            "pooled-entries-x-channels",
             "frames",
             "cameras",
             "noise-above-1",

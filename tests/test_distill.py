@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fgbev import distill, oracles
+from fgbev import oracles
 from fgbev.distill import (
     BoxBlurEncoder,
     IdentityEncoder,
@@ -10,7 +10,7 @@ from fgbev.distill import (
     get_encoder,
     loss_gradient_check,
 )
-from fgbev.selfcheck import random_bev_grid, random_windowed_grid
+from fgbev.selfcheck import random_bev_grid, random_sparse_grid
 from fgbev.view_transform import BevFeatureGrid, BevGridConfig
 
 CFG = BevGridConfig(range_xy=8.0, grid_h=5, grid_w=7)
@@ -19,7 +19,7 @@ CFG = BevGridConfig(range_xy=8.0, grid_h=5, grid_w=7)
 def grid(values):
     arr = np.asarray(values, dtype=float)
     cfg = BevGridConfig(range_xy=8.0, grid_h=arr.shape[0], grid_w=arr.shape[1])
-    return BevFeatureGrid(arr, cfg)
+    return BevFeatureGrid.from_values(arr, cfg)
 
 
 class TestEncoders:
@@ -27,7 +27,7 @@ class TestEncoders:
         rng = np.random.default_rng(0)
         g = random_bev_grid(rng, CFG, 3)
         out = IdentityEncoder()(g)
-        assert np.array_equal(out.values, g.values)
+        assert out.values.tobytes() == g.values.tobytes()
         assert out.values is not g.values
 
     def test_box_blur_impulse_stencil(self):
@@ -52,8 +52,10 @@ class TestEncoders:
         # Signed zeros are where skipping the out-of-grid taps could differ.
         values[rng.random(values.shape) < 0.3] = -0.0
         values.flat[::7] = 0.0
-        # Each window on its own matches the oracle's batch form.
-        fast = np.stack([BoxBlurEncoder().apply(v) for v in values])
+        # Each grid on its own matches the oracle's batch form.
+        cfg = BevGridConfig(range_xy=8.0, grid_h=shape[0], grid_w=shape[1])
+        blur = BoxBlurEncoder()
+        fast = np.stack([blur(BevFeatureGrid.from_values(v, cfg)).values for v in values])
         ref = oracles.box_blur_reference(values)
         assert np.array_equal(fast, ref)
         assert fast.tobytes() == ref.tobytes()
@@ -62,13 +64,40 @@ class TestEncoders:
         # Each grid is encoded as the oracle encodes it alone on the zero-padded full grid.
         rng = np.random.default_rng(1)
         for _ in range(100):
-            s = random_windowed_grid(rng, CFG, 4)
-            t = random_windowed_grid(rng, CFG, 4)
+            s = random_sparse_grid(rng, CFG, 4)
+            t = random_sparse_grid(rng, CFG, 4)
             full = np.stack([s.values, t.values])
             want = {"identity": full, "box_blur": oracles.box_blur_reference(full)}
             for enc in (IdentityEncoder(), BoxBlurEncoder()):
                 js, jt = encode_joint(enc, s, t)
                 assert np.stack([js.values, jt.values]).tobytes() == want[enc.name].tobytes()
+
+    def test_box_blur_on_random_cells_matches_padded_oracle_bitwise(self):
+        # Random cell sets that reach all four borders, plus no cells and every cell.
+        rng = np.random.default_rng(4)
+        h, w = CFG.grid_h, CFG.grid_w
+        top, left = np.arange(w), np.arange(h) * w
+        sides = [top, (h - 1) * w + top, left, left + w - 1]
+        sets = [np.array([], dtype=np.int64), np.arange(h * w)]
+        for _ in range(50):
+            picked = np.flatnonzero(rng.random(h * w) < rng.uniform(0.05, 0.6))
+            sets.append(np.union1d(picked, [rng.choice(side) for side in sides]))
+        for cells in sets:
+            features = rng.normal(size=(len(cells), 3))
+            features[rng.random(features.shape) < 0.3] = -0.0
+            g = BevFeatureGrid(cells, features, CFG)
+            out = BoxBlurEncoder()(g)
+            want = oracles.box_blur_reference(g.values[None])[0]
+            assert out.values.tobytes() == want.tobytes()
+            assert out.occupancy().tobytes() == np.linalg.norm(want, axis=2).tobytes()
+
+    def test_loss_on_random_cells_equals_windowed_loss_bitwise(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            s, t = random_sparse_grid(rng, CFG, 3), random_sparse_grid(rng, CFG, 3)
+            for enc in (IdentityEncoder(), BoxBlurEncoder()):
+                enc_s, enc_t = encode_joint(enc, s, t)
+                assert distillation_loss(enc_t, enc_s) == windowed_loss(enc_t, enc_s, 1 << 20)
 
     def test_joint_shape_mismatch_rejected(self):
         rng = np.random.default_rng(2)
@@ -85,7 +114,7 @@ class TestEncoders:
 
 
 WIN_CFG = BevGridConfig(range_xy=8.0, grid_h=9, grid_w=11)
-# (row0, row1, col0, col1) of a window in WIN_CFG; "empty" is a grid nothing reached.
+# (row0, row1, col0, col1) of a window of stored cells in WIN_CFG; "empty" stores none.
 WINDOWS = {
     "empty": (0, 0, 0, 0),
     "top-left-cell": (0, 1, 0, 1),
@@ -105,23 +134,52 @@ WINDOW_PAIRS = [(name, name) for name in WINDOWS] + [
     ("right", "empty"),
     ("top", "left"),
 ]
+# How far each encoder's output cells reach beyond its input cells.
+MARGIN = {"identity": 0, "box_blur": 1}
 
 
-def grown(name, margin):
-    """WINDOWS[name] grown by margin and clipped to WIN_CFG; an empty window stays empty."""
+def window_cells(name, margin=0):
+    """Flat ids of WINDOWS[name] grown by margin and clipped to WIN_CFG; empty stays empty."""
     r0, r1, c0, c1 = WINDOWS[name]
-    if r0 == r1 or c0 == c1:
-        return r0, r1, c0, c1
     h, w = WIN_CFG.grid_h, WIN_CFG.grid_w
-    return max(r0 - margin, 0), min(r1 + margin, h), max(c0 - margin, 0), min(c1 + margin, w)
+    if r0 < r1 and c0 < c1:
+        r0, r1 = max(r0 - margin, 0), min(r1 + margin, h)
+        c0, c1 = max(c0 - margin, 0), min(c1 + margin, w)
+    rows, cols = np.meshgrid(np.arange(r0, r1), np.arange(c0, c1), indexing="ij")
+    return (rows * w + cols).ravel()
 
 
 def windowed(rng, name, channels=3):
-    """A WIN_CFG grid with random values, signed zeros among them, in one window."""
-    r0, r1, c0, c1 = WINDOWS[name]
-    values = rng.normal(size=(r1 - r0, c1 - c0, channels))
+    """A WIN_CFG grid storing every cell of one window, with random values and signed zeros."""
+    cells = window_cells(name)
+    values = rng.normal(size=(len(cells), channels))
     values[rng.random(values.shape) < 0.2] = -0.0
-    return BevFeatureGrid(values, WIN_CFG, (r0, c0))
+    return BevFeatureGrid(cells, values, WIN_CFG)
+
+
+def windowed_loss(t, s, block_bytes, eps=1e-6):
+    """The loss as it was computed on a dense teacher window: the bounding box
+    of the teacher's stored cells, walked in row blocks of about block_bytes,
+    with the student cropped to each block."""
+    tv, sv = t.values, s.values
+    rows, cols = np.divmod(t.cells, t.cfg.grid_w)
+    if len(rows) == 0:
+        return 0.0, 0
+    window = tv[rows.min() : rows.max() + 1, cols.min() : cols.max() + 1]
+    crop = sv[rows.min() : rows.max() + 1, cols.min() : cols.max() + 1]
+    step = max(1, block_bytes // max(window[:1].nbytes, 1))
+    terms = []
+    for a in range(0, len(window), step):
+        block = window[a : a + step]
+        norms = np.linalg.norm(block, axis=2)
+        included = norms >= eps
+        if included.any():
+            diff = np.linalg.norm(block - crop[a : a + step], axis=2)
+            terms.append(diff[included] / norms[included])
+    if not terms:
+        return 0.0, 0
+    terms = np.concatenate(terms)
+    return float(terms.mean()), len(terms)
 
 
 @pytest.mark.parametrize("student_win, teacher_win", WINDOW_PAIRS)
@@ -138,13 +196,13 @@ class TestWindows:
         same_s, same_t = encode_joint(IdentityEncoder(), s, t)
         assert same_s.values.tobytes() == full[0].tobytes()
         assert same_t.values.tobytes() == full[1].tobytes()
-        # Each grid keeps its own window grown by the encoder's margin.
+        # Each grid stores its own cells grown by the encoder's reach.
         encoded = {BoxBlurEncoder(): (blur_s, blur_t), IdentityEncoder(): (same_s, same_t)}
         for enc, got in encoded.items():
             for g, name in zip(got, (student_win, teacher_win)):
-                r0, r1, c0, c1 = grown(name, enc.margin)
-                assert g.bounds == (r0, r1, c0, c1), enc.name
-                assert g.window.shape == (r1 - r0, c1 - c0, 3)
+                cells = window_cells(name, MARGIN[enc.name])
+                assert np.array_equal(g.cells, cells), enc.name
+                assert g.features.shape == (len(cells), 3)
 
     def test_loss_matches_oracle_and_whole_grid_window(self, student_win, teacher_win):
         rng = np.random.default_rng(13)
@@ -152,7 +210,8 @@ class TestWindows:
         for enc_s, enc_t in ((s, t), encode_joint(BoxBlurEncoder(), s, t)):
             got = distillation_loss(enc_t, enc_s)
             whole = distillation_loss(
-                BevFeatureGrid(enc_t.values, WIN_CFG), BevFeatureGrid(enc_s.values, WIN_CFG)
+                BevFeatureGrid.from_values(enc_t.values, WIN_CFG),
+                BevFeatureGrid.from_values(enc_s.values, WIN_CFG),
             )
             assert got == whole  # bit for bit, count included
             want, want_n = oracles.distill_loss_reference(enc_t.values, enc_s.values, 1e-6)
@@ -160,22 +219,14 @@ class TestWindows:
             assert abs(got[0] - want) < 1e-9
 
     @pytest.mark.parametrize("block_bytes", [1, 2 * 11 * 3 * 8, 1 << 30])
-    def test_row_blocks_leave_loss_bits_unchanged(
-        self, student_win, teacher_win, block_bytes, monkeypatch
-    ):
-        """One row per block, two full-width rows per block, or one block: the
-        loss equals the whole-grid expression bit for bit."""
+    def test_row_blocks_leave_loss_bits_unchanged(self, student_win, teacher_win, block_bytes):
+        """The loss over stored cells equals the dense windowed loss with one
+        row per block, two full-width rows per block, or one block, bit for bit."""
         rng = np.random.default_rng(14)
         s, t = windowed(rng, student_win), windowed(rng, teacher_win)
-        t.window[0:1, 0:1] = 0.0  # an excluded cell inside the window
-        monkeypatch.setattr(distill, "LOSS_BLOCK_BYTES", block_bytes)
+        t.features[:1] = 0.0  # an excluded cell among the stored ones
         for enc_s, enc_t in ((s, t), encode_joint(BoxBlurEncoder(), s, t)):
-            tv, sv = enc_t.values, enc_s.values
-            norms = np.linalg.norm(tv, axis=2)
-            included = norms >= 1e-6
-            terms = np.linalg.norm(tv - sv, axis=2)[included] / norms[included]
-            want = (float(terms.mean()), int(included.sum())) if included.any() else (0.0, 0)
-            assert distillation_loss(enc_t, enc_s) == want
+            assert distillation_loss(enc_t, enc_s) == windowed_loss(enc_t, enc_s, block_bytes)
 
 
 class TestDistillationLoss:
@@ -206,7 +257,8 @@ class TestDistillationLoss:
         base, _ = distillation_loss(t, s)
         for c in (1e-3, 1.0, 1e3):
             scaled, _ = distillation_loss(
-                BevFeatureGrid(c * t.values, CFG), BevFeatureGrid(c * s.values, CFG)
+                BevFeatureGrid.from_values(c * t.values, CFG),
+                BevFeatureGrid.from_values(c * s.values, CFG),
             )
             assert abs(scaled - base) < 1e-9
 
@@ -271,8 +323,8 @@ class TestGradientCheck:
         s = random_bev_grid(rng, CFG, 3)
         base = loss_gradient_check(t, s, h=1e-5)
         scaled = loss_gradient_check(
-            BevFeatureGrid(10.0 * t.values, CFG),
-            BevFeatureGrid(10.0 * s.values, CFG),
+            BevFeatureGrid.from_values(10.0 * t.values, CFG),
+            BevFeatureGrid.from_values(10.0 * s.values, CFG),
             h=1e-5,
         )
         assert scaled.checked_components == base.checked_components

@@ -3,7 +3,13 @@ import pytest
 
 from fgbev import oracles
 from fgbev.geometry import CameraModel, RigidTransform, project_point
-from fgbev.labels import DepthBinConfig, DepthDistributionMap, SegmentationMap
+from fgbev.labels import (
+    DepthBinConfig,
+    DepthDistributionMap,
+    HardLabels,
+    SegmentationMap,
+    merge_labels,
+)
 from fgbev.scene import SceneConfig, generate_scene
 from fgbev.selfcheck import (
     level_camera,
@@ -100,7 +106,7 @@ class TestSaBevPool:
         bev = BevGridConfig(range_xy=8, grid_h=8, grid_w=8)
         out = sa_bev_pool(ctx, depth, seg, frustum, bev, 0.25)
         assert not out.values.any()
-        assert out.window.shape == (0, 0, 3)
+        assert out.cells.shape == (0,) and out.features.shape == (0, 3)
         assert np.array_equal(out.occupancy(), np.zeros((8, 8)))
         want = oracles.pool_reference(ctx, depth, seg, frustum, bev, 0.25)
         assert out.values.tobytes() == want.tobytes()
@@ -121,7 +127,7 @@ class TestSaBevPool:
         out = sa_bev_pool(ctx, depth, seg, frustum, cfg, 0.25)
         assert np.allclose(out.values[2, 2], (0.7, 1.4))
         assert np.count_nonzero(out.values) == 2
-        assert out.window.shape == (1, 1, 2)
+        assert out.cells.tolist() == [2 * 4 + 2] and out.features.shape == (1, 2)
         want = oracles.pool_reference(ctx, depth, seg, frustum, cfg, 0.25)
         assert out.values.tobytes() == want.tobytes()
 
@@ -136,8 +142,8 @@ class TestSaBevPool:
         ctx = ContextFeatureMap(values)
         depth, seg = random_soft_labels(rng, 4, 6, BIN_CFG)
         out = sa_bev_pool(ctx, depth, seg, frustum, bev, 0.0)
-        assert out.window.size > 0
-        assert not np.signbit(out.window[..., 0]).any()
+        assert len(out.cells) > 0
+        assert not np.signbit(out.features[:, 0]).any()
         want = oracles.pool_reference(ctx, depth, seg, frustum, bev, 0.0)
         assert out.values.tobytes() == want.tobytes()
 
@@ -244,7 +250,7 @@ class TestGateFirstLift:
 
     def test_threshold_zero_lifts_every_cell_over_the_whole_grid(self):
         # From 10 m behind the grid, the bins reach across it and the wide
-        # view covers every row, so every BEV cell receives an entry.
+        # view covers every row, so the touched cells span every row and column.
         bin_cfg = DepthBinConfig(1.0, 17.0, 2.0)
         cam = level_camera(0.0, (-10.0, 0.0, 0.0), 20.0, 20.0, 64, 32)
         frustum = build_frustum(cam, bin_cfg, 8)
@@ -253,11 +259,13 @@ class TestGateFirstLift:
         ctx = ContextFeatureMap(rng.normal(0, 1, (4, 8, 3)))
         depth, seg = random_soft_labels(rng, 4, 8, bin_cfg)
         out = sa_bev_pool(ctx, depth, seg, frustum, bev, 0.0)
-        assert out.bounds == (0, 4, 0, 4)
+        rows, cols = np.divmod(out.cells, 4)
+        assert set(rows) == set(cols) == {0, 1, 2, 3}
+        assert np.array_equal(out.cells, touched_cells(depth, seg, frustum, bev, 0.0))
         want = oracles.pool_reference(ctx, depth, seg, frustum, bev, 0.0)
         assert out.values.tobytes() == want.tobytes()
 
-    def test_window_is_the_box_of_touched_cells(self):
+    def test_cells_are_the_cells_given_non_zero_weight(self):
         rng = np.random.default_rng(9)
         for _ in range(25):
             h, w = int(rng.integers(2, 9)), int(rng.integers(2, 9))
@@ -267,13 +275,51 @@ class TestGateFirstLift:
             depth, seg = random_soft_labels(rng, h, w, BIN_CFG)
             thr = float(rng.uniform(0, 0.8))
             out = sa_bev_pool(ctx, depth, seg, frustum, bev, thr)
-            rows, cols = np.nonzero(out.occupancy())
-            if len(rows) == 0:
-                assert out.window.size == 0
-                continue
-            assert out.bounds == (rows.min(), rows.max() + 1, cols.min(), cols.max() + 1)
+            assert np.array_equal(out.cells, touched_cells(depth, seg, frustum, bev, thr))
             want = oracles.pool_reference(ctx, depth, seg, frustum, bev, thr)
             assert out.values.tobytes() == want.tobytes()
+
+
+def touched_cells(depth, seg, frustum, bev, thr, nonzero=True):
+    """Sorted flat ids of the BEV cells that a gated, in-range entry reaches,
+    only those of non-zero weight if `nonzero`, from the whole frustum table."""
+    r, c, b = frustum.rows, frustum.cols, frustum.bins
+    brow, bcol, ok = bev.cells_for_points(frustum.points)
+    ok &= seg.values[r, c] >= thr
+    if nonzero:
+        ok &= depth.values[r, c, b] * seg.values[r, c] != 0
+    return np.unique(brow[ok] * bev.grid_w + bcol[ok])
+
+
+class TestZeroWeightEntries:
+    def test_one_hot_depth_and_negative_context_match_oracle_bitwise(self):
+        # Hard labels make most cells one-hot, so most entries have weight
+        # exactly 0; with negative context each of them contributes -0.0.
+        rng = np.random.default_rng(10)
+        skipped_only = 0
+        for _ in range(25):
+            h, w = int(rng.integers(2, 9)), int(rng.integers(2, 9))
+            frustum = random_lift_frustum(rng, h, w, BIN_CFG)
+            bev = BevGridConfig(
+                range_xy=float(rng.uniform(4, 16)), grid_h=12, grid_w=10, z_range=(-3, 3)
+            )
+            ctx = ContextFeatureMap(-rng.uniform(0.1, 1.0, (h, w, 3)))
+            bins = rng.integers(0, BIN_CFG.n_bins, (h, w))
+            hard = HardLabels(bins, rng.random((h, w)) < 0.8, BIN_CFG)
+            depth, seg = merge_labels(hard, *random_soft_labels(rng, h, w, BIN_CFG))
+            thr = float(rng.uniform(0, 0.5))
+            out = sa_bev_pool(ctx, depth, seg, frustum, bev, thr)
+            want = oracles.pool_reference(ctx, depth, seg, frustum, bev, thr)
+            assert out.values.tobytes() == want.tobytes()
+            kept = touched_cells(depth, seg, frustum, bev, thr)
+            assert np.array_equal(out.cells, kept)
+            # A cell reached only by entries of weight 0 is not stored and reads +0.0.
+            reached = touched_cells(depth, seg, frustum, bev, thr, nonzero=False)
+            only_zero = np.setdiff1d(reached, kept)
+            skipped_only += len(only_zero)
+            occupancy = out.occupancy().ravel()[only_zero]
+            assert occupancy.tobytes() == np.zeros(len(only_zero)).tobytes()
+        assert skipped_only > 0
 
 
 class TestStudentTeacher:
@@ -333,26 +379,55 @@ class TestStudentTeacher:
 class TestBevFeatureGrid:
     def test_occupancy_is_l2(self):
         cfg = BevGridConfig(range_xy=4, grid_h=2, grid_w=2)
-        grid = BevFeatureGrid(np.array([[[3.0, 4.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 2.0]]]), cfg)
+        values = np.array([[[3.0, 4.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 2.0]]])
+        grid = BevFeatureGrid.from_values(values, cfg)
         assert np.allclose(grid.occupancy(), [[5.0, 0.0], [1.0, 2.0]])
 
     def test_shape_consistency_enforced(self):
         cfg = BevGridConfig(range_xy=4, grid_h=2, grid_w=2)
         with pytest.raises(ValueError, match="inconsistent"):
-            BevFeatureGrid(np.zeros((3, 2, 1)), cfg)
+            BevFeatureGrid.from_values(np.zeros((3, 2, 1)), cfg)
         with pytest.raises(ValueError, match="inconsistent"):
-            BevFeatureGrid(np.zeros((1, 2, 1)), cfg)  # a window needs its origin
-        for origin in ((1, 1), (-1, 0), (0, 2)):
-            with pytest.raises(ValueError, match="inconsistent"):
-                BevFeatureGrid(np.zeros((2, 1, 1)), cfg, origin)
+            BevFeatureGrid.from_values(np.zeros((1, 2, 1)), cfg)
+        mismatched = (([0, 1], np.zeros((1, 1))), ([0], np.zeros(1)), ([[0]], np.zeros((1, 1))))
+        for cells, features in mismatched:
+            with pytest.raises(ValueError, match="must be"):
+                BevFeatureGrid(np.array(cells), features, cfg)
 
-    def test_window_reads_as_zero_padded_grid(self):
+    @pytest.mark.parametrize(
+        "cells",
+        [[1, 0], [0, 2, 1], [1, 1], [0, 0], [-1, 0], [0, 4], [4]],
+        ids=[
+            "unsorted", "unsorted-3", "duplicate", "duplicate-0", "negative", "past-end",
+            "only-past-end",
+        ],
+    )
+    def test_invalid_cells_rejected(self, cells):
+        cfg = BevGridConfig(range_xy=4, grid_h=2, grid_w=2)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            BevFeatureGrid(np.array(cells), np.ones((len(cells), 2)), cfg)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        cfg = BevGridConfig(range_xy=4, grid_h=2, grid_w=2)
+        with pytest.raises(ValueError, match="finite"):
+            BevFeatureGrid(np.array([0, 3]), np.array([[1.0, 2.0], [bad, 0.0]]), cfg)
+
+    def test_cells_read_as_zero_padded_grid(self):
         cfg = BevGridConfig(range_xy=4, grid_h=3, grid_w=4)
-        grid = BevFeatureGrid(np.array([[[3.0, 4.0]], [[0.0, -1.0]]]), cfg, (1, 2))
+        grid = BevFeatureGrid(np.array([6, 10]), np.array([[3.0, 4.0], [0.0, -1.0]]), cfg)
         want = np.zeros((3, 4, 2))
         want[1:3, 2] = [[3.0, 4.0], [0.0, -1.0]]
         assert grid.shape == (3, 4, 2)
-        assert grid.bounds == (1, 3, 2, 3)
         assert np.array_equal(grid.values, want)
         assert np.array_equal(grid.occupancy(), np.linalg.norm(want, axis=2))
-        assert np.array_equal(grid.crop((0, 2, 1, 4)), want[0:2, 1:4])
+        empty = BevFeatureGrid(np.zeros(0, dtype=np.int64), np.zeros((0, 2)), cfg)
+        assert empty.values.tobytes() == np.zeros((3, 4, 2)).tobytes()
+        assert empty.occupancy().tobytes() == np.zeros((3, 4)).tobytes()
+
+    def test_from_values_round_trips_signed_zeros(self):
+        cfg = BevGridConfig(range_xy=4, grid_h=3, grid_w=4)
+        values = np.random.default_rng(0).normal(size=(3, 4, 2))
+        values[0, 1] = -0.0
+        grid = BevFeatureGrid.from_values(values, cfg)
+        assert grid.values.tobytes() == values.tobytes()
