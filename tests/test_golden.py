@@ -108,6 +108,18 @@ GOLDEN = {
         {"seg_threshold": 0.0},
         "2b229e3687879566749e97a1e2da786b47f00619608081a2210c18ccd5fa8c9e",
     ),
+    # A one-cell grid and a non-square 3 x 5 grid: the occupancy rows at their
+    # smallest and with more columns than rows.
+    "pipeline-grid-1x1": (
+        ["pipeline"],
+        {"bev": {"grid_h": 1, "grid_w": 1}},
+        "116a6cfdf6be783ffb3f0c97f7d3fbb0a1ce662ff8a5ecca80263992d13d9618",
+    ),
+    "pipeline-grid-3x5": (
+        ["pipeline"],
+        {"bev": {"grid_h": 3, "grid_w": 5}},
+        "ea1002c1edbea1f42ae792bf9b0201abf8d0f9f6e7022ec2dec431035061787a",
+    ),
 }
 
 # The foreground gate inside its range. At the default noise the soft seg is
@@ -294,3 +306,55 @@ def test_labels_digest(name, stride, tmp_path, capsys):
     for file in LABEL_FILES:
         h.update(file.encode() + b"\0" + hashlib.sha256((out / file).read_bytes()).digest())
     assert h.hexdigest() == digest
+
+
+def _config_argv(tmp_path, config):
+    if config is None:
+        return []
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return ["--config", str(path)]
+
+
+def _digest(out: str, out_dir, files) -> str:
+    """sha256 over stdout with the --out path replaced, then each file's name and sha256."""
+    h = hashlib.sha256(out.replace(str(out_dir), "OUT").encode())
+    for file in files:
+        h.update(file.encode() + b"\0" + hashlib.sha256((out_dir / file).read_bytes()).digest())
+    return h.hexdigest()
+
+
+# `gen-scene` stdout at seed 0, the --out path replaced (the scene file itself
+# is pinned above), and `heatmap` on that scene with its two rasters.
+GEN_SCENE_STDOUT = "e2d69bcaa60ed10bb6620f82d714a5998609a580c2cf763fca023e47a086104a"
+HEATMAP_GOLDEN = "ef57bf37c7419d02e79e6f323485318023318269fe5de30761e011aef9605717"
+
+
+def test_gen_scene_and_heatmap_digests(tmp_path, capsys):
+    assert main(["gen-scene", "--out", str(tmp_path), "--seed", "0"]) == 0
+    assert _digest(capsys.readouterr().out, tmp_path, ()) == GEN_SCENE_STDOUT
+    out = tmp_path / "heatmap"
+    assert main(["heatmap", "--scene", str(tmp_path / "scene.json"), "--out", str(out)]) == 0
+    assert _digest(capsys.readouterr().out, out, ("s4.pgm", "s4_filtered.pgm")) == HEATMAP_GOLDEN
+
+
+# `pipeline --out` at seed 0: stdout and the occupancy rasters and flat binaries.
+OCCUPANCY_FILES = tuple(
+    f"occupancy_{grid}.{ext}" for grid in ("student", "teacher") for ext in ("bin", "json", "pgm")
+)
+PIPELINE_OUT_GOLDEN = {
+    "default": (None, "4b466d44104ee0a6c11daa49d34762c2c48ad1a1c869ed3aaa569e7100808948"),
+    "grid-3x5": (
+        {"bev": {"grid_h": 3, "grid_w": 5}},
+        "f4df24ee60350c4dc1ea890c8ff6f96daebc6c2eab0b33137c5f3c7557b5a9ff",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PIPELINE_OUT_GOLDEN))
+def test_pipeline_out_digest(name, tmp_path, capsys):
+    config, digest = PIPELINE_OUT_GOLDEN[name]
+    out = tmp_path / "bev"
+    argv = ["pipeline", "--seed", "0", "--out", str(out)] + _config_argv(tmp_path, config)
+    assert main(argv) == 0
+    assert _digest(capsys.readouterr().out, out, OCCUPANCY_FILES) == digest
