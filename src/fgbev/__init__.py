@@ -25,7 +25,6 @@ from .geometry import (
     RigidTransform,
     box3d_corners,
     box_point_counts,
-    point_in_box,
     points_in_box,
     project_box3d_to_box2d,
     project_point,

@@ -8,6 +8,9 @@ missing or unreadable input path, unwritable --out), 2 internal failure
 Config precedence everywhere: command-line flag > config-file value >
 built-in default. Relative --config/--scene paths are also looked up under
 $FGBEV_CONFIG_DIR when they do not resolve from the working directory.
+
+JSON output is json.dumps(obj, sort_keys=True, indent=2) plus a newline for
+every command; only the pipeline's two occupancy grids are written row by row.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import math
 import os
 import sys
 import traceback
-from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
 from .arrayio import (
@@ -73,78 +75,32 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _dump(obj) -> str:
-    """The bytes of `json.dumps(obj, sort_keys=True, indent=2)`, written directly.
+    """The JSON every command prints: keys sorted, two-space indent."""
+    return json.dumps(obj, sort_keys=True, indent=2)
 
-    With `indent` set, json runs its pure-Python encoder; this writer gives
-    the same output several times faster on the 2 x 128 x 128 occupancy
-    floats of a pipeline result. Dict keys must be str; a non-str key or an
-    unsupported type raises TypeError.
+
+# The occupancy grids of a pipeline result, in the order _dump writes them.
+_RESULT_GRIDS = ("bev_occupancy_student", "bev_occupancy_teacher")
+
+
+def _dump_result(result: dict) -> str:
+    """_dump(result), with each occupancy grid written one join per row.
+
+    json's indenting encoder is pure Python, and the two grids hold 2 x 128 x
+    128 floats by default. Each grid goes through _dump as a placeholder; the
+    grids' keys sort first, so the first two placeholders in the text are
+    theirs. Each row is one join of float.__repr__. Only NaN and the
+    infinities put an "n" in that text; a grid holding one goes through _dump.
     """
-    out: list[str] = []
-    _write(obj, "\n", out)
-    return "".join(out)
-
-
-def _float_str(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _write(obj, nl: str, out: list[str]) -> None:
-    """Append obj's JSON to out; nl is a newline plus the current indent."""
-    if isinstance(obj, str):
-        out.append(_encode_str(obj))
-    elif obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
-    elif isinstance(obj, float):
-        out.append(_float_str(obj))
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        inner = nl + "  "
-        sep = "," + inner
-        if type(obj[0]) is float:
-            # A row of finite floats is one join; float.__repr__ rejects any
-            # non-float item, and only NaN or an infinity puts an "n" in it.
-            try:
-                body = sep.join(map(float.__repr__, obj))
-            except TypeError:
-                body = "n"
-            if "n" not in body:
-                out += ("[", inner, body, nl, "]")
-                return
-        out.append("[")
-        for i, item in enumerate(obj):
-            out.append(sep if i else inner)
-            _write(item, inner, out)
-        out += (nl, "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        inner = nl + "  "
-        sep = "," + inner
-        out.append("{")
-        for i, (key, value) in enumerate(sorted(obj.items())):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out += (sep if i else inner, _encode_str(key), ": ")
-            _write(value, inner, out)
-        out += (nl, "}")
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    text = _dump({**result, **dict.fromkeys(_RESULT_GRIDS, "@grid")})
+    for key in _RESULT_GRIDS:
+        rows = result[key]
+        grid = "\n    ],\n    [\n      ".join(",\n      ".join(map(float.__repr__, r)) for r in rows)
+        grid = f"[\n    [\n      {grid}\n    ]\n  ]"
+        if "n" in grid:
+            grid = _dump(rows).replace("\n", "\n  ")
+        text = text.replace('"@grid"', grid, 1)
+    return text
 
 
 def _resolve_input(path_str: str, flag: str) -> Path:
@@ -330,7 +286,7 @@ def _cmd_pipeline(args) -> int:
         }
         print(csv_text(RESULT_CSV_COLUMNS, [record]), end="")
     else:
-        print(_dump(result.to_dict(include_timing=args.timing)))
+        print(_dump_result(result.to_dict(include_timing=args.timing)))
     return 0
 
 

@@ -278,11 +278,6 @@ def box_point_counts(boxes: list[Box3D], points: np.ndarray) -> np.ndarray:
     return counts
 
 
-def point_in_box(box: Box3D, p_ego) -> bool:
-    """True iff the point lies inside the box; the boundary counts as inside."""
-    return bool(points_in_box([box], _as_vector(p_ego, 3, "p_ego"))[0])
-
-
 @dataclass(frozen=True)
 class Box2D:
     """Axis-aligned pixel rectangle with (x1, y1) top-left and (x2, y2) bottom-right."""

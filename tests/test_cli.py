@@ -1,7 +1,11 @@
+import argparse
 import ctypes
+import dataclasses
 import hashlib
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +21,8 @@ from fgbev.arrayio import (
     save_array,
     write_pgm16,
 )
-from fgbev.cli import _dump, main
+from fgbev.cli import _dump, _dump_result, build_parser, main
+from fgbev.pci import PciReport
 
 SCENE_CFG = {
     "n_frames": 3,
@@ -787,65 +792,55 @@ def _oracle(obj) -> str:
 
 
 EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1]
-EDGE_STRINGS = ["", "caf\u00e9", "\u2028\U0001f600", "\x00\x1f\"\\\n\t"]
+RESULT_FLOATS = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS))
 
 
-def _float_row(draw_args):
-    # A row of finite floats with at most one intruder (an int, a NaN, ...),
-    # which must send the row off the all-float fast path.
-    row, intruder, pos = draw_args
-    return row[:pos] + intruder + row[pos:]
+def _result(student, teacher, timing=None) -> dict:
+    """A dict shaped like PipelineResult.to_dict() around the given grids."""
+    out = {
+        "loss": 0.25,
+        "included_cells": 3,
+        "pci_report": {f.name: i for i, f in enumerate(dataclasses.fields(PciReport))},
+        "bev_occupancy_student": student,
+        "bev_occupancy_teacher": teacher,
+        "msfe": {"fused_l2": 1.5, "heatmap_focal_loss": math.inf},
+    }
+    if timing is not None:
+        out["timing"] = timing
+    return out
 
 
-FLOAT_ROWS = st.tuples(
-    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12),
-    st.sampled_from([[], [7], [math.nan], [-math.inf], [True], [None], [2**70]]),
-    st.integers(0, 12),
-).map(_float_row)
+@st.composite
+def results(draw):
+    h, w = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    grid = st.lists(st.lists(RESULT_FLOATS, min_size=w, max_size=w), min_size=h, max_size=h)
+    timing = st.none() | st.dictionaries(st.text(), st.floats(0, 1))
+    return _result(draw(grid), draw(grid), draw(timing))
 
-SCALARS = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(),
-    st.integers(min_value=2**63, max_value=2**200),
-    st.integers(min_value=-(2**200), max_value=-(2**63) - 1),
-    st.floats(),
-    st.sampled_from(EDGE_FLOATS),
-    st.text(),
-    st.sampled_from(EDGE_STRINGS),
-)
 
-JSON_VALUES = st.recursive(
-    st.one_of(SCALARS, FLOAT_ROWS),
-    lambda children: st.one_of(
-        st.lists(children, max_size=5),
-        st.lists(children, max_size=5).map(tuple),
-        st.dictionaries(st.one_of(st.text(), st.sampled_from(EDGE_STRINGS)), children, max_size=5),
-    ),
-    max_leaves=25,
-)
+class TestResultWriter:
+    """The pipeline result writer gives the bytes of json.dumps on any grid."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(results())
+    @example(_result([[0.5]], [[-0.0]]))
+    @example(_result([EDGE_FLOATS[3:]], [[x] for x in EDGE_FLOATS[3:]], {"encode": 0.1}))
+    @example(_result([EDGE_FLOATS], [EDGE_FLOATS[::-1]]))
+    @example(_result([[x] for x in EDGE_FLOATS], [[1.0]] * 7, {"@grid": 1.0}))
+    def test_matches_json_dumps(self, result):
+        assert _dump_result(result) == _oracle(result)
 
 
 class TestDump:
-    @settings(max_examples=200, deadline=None)
-    @given(JSON_VALUES)
-    @example([0.5, 7, 1.5])
-    @example([0.5, math.nan, 1.5])
-    @example({"a": (1.0, -0.0), "b": [], "c": {}, "d": ()})
-    @example([[5e-324, 1e16], [2**64, -(2**64)], EDGE_FLOATS, EDGE_STRINGS])
-    def test_matches_json_dumps(self, obj):
-        assert _dump(obj) == _oracle(obj)
-
     @pytest.mark.parametrize(
         "obj",
         [
-            {1: 2.0},
             {(1, 2): 3},
             {"a": np.int64(3)},
             [1.0, np.int64(3)],
             [np.float32(1.0)],
         ],
-        ids=["int-key", "tuple-key", "np-int64-value", "np-int64-in-float-row", "np-float32"],
+        ids=["tuple-key", "np-int64-value", "np-int64-in-float-row", "np-float32"],
     )
     def test_unsupported_raises_type_error(self, obj):
         with pytest.raises(TypeError):
@@ -896,6 +891,34 @@ class TestUsability:
 
     def test_missing_required_flag_exits_1(self, capsys):
         assert main(["labels"]) == 1
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_block(section: str, lang: str) -> str:
+    """The first ```lang block under README's `## section` heading."""
+    text = README.read_text().split(f"\n## {section}\n", 1)[1]
+    return text.split(f"```{lang}\n", 1)[1].split("\n```", 1)[0]
+
+
+class TestReadme:
+    def test_synopsis_lists_every_flag(self):
+        synopsis: dict[str, set[str]] = {}
+        for line in _readme_block("Command line", "sh").splitlines():
+            line = line.split("#")[0]
+            if line.startswith("fgbev "):
+                command = line.split()[1]
+            synopsis.setdefault(command, set()).update(re.findall(r"--[a-z-]+", line))
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        parser_flags = {
+            name: {flag for action in p._actions for flag in action.option_strings} - {"-h", "--help"}
+            for name, p in sub.choices.items()
+        }
+        assert synopsis == parser_flags
+
+    def test_library_example_runs(self):
+        exec(compile(_readme_block("Library example", "python"), str(README), "exec"), {})
 
 
 class _MallInfo2(ctypes.Structure):

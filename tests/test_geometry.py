@@ -15,7 +15,6 @@ from fgbev.geometry import (
     _inside,
     box3d_corners,
     box_point_counts,
-    point_in_box,
     points_in_box,
     project_box3d_to_box2d,
     project_point,
@@ -135,16 +134,16 @@ class TestBoxCorners:
 class TestPointInBox:
     def test_center_inside(self):
         box = Box3D(center=(3, -2, 1), size=(2, 3, 1), yaw=0.7)
-        assert point_in_box(box, box.center)
+        assert points_in_box([box], box.center)[0]
 
     def test_far_point_outside(self):
         box = Box3D(center=(0, 0, 0), size=(2, 3, 1), yaw=0.7)
         diag = np.linalg.norm(box.size)
-        assert not point_in_box(box, box.center + 2 * diag)
+        assert not points_in_box([box], box.center + 2 * diag)[0]
 
     def test_boundary_is_inside(self):
         box = Box3D(center=(0, 0, 0), size=(2, 2, 2), yaw=0.0)
-        assert point_in_box(box, (1.0, 0.0, 0.0))
+        assert points_in_box([box], (1.0, 0.0, 0.0))[0]
 
     def test_agrees_with_halfspace_reference(self):
         rng = np.random.default_rng(3)
@@ -193,7 +192,7 @@ class TestPointInBox:
         moved_box = Box3D(center=t.apply(box.center), size=box.size, yaw=box.yaw + yaw)
         # Points exactly on the boundary may flip under floating-point motion.
         if not _near_boundary(box, p):
-            assert point_in_box(box, p) == point_in_box(moved_box, t.apply(p))
+            assert np.array_equal(points_in_box([box], p), points_in_box([moved_box], t.apply(p)))
 
 
 def _unculled(boxes, pts):

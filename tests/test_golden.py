@@ -13,6 +13,23 @@ from fgbev.cli import main
 from fgbev.pipeline import config_from_dict, run_pipeline
 from fgbev.scene import load_scene, save_scene
 
+
+def _config_argv(tmp_path, config):
+    if config is None:
+        return []
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return ["--config", str(path)]
+
+
+def _digest(out: str, out_dir, files) -> str:
+    """sha256 over stdout with the --out path replaced, then each file's name and sha256."""
+    h = hashlib.sha256(out.replace(str(out_dir), "OUT").encode())
+    for file in files:
+        h.update(file.encode() + b"\0" + hashlib.sha256((out_dir / file).read_bytes()).digest())
+    return h.hexdigest()
+
+
 NOISELESS = {
     "scene": {
         "n_boxes": 6,
@@ -165,11 +182,7 @@ PCI_STATS_GOLDEN = {
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_stdout_digest(name, tmp_path, capsys):
     argv, config, digest = GOLDEN[name]
-    if config is not None:
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        argv = argv + ["--config", str(path)]
-    assert main(argv + ["--seed", "0"]) == 0
+    assert main(argv + _config_argv(tmp_path, config) + ["--seed", "0"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -258,11 +271,7 @@ SCENE_FILE_GOLDEN = {
 def test_scene_file_digest_and_resave(name, tmp_path, capsys):
     seed, config, digest = SCENE_FILE_GOLDEN[name]
     argv = ["gen-scene", "--out", str(tmp_path), "--seed", str(seed)]
-    if config is not None:
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        argv += ["--config", str(path)]
-    assert main(argv) == 0
+    assert main(argv + _config_argv(tmp_path, config)) == 0
     written = (tmp_path / "scene.json").read_bytes()
     assert hashlib.sha256(written).hexdigest() == digest
     # save -> load -> save reproduces the file byte for byte.
@@ -292,36 +301,13 @@ LABELS_GOLDEN = {
 @pytest.mark.parametrize("name,stride", sorted(LABELS_GOLDEN))
 def test_labels_digest(name, stride, tmp_path, capsys):
     config, digest = LABELS_GOLDEN[name, stride]
-    argv = ["gen-scene", "--out", str(tmp_path), "--seed", "0"]
-    if config is not None:
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        argv += ["--config", str(path)]
+    argv = ["gen-scene", "--out", str(tmp_path), "--seed", "0"] + _config_argv(tmp_path, config)
     assert main(argv) == 0
     capsys.readouterr()
     out = tmp_path / "labels"
     scene = str(tmp_path / "scene.json")
     assert main(["labels", "--scene", scene, "--out", str(out), "--stride", str(stride), "--bin"]) == 0
-    h = hashlib.sha256(capsys.readouterr().out.replace(str(out), "OUT").encode())
-    for file in LABEL_FILES:
-        h.update(file.encode() + b"\0" + hashlib.sha256((out / file).read_bytes()).digest())
-    assert h.hexdigest() == digest
-
-
-def _config_argv(tmp_path, config):
-    if config is None:
-        return []
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
-    return ["--config", str(path)]
-
-
-def _digest(out: str, out_dir, files) -> str:
-    """sha256 over stdout with the --out path replaced, then each file's name and sha256."""
-    h = hashlib.sha256(out.replace(str(out_dir), "OUT").encode())
-    for file in files:
-        h.update(file.encode() + b"\0" + hashlib.sha256((out_dir / file).read_bytes()).digest())
-    return h.hexdigest()
+    assert _digest(capsys.readouterr().out, out, LABEL_FILES) == digest
 
 
 # `gen-scene` stdout at seed 0, the --out path replaced (the scene file itself
