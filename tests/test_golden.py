@@ -344,3 +344,36 @@ def test_pipeline_out_digest(name, tmp_path, capsys):
     argv = ["pipeline", "--seed", "0", "--out", str(out)] + _config_argv(tmp_path, config)
     assert main(argv) == 0
     assert _digest(capsys.readouterr().out, out, OCCUPANCY_FILES) == digest
+
+
+# Cameras 1 and 2 of a 3-camera scene at seed 0 with dropout_fraction 0.5:
+# `pci-stats` stdout, `heatmap` stdout and rasters, and `labels --bin` stdout
+# and files. Every other golden uses camera 0, which assigns no pseudo point
+# here; camera 1 assigns 4 and camera 2 assigns 3. Each camera draws 11 boxes.
+PER_CAMERA_SCENE = {"n_cameras": 3, "n_boxes": 40, "n_frames": 3, "dropout_fraction": 0.5}
+PER_CAMERA_GOLDEN = {
+    (1, "pci-stats"): "010dd07d8983c03daaf2df72c5a4eb62363a2ad8379a56385d2b26a4703a5bd6",
+    (1, "heatmap"): "c03d011dbaa81a35249ce519956421c30cb22bfe85e95be858adcff0f829a103",
+    (1, "labels"): "878ce7eb3392b9abafa845d2b9d9ba5d6e355f88bea148f834523367eae3a0c1",
+    (2, "pci-stats"): "f3204cbeb53a22d4c3fce4c6d51f58b30999b41f256597f4787718127efe38b6",
+    (2, "heatmap"): "d104a3ca85ee3e0802434d1f6dced20fca6e8cc7df0ed2e60ad9fc212acda72c",
+    (2, "labels"): "a1a573534903213fea6dfb83f29628b99836366ff502f42fc93e52c38679d2b1",
+}
+# Extra arguments of each command ("OUT" stands for its output directory) and the files it writes.
+PER_CAMERA_ARGS = {
+    "pci-stats": ([], ()),
+    "heatmap": (["--out", "OUT"], ("s4.pgm", "s4_filtered.pgm")),
+    "labels": (["--out", "OUT", "--bin"], LABEL_FILES),
+}
+
+
+@pytest.mark.parametrize("cam,command", sorted(PER_CAMERA_GOLDEN))
+def test_per_camera_digest(cam, command, tmp_path, capsys):
+    argv = ["gen-scene", "--out", str(tmp_path), "--seed", "0"]
+    assert main(argv + _config_argv(tmp_path, PER_CAMERA_SCENE)) == 0
+    capsys.readouterr()
+    extra, files = PER_CAMERA_ARGS[command]
+    out = tmp_path / command
+    argv = [command, "--scene", str(tmp_path / "scene.json"), "--cam", str(cam)]
+    assert main(argv + [str(out) if a == "OUT" else a for a in extra]) == 0
+    assert _digest(capsys.readouterr().out, out, files) == PER_CAMERA_GOLDEN[cam, command]
