@@ -174,7 +174,10 @@ def _cmd_labels(args) -> int:
         raise ValueError(f"--stride must be >= 1, got {args.stride}")
     scene, cam = _scene_and_camera(args)
     frame = scene.current
-    bin_cfg = DepthBinConfig(d_min=args.d_min, d_max=args.d_max, bin_size=args.bin_size)
+    try:
+        bin_cfg = DepthBinConfig(d_min=args.d_min, d_max=args.d_max, bin_size=args.bin_size)
+    except ValueError as exc:
+        raise ValueError(f"--d-min/--d-max/--bin-size: {exc}") from None
     try:
         h_f, w_f = cam.feature_grid_shape(args.stride)
     except ValueError as exc:
@@ -231,8 +234,7 @@ def _cmd_heatmap(args) -> int:
     h, w = cam.image_height // HEATMAP_STRIDE, cam.image_width // HEATMAP_STRIDE
     check_budget(h * w, "stride-4 cells of the camera's image_width x image_height")
     out_dir = _out_dir(args.out)
-    rects = [project_box3d_to_box2d(cam, b) for b in frame.boxes]
-    rects = [r for r in rects if r is not None]
+    rects = [r for r in project_box3d_to_box2d(cam, frame.boxes) if r is not None]
     hm = elliptical_gaussian_heatmap(rects, h, w, HEATMAP_STRIDE)
     filtered = threshold_filter(hm, args.beta)
     write_pgm16(out_dir / "s4.pgm", prob_to_u16(hm.values))

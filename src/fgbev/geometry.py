@@ -217,10 +217,22 @@ _CORNER_SIGNS = np.array(
 )
 
 
-def box3d_corners(box: Box3D) -> np.ndarray:
-    """The 8 corners of the box in ego coordinates, in the documented fixed order."""
-    local = _CORNER_SIGNS * box.half_size
-    return local @ rotation_about_z(box.yaw).T + box.center
+def box3d_corners(boxes: list[Box3D]) -> np.ndarray:
+    """(B, 8, 3): each box's 8 corners in ego coordinates, in the documented fixed order.
+
+    One stacked matmul gives each box the bits of its own `local @ rot.T`.
+    """
+    local = _CORNER_SIGNS * (np.array([box.size for box in boxes]).reshape(-1, 1, 3) / 2.0)
+    rots = np.array([rotation_about_z(box.yaw) for box in boxes]).reshape(-1, 3, 3)
+    centers = np.array([box.center for box in boxes]).reshape(-1, 1, 3)
+    return np.matmul(local, rots.transpose(0, 2, 1)) + centers
+
+
+def box_corner_pixels(cam: CameraModel, boxes: list[Box3D]):
+    """(uv, depth), (B, 8, 2) and (B, 8): every corner of every box through one
+    `project_points_unbounded` call. A corner with depth <= 0 gets NaN pixels."""
+    uv, depth = project_points_unbounded(cam, box3d_corners(boxes).reshape(-1, 3))
+    return uv.reshape(-1, 8, 2), depth.reshape(-1, 8)
 
 
 def _inside(box: Box3D, pts: np.ndarray) -> np.ndarray:
@@ -304,34 +316,33 @@ class Box2D:
         return self.y2 - self.y1
 
 
-def visible_corner_rect(cam: CameraModel, box: Box3D):
-    """Unclipped bounding rectangle over corners with positive camera depth.
+def visible_corner_rects(cam: CameraModel, boxes: list[Box3D]):
+    """(rects, depth): each box's unclipped bounding rectangle (x1, y1, x2, y2)
+    over its corners with positive camera depth, (B, 4), and their least depth, (B,).
 
-    Returns (x1, y1, x2, y2, min_depth) or None when every corner is behind
-    the camera.
+    A box with no corner in front of the camera gets the empty rectangle
+    x1 = y1 = +inf, x2 = y2 = -inf and depth +inf.
     """
-    uv, depth = project_points_unbounded(cam, box3d_corners(box))
+    uv, depth = box_corner_pixels(cam, boxes)
     front = depth > 0.0
-    if not front.any():
-        return None
-    u, v = uv[front, 0], uv[front, 1]
-    return u.min(), v.min(), u.max(), v.max(), float(depth[front].min())
+    lo = np.where(front[:, :, None], uv, np.inf).min(axis=1)
+    hi = np.where(front[:, :, None], uv, -np.inf).max(axis=1)
+    return np.concatenate([lo, hi], axis=1), np.where(front, depth, np.inf).min(axis=1)
 
 
-def project_box3d_to_box2d(cam: CameraModel, box: Box3D) -> Box2D | None:
-    """Axis-aligned rectangle of the projected visible corners, clipped to the image.
+def project_box3d_to_box2d(cam: CameraModel, boxes: list[Box3D]) -> list[Box2D | None]:
+    """Each box's rectangle of projected visible corners, clipped to the image.
 
-    Absent when no corner has positive depth or the rectangle misses the
-    image entirely.
+    None for a box with no corner of positive depth or whose rectangle misses
+    the image entirely.
     """
-    rect = visible_corner_rect(cam, box)
-    if rect is None:
-        return None
-    x1, y1, x2, y2, _ = rect
     w, h = cam.image_width - 1, cam.image_height - 1
-    if x2 < 0 or y2 < 0 or x1 > w or y1 > h:
-        return None
-    return Box2D(max(x1, 0.0), max(y1, 0.0), min(x2, float(w)), min(y2, float(h)))
+    return [
+        None
+        if x2 < 0 or y2 < 0 or x1 > w or y1 > h
+        else Box2D(max(x1, 0.0), max(y1, 0.0), min(x2, float(w)), min(y2, float(h)))
+        for x1, y1, x2, y2 in visible_corner_rects(cam, boxes)[0].tolist()
+    ]
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ DEFAULT_SIGMA_DIVISOR = 6.0
 # exceeds 746, so a Gaussian is exactly +0.0 there and max(hm, +0.0) keeps hm.
 GAUSSIAN_SUPPORT_SIGMAS = math.sqrt(2 * 746)
 FOCAL_CLAMP_EPS = 1e-6
+FOCAL_ALPHA, FOCAL_GAMMA = 2.0, 4.0  # the focal loss's alpha and gamma
 
 
 @dataclass(frozen=True)
@@ -149,25 +150,20 @@ def msfe_fuse(pyr: FeaturePyramid, heatmap: ForegroundHeatmap, beta: float) -> n
     return pyr.f16 + term8 + term4
 
 
-def gaussian_focal_loss(
-    pred: ForegroundHeatmap,
-    target: ForegroundHeatmap,
-    alpha: float = 2.0,
-    gamma: float = 4.0,
-) -> float:
+def gaussian_focal_loss(pred: ForegroundHeatmap, target: ForegroundHeatmap) -> float:
     """Penalty-reduced focal loss for Gaussian heatmap targets.
 
     Cells with target exactly 1 are positives: -(1-p)^alpha * log(p).
-    Everywhere else: -(1-t)^gamma * p^alpha * log(1-p). The sum is averaged
-    over the positive count (floored at 1); predictions are clamped away
-    from 0 and 1 before the logs.
+    Everywhere else: -(1-t)^gamma * p^alpha * log(1-p), with alpha = FOCAL_ALPHA
+    and gamma = FOCAL_GAMMA. The sum is averaged over the positive count
+    (floored at 1); predictions are clamped away from 0 and 1 before the logs.
     """
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch: pred {pred.shape} vs target {target.shape}")
     p = np.clip(pred.values, FOCAL_CLAMP_EPS, 1.0 - FOCAL_CLAMP_EPS)
     t = target.values
     pos = t == 1.0
-    pos_loss = -((1.0 - p[pos]) ** alpha) * np.log(p[pos])
-    neg_loss = -((1.0 - t[~pos]) ** gamma) * (p[~pos] ** alpha) * np.log1p(-p[~pos])
+    pos_loss = -((1.0 - p[pos]) ** FOCAL_ALPHA) * np.log(p[pos])
+    neg_loss = -((1.0 - t[~pos]) ** FOCAL_GAMMA) * (p[~pos] ** FOCAL_ALPHA) * np.log1p(-p[~pos])
     n_pos = max(int(pos.sum()), 1)
     return float((pos_loss.sum() + neg_loss.sum()) / n_pos)

@@ -20,7 +20,7 @@ from .geometry import (
     PointCloud,
     box_point_counts,
     points_in_box,
-    visible_corner_rect,
+    visible_corner_rects,
 )
 from .labels import HardLabels
 from .scene import Frame
@@ -110,19 +110,15 @@ def pseudo_point_assignment(
     lo, hi = depth_range
     gated = [i for i, box in enumerate(boxes) if box.visibility in VISIBILITY_GATE]
     counts = box_point_counts([boxes[i] for i in gated], combined.points)
+    empty = [i for i, n in zip(gated, counts) if not n]
+    rects, depths = visible_corner_rects(cam, [boxes[i] for i in empty])
     out = []
-    for i, n in zip(gated, counts):
-        if n:
-            continue
-        rect = visible_corner_rect(cam, boxes[i])
-        if rect is None:
-            continue
-        x1, y1, x2, y2, d_corner = rect
+    for i, (x1, y1, x2, y2), d_corner in zip(empty, rects.tolist(), depths.tolist()):
         if not lo <= d_corner <= hi:
             continue
         u, v = (x1 + x2) / 2.0, (y1 + y2) / 2.0
         if not cam.in_image(u, v):
-            continue  # x1 <= u <= x2, so this also drops every box entirely off-image
+            continue  # x1 <= u <= x2: drops boxes wholly off-image, and NaN (no front corner)
         out.append(PseudoPoint(u=u, v=v, depth=d_corner, source_box=i))
     return out
 

@@ -181,7 +181,7 @@ def prepare(cfg: PipelineConfig, timing: dict) -> PreparedFrame:
     )
 
     def msfe_diag():
-        rects = [project_box3d_to_box2d(cam, b) for b in current.boxes]
+        rects = project_box3d_to_box2d(cam, current.boxes)
         target = elliptical_gaussian_heatmap(
             [r for r in rects if r is not None],
             cam.image_height // HEATMAP_STRIDE,

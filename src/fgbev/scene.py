@@ -23,10 +23,9 @@ from .geometry import (
     CameraModel,
     PointCloud,
     RigidTransform,
-    box3d_corners,
+    box_corner_pixels,
     points_in_box,
     project_box3d_to_box2d,
-    project_points_unbounded,
     rotation_about_z,
 )
 from .labels import (
@@ -162,15 +161,6 @@ def _build_cameras(cfg: SceneConfig) -> list[CameraModel]:
     return cams
 
 
-def _assign_visibility(corners_ego: np.ndarray, cameras: list[CameraModel]) -> int:
-    """Level 1, 2, 3 or 4 when the camera that sees most corners sees 0, 1-3, 4-7 or all 8."""
-    best = max(
-        int(cam.in_image(*project_points_unbounded(cam, corners_ego)[0].T).sum())
-        for cam in cameras
-    )
-    return 1 + sum(best >= n for n in (1, 4, 8))
-
-
 def _sample_frame_surface(rng, boxes: list[Box3D], dropped: np.ndarray, n: int) -> np.ndarray:
     """n LiDAR returns on the sensor-facing side faces of each box, in box order
     and ego coordinates, from one `rng.random` call.
@@ -183,9 +173,10 @@ def _sample_frame_surface(rng, boxes: list[Box3D], dropped: np.ndarray, n: int) 
     """
     if n == 0 or not boxes:
         return np.zeros((0, 3))
-    rots = [rotation_about_z(box.yaw) for box in boxes]
-    # The ego origin in each box frame.
-    sensor = np.array([rot.T @ (-box.center) for rot, box in zip(rots, boxes)])
+    rots_t = np.array([rotation_about_z(box.yaw) for box in boxes]).transpose(0, 2, 1)
+    centers = np.array([box.center for box in boxes])
+    # The ego origin in each box frame: each box's rot.T @ (-center).
+    sensor = np.matmul(rots_t, -centers[:, :, None])[:, :, 0]
     half = np.array([box.size for box in boxes]) / 2.0
     # A side face's outward normal is sign * e_axis and its center sits at
     # sign * half[axis]; at most one sign per axis can face the sensor.
@@ -222,9 +213,7 @@ def _sample_frame_surface(rng, boxes: list[Box3D], dropped: np.ndarray, n: int) 
     pts[:, :, 0] = np.where(in_x, face, in_plane)
     pts[:, :, 1] = np.where(in_x, in_plane, face)
     pts[:, :, 2] = height
-    return np.concatenate(
-        [p @ rots[k].T + boxes[k].center for p, k in zip(pts, drawing)]
-    )
+    return (np.matmul(pts, rots_t[drawing]) + centers[drawing, None, :]).reshape(-1, 3)
 
 
 def _sample_clutter(rng, cfg: SceneConfig, boxes: list[Box3D]) -> np.ndarray:
@@ -331,17 +320,20 @@ def generate_scene(cfg: SceneConfig, seed: int) -> Scene:
             for box, visibility in zip(world, visibilities)
         ]
 
-    # Visibility is judged in the current frame, where downstream gating uses it.
-    # Its boxes are built once and given their level before any frame uses them.
+    # Visibility is judged in the current frame, where downstream gating uses it: level 1-4
+    # when the camera seeing most of a box's corners sees 0, 1-3, 4-7 or 8; ints for JSON.
     current_boxes = boxes_at(t_cur, pose_cur, [4] * cfg.n_boxes)
-    visibilities = [_assign_visibility(box3d_corners(box), cameras) for box in current_boxes]
-    for box, visibility in zip(current_boxes, visibilities):
-        object.__setattr__(box, "visibility", visibility)
+    in_view = [
+        cam.in_image(*box_corner_pixels(cam, current_boxes)[0].transpose(2, 0, 1)).sum(axis=1)
+        for cam in cameras
+    ]
+    seen = np.max(in_view, axis=0)
+    visibilities = (1 + (seen >= 1) + (seen >= 4) + (seen >= 8)).tolist()
 
     frames = []
     for idx, (t, pose) in enumerate(zip(times, poses)):
         is_current = idx == cfg.n_frames - 1
-        boxes = current_boxes if is_current else boxes_at(t, pose, visibilities)
+        boxes = boxes_at(t, pose, visibilities)
         surf = _sample_frame_surface(
             rng, boxes, dropped_current & is_current, cfg.lidar_rays_per_box
         )
@@ -391,7 +383,7 @@ def synth_feature_pyramid(
         )
     rng = np.random.default_rng(seed)
     boosts = rng.uniform(1.0, 2.0, size=len(frame.boxes))
-    rects = [project_box3d_to_box2d(cam, box) for box in frame.boxes]
+    rects = project_box3d_to_box2d(cam, frame.boxes)
 
     levels = []
     for stride in (4, 8, 16):
@@ -439,8 +431,7 @@ def _ray_box_entry_depths(
     dirs = (dirs_cam @ c2e.rotation.T).reshape(h_f, w_f, 3)
 
     best = np.full((h_f, w_f), np.inf)
-    for box in boxes:
-        uv, depth = project_points_unbounded(cam, box3d_corners(box))
+    for box, uv, depth in zip(boxes, *box_corner_pixels(cam, boxes)):
         if not (depth > 0.0).any():
             continue
         rows = cols = slice(None)

@@ -26,11 +26,11 @@ from .geometry import (
     CameraModel,
     RigidTransform,
     box3d_corners,
+    box_corner_pixels,
     box_point_counts,
     points_in_box,
     project_box3d_to_box2d,
     project_point,
-    project_points_unbounded,
     rotation_about_z,
 )
 from .labels import (
@@ -154,13 +154,17 @@ def random_sparse_grid(rng, cfg: BevGridConfig, channels: int) -> BevFeatureGrid
 
 
 def _suite_corners(seed: int, n: int) -> SuiteResult:
+    """n lists of 0-5 boxes, each list's corners from one call."""
     rng = np.random.default_rng(seed)
     worst = 0.0
+    total = 0
     for _ in range(n):
-        box = random_box(rng)
-        worst = max(worst, np.abs(box3d_corners(box) - oracles.corners_reference(box)).max())
+        boxes = [random_box(rng) for _ in range(int(rng.integers(0, 6)))]
+        want = np.array([oracles.corners_reference(box) for box in boxes]).reshape(-1, 8, 3)
+        worst = max(worst, np.abs(box3d_corners(boxes) - want).max(initial=0.0))
+        total += len(boxes)
     ok = worst < 1e-9
-    return SuiteResult("box-corners", ok, f"max |err| {worst:.2e} over {n} boxes")
+    return SuiteResult("box-corners", ok, f"max |err| {worst:.2e} over {total} boxes in {n} lists")
 
 
 def _suite_point_in_box(seed: int, n: int) -> SuiteResult:
@@ -194,10 +198,10 @@ def _suite_ray_entry(seed: int, n: int) -> SuiteResult:
             dataclasses.replace(random_box(rng), center=rng.uniform((-8, -8, -4), (8, 8, 16)))
             for _ in range(int(rng.integers(1, 7)))
         ]
-        for box in boxes:
-            depth = project_points_unbounded(cam, box3d_corners(box))[1]
-            rule = "windowed" if (depth > 0).all() else "full" if (depth > 0).any() else "skipped"
-            rules[rule] += 1
+        front = np.count_nonzero(box_corner_pixels(cam, boxes)[1] > 0.0, axis=1)
+        rules["skipped"] += int(np.count_nonzero(front == 0))
+        rules["windowed"] += int(np.count_nonzero(front == 8))
+        rules["full"] += int(np.count_nonzero((front > 0) & (front < 8)))
         got = _ray_box_entry_depths(cam, boxes, 12, 16, 8)
         want = oracles.ray_entry_depth_reference(cam, boxes, 12, 16, 8)
         if not np.array_equal(got, want):
@@ -210,31 +214,30 @@ def _suite_ray_entry(seed: int, n: int) -> SuiteResult:
 
 
 def _suite_box2d(seed: int, n: int) -> SuiteResult:
+    """n cameras, each projecting a list of 1-5 boxes in one call."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     checked = 0
     for _ in range(n):
         cam = random_camera(rng)
         # Bias boxes toward the frustum so presence and geometry both get hit.
-        box = Box3D(
-            center=rng.uniform((-8, -8, -10), (8, 8, 40)),
-            size=tuple(rng.uniform(0.5, 6.0, 3)),
-            yaw=rng.uniform(-math.pi, math.pi),
-        )
-        got = project_box3d_to_box2d(cam, box)
-        want = oracles.box2d_reference(cam, box)
-        if (got is None) != (want is None):
-            return SuiteResult("box3d-to-box2d", False, "presence disagrees with oracle")
-        if got is None:
-            continue
-        checked += 1
-        worst = max(
-            worst,
-            abs(got.x1 - want.x1),
-            abs(got.y1 - want.y1),
-            abs(got.x2 - want.x2),
-            abs(got.y2 - want.y2),
-        )
+        boxes = [
+            Box3D(
+                center=rng.uniform((-8, -8, -10), (8, 8, 40)),
+                size=tuple(rng.uniform(0.5, 6.0, 3)),
+                yaw=rng.uniform(-math.pi, math.pi),
+            )
+            for _ in range(int(rng.integers(1, 6)))
+        ]
+        for got, box in zip(project_box3d_to_box2d(cam, boxes), boxes):
+            want = oracles.box2d_reference(cam, box)
+            if (got is None) != (want is None):
+                return SuiteResult("box3d-to-box2d", False, "presence disagrees with oracle")
+            if got is None:
+                continue
+            checked += 1
+            diff = np.subtract(dataclasses.astuple(got), dataclasses.astuple(want))
+            worst = max(worst, np.abs(diff).max())
     ok = worst < 1e-9
     return SuiteResult("box3d-to-box2d", ok, f"max |err| {worst:.2e} over {checked} visible")
 

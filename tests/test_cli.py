@@ -195,6 +195,18 @@ class TestLabelsCommand:
         assert field in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "flag,value,field",
+        [("--d-min", "0", "d_min"), ("--bin-size", "0", "bin_size"), ("--d-max", "0.5", "d_max")],
+    )
+    def test_bad_bin_flag_names_flag_and_field(self, scene_path, tmp_path, capsys, flag, value, field):
+        argv = ["labels", "--scene", str(scene_path), "--out", str(tmp_path / "l"), flag, value]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "--d-min/--d-max/--bin-size: " in captured.err
+        assert flag in captured.err and field in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
     def test_bin_count_overflow_exits_1(self, scene_path, tmp_path, capsys):
         argv = ["labels", "--scene", str(scene_path), "--out", str(tmp_path / "l")]
         assert main(argv + ["--d-max", "1e308", "--bin-size", "1e-10"]) == 1

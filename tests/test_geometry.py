@@ -14,11 +14,13 @@ from fgbev.geometry import (
     RigidTransform,
     _inside,
     box3d_corners,
+    box_corner_pixels,
     box_point_counts,
     points_in_box,
     project_box3d_to_box2d,
     project_point,
     rotation_about_z,
+    visible_corner_rects,
 )
 from fgbev import oracles
 
@@ -102,23 +104,23 @@ class TestProjectPoint:
 class TestBoxCorners:
     def test_unit_cube_axis_aligned(self):
         box = Box3D(center=(0, 0, 0), size=(1, 1, 1), yaw=0.0)
-        got = box3d_corners(box)
+        got = box3d_corners([box])[0]
         want = {(sx * 0.5, sy * 0.5, sz * 0.5) for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)}
         assert {tuple(np.round(c, 12)) for c in got} == want
 
     def test_unit_cube_quarter_turn_same_set(self):
         box = Box3D(center=(0, 0, 0), size=(1, 1, 1), yaw=math.pi / 2)
-        got = {tuple(np.round(c, 12)) for c in box3d_corners(box)}
-        ref = {tuple(np.round(c, 12)) for c in box3d_corners(Box3D((0, 0, 0), (1, 1, 1), 0.0))}
+        got = {tuple(np.round(c, 12)) for c in box3d_corners([box])[0]}
+        ref = {tuple(np.round(c, 12)) for c in box3d_corners([Box3D((0, 0, 0), (1, 1, 1), 0.0)])[0]}
         assert got == ref
 
     def test_first_corner_matches_documented_order(self):
         box = Box3D(center=(0, 0, 0), size=(2, 4, 6), yaw=0.0)
-        assert np.allclose(box3d_corners(box)[0], (1.0, 2.0, -3.0))
+        assert np.allclose(box3d_corners([box])[0][0], (1.0, 2.0, -3.0))
 
     def test_rotated_box_matches_reference(self):
         box = Box3D(center=(1, 0, 0), size=(4, 2, 2), yaw=math.pi / 4)
-        assert np.allclose(box3d_corners(box), oracles.corners_reference(box), atol=1e-12)
+        assert np.allclose(box3d_corners([box])[0], oracles.corners_reference(box), atol=1e-12)
 
     def test_many_random_boxes_match_reference(self):
         rng = np.random.default_rng(2)
@@ -128,7 +130,7 @@ class TestBoxCorners:
                 size=tuple(rng.uniform(0.2, 8, 3)),
                 yaw=rng.uniform(-4, 4),
             )
-            assert np.allclose(box3d_corners(box), oracles.corners_reference(box), atol=1e-9)
+            assert np.allclose(box3d_corners([box])[0], oracles.corners_reference(box), atol=1e-9)
 
 
 class TestPointInBox:
@@ -241,7 +243,7 @@ class TestCulledMembership:
         far = boxes[-2].center + rng.uniform(-5, 5, (100, 3))
         # Points sharing x with the corners, among them the ends of each box's x range. At
         # yaws that are multiples of pi/2 these lie on face planes, so they join `on`.
-        tied = np.repeat(np.vstack([box3d_corners(box) for box in boxes[:-1]]), 3, axis=0)
+        tied = np.repeat(box3d_corners(boxes[:-1]).reshape(-1, 3), 3, axis=0)
         tied[:, 1:] += rng.uniform(-3, 3, (len(tied), 2))
         return boxes, np.vstack([on, tied]), np.vstack([near, cloud, far])
 
@@ -270,7 +272,7 @@ class TestCulledMembership:
             size=(4.275542607047636, 4.050317018883277, 1.0311727592115978),
             yaw=-0.7583534275655599,
         )
-        corners = box3d_corners(box)
+        corners = box3d_corners([box])[0]
         inside = _inside(box, corners)
         r = math.hypot(*box.size[:2]) / 2.0
         assert (inside & (corners[:, 0] < box.center[0] - r)).sum() == 2
@@ -303,12 +305,12 @@ class TestBox2DProjection:
     def test_behind_camera_absent(self):
         cam = simple_camera()
         box = Box3D(center=(0, 0, -20), size=(2, 2, 2), yaw=0.0)
-        assert project_box3d_to_box2d(cam, box) is None
+        assert project_box3d_to_box2d(cam, [box])[0] is None
 
     def test_centered_cube_symmetric(self):
         cam = simple_camera()
         box = Box3D(center=(0, 0, 10), size=(2, 2, 2), yaw=0.0)
-        rect = project_box3d_to_box2d(cam, box)
+        rect = project_box3d_to_box2d(cam, [box])[0]
         assert rect is not None
         assert math.isclose(rect.x1 + rect.x2, 2 * cam.cx, abs_tol=1e-9)
         assert math.isclose(rect.y1 + rect.y2, 2 * cam.cy, abs_tol=1e-9)
@@ -323,7 +325,7 @@ class TestBox2DProjection:
                 size=tuple(rng.uniform(0.5, 4, 3)),
                 yaw=rng.uniform(-4, 4),
             )
-            got = project_box3d_to_box2d(cam, box)
+            got = project_box3d_to_box2d(cam, [box])[0]
             want = oracles.box2d_reference(cam, box)
             assert (got is None) == (want is None)
             if got is not None:
@@ -338,6 +340,78 @@ class TestBox2DProjection:
     def test_box2d_validation(self):
         with pytest.raises(ValueError, match="degenerate"):
             Box2D(5, 0, 4, 1)
+
+
+def _mixed_boxes(rng, n):
+    """Boxes in front of the camera, across depth 0, wholly behind it and off-image, shuffled."""
+    fixed = [
+        Box3D(center=(0, 0, 10), size=(2, 2, 2), yaw=0.3),  # in front
+        Box3D(center=(0, 0, 0.5), size=(2, 2, 3), yaw=0.0),  # corners at depth -1 and 2
+        Box3D(center=(0, 0, -20), size=(2, 2, 2), yaw=1.0),  # behind
+        Box3D(center=(100, 0, 10), size=(2, 2, 2), yaw=0.0),  # in front, off-image
+    ]
+    boxes = fixed + [
+        Box3D(
+            center=rng.uniform((-30, -30, -20), (30, 30, 40)),
+            size=tuple(rng.uniform(0.5, 8, 3)),
+            yaw=rng.uniform(-4, 4),
+        )
+        for _ in range(n)
+    ]
+    return [boxes[i] for i in rng.permutation(len(boxes))]
+
+
+class TestBoxLists:
+    """Each box function takes the box list; row k is the one-box call's bytes."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rows_equal_one_box_calls_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        cam = simple_camera(w=201, h=151, cx=100.0, cy=75.0)
+        boxes = _mixed_boxes(rng, 60)
+        corners = box3d_corners(boxes)
+        uv, depth = box_corner_pixels(cam, boxes)
+        rects, min_depth = visible_corner_rects(cam, boxes)
+        clipped = project_box3d_to_box2d(cam, boxes)
+        assert corners.shape == (64, 8, 3) and uv.shape == (64, 8, 2) and rects.shape == (64, 4)
+        front = (depth > 0).sum(axis=1)
+        assert (front == 0).any() and (front == 8).any() and ((front > 0) & (front < 8)).any()
+        assert any(r is None for r, n in zip(clipped, front) if n == 8)  # off-image
+        for k, box in enumerate(boxes):
+            # The per-box product, `local @ rot.T + center`, one box at a time.
+            own = (_CORNER_SIGNS * box.half_size) @ rotation_about_z(box.yaw).T + box.center
+            assert corners[k].tobytes() == box3d_corners([box])[0].tobytes() == own.tobytes()
+            one_uv, one_depth = box_corner_pixels(cam, [box])
+            assert uv[k].tobytes() == one_uv[0].tobytes()
+            assert depth[k].tobytes() == one_depth[0].tobytes()
+            one_rect, one_min = visible_corner_rects(cam, [box])
+            assert rects[k].tobytes() == one_rect[0].tobytes()
+            assert min_depth[k].tobytes() == one_min[0].tobytes()
+            assert clipped[k] == project_box3d_to_box2d(cam, [box])[0]
+            want = oracles.box2d_reference(cam, box)
+            assert (clipped[k] is None) == (want is None)
+            if want is not None:
+                got = clipped[k]
+                assert np.allclose(
+                    (got.x1, got.y1, got.x2, got.y2), (want.x1, want.y1, want.x2, want.y2), atol=1e-9
+                )
+
+    def test_no_front_corner_gives_empty_inf_rectangle(self):
+        cam = simple_camera()
+        boxes = [Box3D(center=(0, 0, -20), size=(2, 2, 2), yaw=0.0), Box3D((0, 0, 10), (2, 2, 2), 0.0)]
+        rects, min_depth = visible_corner_rects(cam, boxes)
+        assert rects[0].tolist() == [math.inf, math.inf, -math.inf, -math.inf]
+        assert min_depth[0] == math.inf and min_depth[1] == 9.0
+        assert np.isnan(box_corner_pixels(cam, boxes[:1])[0]).all()
+
+    def test_empty_list(self):
+        cam = simple_camera()
+        uv, depth = box_corner_pixels(cam, [])
+        rects, min_depth = visible_corner_rects(cam, [])
+        assert box3d_corners([]).shape == (0, 8, 3)
+        assert uv.shape == (0, 8, 2) and depth.shape == (0, 8)
+        assert rects.shape == (0, 4) and min_depth.shape == (0,)
+        assert project_box3d_to_box2d(cam, []) == []
 
 
 class TestValidation:

@@ -6,6 +6,10 @@ on purpose updates the digest here and says why in CHANGES.md.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -377,3 +381,27 @@ def test_per_camera_digest(cam, command, tmp_path, capsys):
     argv = [command, "--scene", str(tmp_path / "scene.json"), "--cam", str(cam)]
     assert main(argv + [str(out) if a == "OUT" else a for a in extra]) == 0
     assert _digest(capsys.readouterr().out, out, files) == PER_CAMERA_GOLDEN[cam, command]
+
+
+# Goldens whose bytes must not depend on the BLAS thread count, rerun in a child
+# process with two OpenBLAS threads (the parent may run with any count). They
+# cover the batched box products: many boxes, visibility over three cameras and
+# pseudo points from a camera other than 0. lib-large's msfe.fused_l2 is left
+# out: it differs in its last bits between one and two threads.
+THREAD_INDEPENDENT = (
+    "test_stdout_digest[pipeline-many-boxes]",
+    "test_scene_file_digest_and_resave[3-cameras]",
+    "test_per_camera_digest[2-pci-stats]",
+)
+
+
+def test_goldens_hold_under_two_blas_threads():
+    here = Path(__file__)
+    argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
+    argv += [f"{here}::{name}" for name in THREAD_INDEPENDENT]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2"}
+    done = subprocess.run(
+        argv, cwd=here.parents[1], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+    assert f"{len(THREAD_INDEPENDENT)} passed" in done.stdout

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,13 @@ class TestPseudoPointAssignment:
         got = pseudo_point_assignment(EMPTY_CLOUD, [box], ppa_camera(), (1.0, 60.0))
         assert got == []
 
+    def test_behind_camera_skipped_with_unbounded_depth_range(self):
+        # Its rectangle is (+inf, +inf, -inf, -inf) with depth +inf, which passes the
+        # depth gate; the NaN center fails the image test.
+        boxes = [ppa_box(center=(0.0, 0.0, -27.0)), ppa_box()]
+        got = pseudo_point_assignment(EMPTY_CLOUD, boxes, ppa_camera(), (0.1, math.inf))
+        assert [p.source_box for p in got] == [1]
+
     def test_off_image_center_skipped(self):
         box = ppa_box(center=(-35.0, 0.0, 25.0))
         got = pseudo_point_assignment(EMPTY_CLOUD, [box], ppa_camera(), (1.0, 60.0))
@@ -193,6 +202,28 @@ class TestPseudoPointAssignment:
             for have, ref in zip((got[0].u, got[0].v, got[0].depth), want):
                 assert abs(have - ref) <= 1e-12 * max(1.0, abs(ref))
         assert emitted > 100
+
+    def test_box_list_equals_one_box_calls(self):
+        # Boxes ahead, across depth 0 and behind, gated and not, in one list.
+        rng = np.random.default_rng(1)
+        cam = ppa_camera()
+        boxes = [
+            Box3D(
+                center=rng.uniform((-10, -10, -10), (10, 10, 50)),
+                size=tuple(rng.uniform(0.5, 6, 3)),
+                yaw=rng.uniform(-3, 3),
+                visibility=int(rng.integers(1, 5)),
+            )
+            for _ in range(200)
+        ]
+        got = pseudo_point_assignment(EMPTY_CLOUD, boxes, cam, (0.5, math.inf))
+        want = []
+        for i, box in enumerate(boxes):
+            want += [
+                PseudoPoint(p.u, p.v, p.depth, i)
+                for p in pseudo_point_assignment(EMPTY_CLOUD, [box], cam, (0.5, math.inf))
+            ]
+        assert got == want and len(got) > 50
 
 
 def densified_report(scene, cam, depth_range, fc_enabled=True, ppa_enabled=True):

@@ -346,7 +346,7 @@ class TestRayEntryDepths:
 
     @staticmethod
     def _corner_depths(cam, box):
-        return project_points_unbounded(cam, box3d_corners(box))[1]
+        return project_points_unbounded(cam, box3d_corners([box])[0])[1]
 
     def test_rectangle_edges_on_cell_centers(self):
         cam = level_camera(0.0, (0.0, 0.0, 0.0), 64.0, 64.0, 128, 64)
