@@ -229,8 +229,7 @@ def box3d_corners(boxes: list[Box3D]) -> np.ndarray:
 
 
 def box_corner_pixels(cam: CameraModel, boxes: list[Box3D]):
-    """(uv, depth), (B, 8, 2) and (B, 8): every corner of every box through one
-    `project_points_unbounded` call. A corner with depth <= 0 gets NaN pixels."""
+    """(uv, depth), (B, 8, 2) and (B, 8), of all B·8 corners in one `project_points_unbounded`."""
     uv, depth = project_points_unbounded(cam, box3d_corners(boxes).reshape(-1, 3))
     return uv.reshape(-1, 8, 2), depth.reshape(-1, 8)
 
