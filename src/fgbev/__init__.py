@@ -70,7 +70,6 @@ from .scene import (
     soft_labels_from_frame,
     synth_feature_pyramid,
 )
-from .selfcheck import run_selfcheck
 from .view_transform import (
     BevFeatureGrid,
     BevGridConfig,

@@ -10,7 +10,9 @@ built-in default. Relative --config/--scene paths are also looked up under
 $FGBEV_CONFIG_DIR when they do not resolve from the working directory.
 
 JSON output is json.dumps(obj, sort_keys=True, indent=2) plus a newline for
-every command; only the pipeline's two occupancy grids are written row by row.
+every command. The pipeline's occupancy grids get those bytes from their
+arrays: 0.0 for a +0.0 cell, float.__repr__ for any other (-0.0 too); a grid
+holding NaN or an infinity goes through json.dumps.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ import os
 import sys
 import traceback
 from pathlib import Path
+
+import numpy as np
 
 from .arrayio import (
     PCI_CSV_COLUMNS,
@@ -45,15 +49,16 @@ from .pci import frame_combination, pci_statistics, pseudo_point_assignment
 from .pipeline import (
     FEATURE_STRIDE,
     HEATMAP_STRIDE,
+    OCCUPANCY_FIELDS,
     SWEEP_TOGGLES,
     PipelineConfig,
+    PipelineResult,
     PipelineStageError,
     ablation_sweep,
     config_from_dict,
     run_pipeline,
 )
 from .scene import Scene, SceneConfig, generate_scene, load_scene, save_scene
-from .selfcheck import run_selfcheck
 
 CONFIG_DIR_ENV = "FGBEV_CONFIG_DIR"
 
@@ -79,28 +84,34 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
-# The occupancy grids of a pipeline result, in the order _dump writes them.
-_RESULT_GRIDS = ("bev_occupancy_student", "bev_occupancy_teacher")
-
-
-def _dump_result(result: dict) -> str:
-    """_dump(result), with each occupancy grid written one join per row.
+def _dump_result(result: PipelineResult, include_timing: bool = False) -> str:
+    """_dump(result.to_dict(include_timing)), with each occupancy grid written from its array.
 
     json's indenting encoder is pure Python, and the two grids hold 2 x 128 x
-    128 floats by default. Each grid goes through _dump as a placeholder; the
-    grids' keys sort first, so the first two placeholders in the text are
-    theirs. Each row is one join of float.__repr__. Only NaN and the
-    infinities put an "n" in that text; a grid holding one goes through _dump.
+    128 floats by default, nearly all +0.0. Each grid goes through _dump as a
+    placeholder; the grids' keys sort first, so the first two placeholders in
+    the text are theirs. An all-zero row is one shared string.
     """
-    text = _dump({**result, **dict.fromkeys(_RESULT_GRIDS, "@grid")})
-    for key in _RESULT_GRIDS:
-        rows = result[key]
-        grid = "\n    ],\n    [\n      ".join(",\n      ".join(map(float.__repr__, r)) for r in rows)
-        grid = f"[\n    [\n      {grid}\n    ]\n  ]"
-        if "n" in grid:
-            grid = _dump(rows).replace("\n", "\n  ")
-        text = text.replace('"@grid"', grid, 1)
+    fields = result.fields(include_timing)
+    text = _dump({**fields, **dict.fromkeys(OCCUPANCY_FIELDS, "@grid")})
+    for key in OCCUPANCY_FIELDS:
+        text = text.replace('"@grid"', _grid_text(fields[key]), 1)
     return text
+
+
+def _grid_text(grid: np.ndarray) -> str:
+    """The text of one (H, W) float64 grid in _dump_result."""
+    if not np.isfinite(grid).all():
+        return _dump(grid.tolist()).replace("\n", "\n  ")
+    h, w = grid.shape
+    written = (grid != 0) | np.signbit(grid)
+    rows = [",\n      ".join(["0.0"] * w)] * h
+    for i in np.flatnonzero(written.any(axis=1)).tolist():
+        cells = ["0.0"] * w
+        for j, value in zip(np.flatnonzero(written[i]).tolist(), grid[i, written[i]].tolist()):
+            cells[j] = float.__repr__(value)
+        rows[i] = ",\n      ".join(cells)
+    return "[\n    [\n      " + "\n    ],\n    [\n      ".join(rows) + "\n    ]\n  ]"
 
 
 def _resolve_input(path_str: str, flag: str) -> Path:
@@ -288,7 +299,7 @@ def _cmd_pipeline(args) -> int:
         }
         print(csv_text(RESULT_CSV_COLUMNS, [record]), end="")
     else:
-        print(_dump_result(result.to_dict(include_timing=args.timing)))
+        print(_dump_result(result, include_timing=args.timing))
     return 0
 
 
@@ -309,6 +320,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_selfcheck(args) -> int:
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    from .selfcheck import run_selfcheck  # loads the oracles, which no other command needs
     results = run_selfcheck(seed=args.seed, quick=args.quick)
     all_ok = True
     for r in results:

@@ -102,6 +102,10 @@ def config_from_dict(data: dict) -> PipelineConfig:
     return from_dict(PipelineConfig, data, "pipeline config")
 
 
+# The PipelineResult fields that hold the two (H, W) BEV occupancy grids.
+OCCUPANCY_FIELDS = ("bev_occupancy_student", "bev_occupancy_teacher")
+
+
 @dataclass(frozen=True)
 class PipelineResult:
     loss: float
@@ -120,12 +124,17 @@ class PipelineResult:
             )
 
     def to_dict(self, include_timing: bool = False) -> dict:
+        out = self.fields(include_timing)
+        return out | {key: out[key].tolist() for key in OCCUPANCY_FIELDS}
+
+    def fields(self, include_timing: bool = False) -> dict:
+        """to_dict's mapping with the occupancy grids left as (H, W) float64 arrays."""
         out = {
             "loss": self.loss,
             "included_cells": self.included_cells,
             "pci_report": dataclasses.asdict(self.pci_report),
-            "bev_occupancy_student": self.bev_occupancy_student.tolist(),
-            "bev_occupancy_teacher": self.bev_occupancy_teacher.tolist(),
+            "bev_occupancy_student": self.bev_occupancy_student,
+            "bev_occupancy_teacher": self.bev_occupancy_teacher,
             "msfe": dict(self.msfe_metrics),
         }
         if include_timing:

@@ -1,10 +1,12 @@
 import argparse
 import ctypes
-import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fgbev
 from fgbev.arrayio import (
     PCI_CSV_COLUMNS,
     RESULT_CSV_COLUMNS,
@@ -23,6 +26,7 @@ from fgbev.arrayio import (
 )
 from fgbev.cli import _dump, _dump_result, build_parser, main
 from fgbev.pci import PciReport
+from fgbev.pipeline import PipelineResult, config_from_dict, run_pipeline
 
 SCENE_CFG = {
     "n_frames": 3,
@@ -798,40 +802,72 @@ class TestSelfcheckCommand:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    def test_cli_import_leaves_selfcheck_unloaded(self):
+        src = str(Path(fgbev.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = (
+            "import sys, fgbev.cli; "
+            "print([m for m in ('fgbev.selfcheck', 'fgbev.oracles') if m in sys.modules])"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
+
 
 def _oracle(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
 EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1]
-RESULT_FLOATS = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS))
+FINITE_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGE_FLOATS[3:])
+)
 
 
-def _result(student, teacher, timing=None) -> dict:
-    """A dict shaped like PipelineResult.to_dict() around the given grids."""
-    out = {
-        "loss": 0.25,
-        "included_cells": 3,
-        "pci_report": {f.name: i for i, f in enumerate(dataclasses.fields(PciReport))},
-        "bev_occupancy_student": student,
-        "bev_occupancy_teacher": teacher,
-        "msfe": {"fused_l2": 1.5, "heatmap_focal_loss": math.inf},
-    }
-    if timing is not None:
-        out["timing"] = timing
-    return out
+def _result(student, teacher, timing=()) -> PipelineResult:
+    """A PipelineResult around the given grids, made float64 arrays as the pipeline makes them."""
+    return PipelineResult(
+        loss=0.25,
+        included_cells=1,
+        pci_report=PciReport(9, 5, 3, 2, 1),
+        bev_occupancy_student=np.array(student, dtype=np.float64),
+        bev_occupancy_teacher=np.array(teacher, dtype=np.float64),
+        msfe_metrics={"fused_l2": 1.5, "heatmap_focal_loss": math.inf},
+        timing=dict(timing),
+    )
+
+
+@st.composite
+def sparse_grids(draw):
+    """Mostly +0.0 grids up to 6 x 9, like the pipeline's, with all-zero rows,
+    columns and grids; about one in four holds a NaN or an infinity."""
+    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 9))
+    kept = np.array(draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w))).reshape(h, w)
+    kept[list(draw(st.sets(st.integers(0, h - 1), max_size=h - 1)))] = False
+    kept[:, list(draw(st.sets(st.integers(0, w - 1), max_size=w - 1)))] = False
+    grid = np.zeros((h, w))
+    grid[kept] = draw(st.lists(FINITE_FLOATS, min_size=int(kept.sum()), max_size=int(kept.sum())))
+    if draw(st.sampled_from([False, False, False, True])):
+        grid[draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))] = draw(
+            st.sampled_from(EDGE_FLOATS[:3])
+        )
+    return grid
 
 
 @st.composite
 def results(draw):
-    h, w = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    grid = st.lists(st.lists(RESULT_FLOATS, min_size=w, max_size=w), min_size=h, max_size=h)
-    timing = st.none() | st.dictionaries(st.text(), st.floats(0, 1))
-    return _result(draw(grid), draw(grid), draw(timing))
+    timing = draw(st.dictionaries(st.text(), st.floats(0, 1)))
+    return _result(draw(sparse_grids()), draw(sparse_grids()), timing)
 
 
 class TestResultWriter:
-    """The pipeline result writer gives the bytes of json.dumps on any grid."""
+    """The pipeline result writer gives the bytes of json.dumps(to_dict()) on any grid."""
 
     @settings(max_examples=300, deadline=None)
     @given(results())
@@ -839,8 +875,11 @@ class TestResultWriter:
     @example(_result([EDGE_FLOATS[3:]], [[x] for x in EDGE_FLOATS[3:]], {"encode": 0.1}))
     @example(_result([EDGE_FLOATS], [EDGE_FLOATS[::-1]]))
     @example(_result([[x] for x in EDGE_FLOATS], [[1.0]] * 7, {"@grid": 1.0}))
+    @example(_result([[0.0, -0.0, 0.0], [0.0] * 3], [[0.0] * 3] * 2))
     def test_matches_json_dumps(self, result):
-        assert _dump_result(result) == _oracle(result)
+        for include_timing in (False, True):
+            expected = _oracle(result.to_dict(include_timing))
+            assert _dump_result(result, include_timing) == expected
 
 
 class TestDump:
@@ -884,6 +923,22 @@ class TestJsonStdout:
         ):
             assert main(argv) == 0
             self._assert_canonical(capsys.readouterr().out)
+
+    # Real grids are where the writer's sparse path runs: mostly +0.0, with
+    # whole zero rows. The 3 x 5 grid has more columns than rows.
+    @pytest.mark.parametrize(
+        "config",
+        [{"seed": seed} for seed in range(1, 11)]
+        + [{"encoder_kind": "box_blur"}, {"bev": {"grid_h": 3, "grid_w": 5}}],
+        ids=[f"seed-{seed}" for seed in range(1, 11)] + ["box-blur", "grid-3x5"],
+    )
+    def test_pipeline_equals_to_dict_dump(self, config, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert main(["pipeline", "--config", str(path)]) == 0
+        expected = _oracle(run_pipeline(config_from_dict(config)).to_dict())
+        assert capsys.readouterr().out == expected + "\n"
 
 
 class TestUsability:

@@ -164,6 +164,13 @@ SURFACE_BOXES = {
     "two-small-faces": (Box3D(center=(-3.0, 4.0, 0.4), size=(0.6, 0.5, 0.9), yaw=-2.1), 2),
     # The sensor sits in the box's xy footprint, so no side face faces it.
     "no-face": (Box3D(center=(0.5, -0.3, 0.8), size=(4.2, 1.8, 1.6), yaw=0.7), 0),
+    # The sensor lies within an ulp of the +x face plane: rot.T @ (-center)
+    # puts it just outside, so two faces face it, while np.einsum over the same
+    # factors rounds it onto the plane (one face). This pins the sensor's bits.
+    "on-a-face-plane": (
+        Box3D(center=(26.5, -8.1, 0.8), size=(1.250292685213747, 4.0, 1.6), yaw=-1.89),
+        2,
+    ),
 }
 
 
