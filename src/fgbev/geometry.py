@@ -25,7 +25,7 @@ def _as_vector(x, n, name):
     v = np.asarray(x, dtype=np.float64).reshape(-1)
     if v.shape != (n,):
         raise ValueError(f"{name} must be a {n}-vector, got shape {np.shape(x)}")
-    if not np.all(np.isfinite(v)):
+    if not all(map(math.isfinite, v.tolist())):
         raise ValueError(f"{name} must be finite")
     return v
 

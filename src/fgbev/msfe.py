@@ -33,6 +33,8 @@ class FeaturePyramid:
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             if arr.ndim != 3:
                 raise ValueError(f"{name} must be (H, W, C), got shape {arr.shape}")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} features must be finite")
             object.__setattr__(self, name, arr)
         if not (self.f4.shape[2] == self.f8.shape[2] == self.f16.shape[2]):
             raise ValueError("pyramid levels must share a channel count")
@@ -137,17 +139,26 @@ def msfe_fuse(pyr: FeaturePyramid, heatmap: ForegroundHeatmap, beta: float) -> n
     """Fuse foreground-gated high-resolution features into the stride-16 map.
 
     Computes the filtered heatmap, gates f4 and f8 with it (broadcast across
-    channels), average-pools both down to stride 16, and adds them to f16.
+    channels), average-pools both down to stride 16, and adds them to a copy
+    of f16. Only the stride-16 rows whose 4-row band of the mask holds a
+    non-zero cell are gated and pooled. In every other row both terms are
+    signed zeros, so skipping them can change only the sign of a zero f16
+    cell. The kept rows go through the same `downsample` reshape as the
+    whole map, so every other cell keeps its bits (README "Determinism").
     """
     if heatmap.shape != pyr.f4.shape[:2]:
         raise ValueError(
             f"heatmap shape {heatmap.shape} must match f4 spatial {pyr.f4.shape[:2]}"
         )
     mask4 = threshold_filter(heatmap, beta).values
-    mask8 = downsample(mask4, 2)
-    term8 = downsample(pyr.f8 * mask8[:, :, None], 2)
-    term4 = downsample(pyr.f4 * mask4[:, :, None], 4)
-    return pyr.f16 + term8 + term4
+    rows = np.flatnonzero(mask4.reshape(pyr.f16.shape[0], -1).any(axis=1))
+    band4, band8 = ((k * rows[:, None] + np.arange(k)).ravel() for k in (4, 2))
+    mask4 = mask4[band4]
+    term8 = downsample(pyr.f8[band8] * downsample(mask4, 2)[:, :, None], 2)
+    term4 = downsample(pyr.f4[band4] * mask4[:, :, None], 4)
+    fused = pyr.f16.copy()
+    fused[rows] = fused[rows] + term8 + term4
+    return fused
 
 
 def gaussian_focal_loss(pred: ForegroundHeatmap, target: ForegroundHeatmap) -> float:

@@ -76,21 +76,24 @@ def frame_combination(current: Frame, adjacent: list[Frame]) -> PointCloud:
 
     Adjacent clouds are mapped through the relative ego poses; only points
     landing inside a current-frame box flagged stationary survive. Clutter
-    and dynamic-object points from other frames never carry over. Output
-    order: current points first, then kept points per adjacent frame in the
-    given order.
+    and dynamic-object points from other frames never carry over. The moved
+    clouds are joined in the given order and tested in one `points_in_box`
+    pass; each point's test does not depend on the other points, so the
+    result is that of one pass per frame. Output order: current points
+    first, then kept points per adjacent frame in the given order.
     """
     stationary = [b for b in current.boxes if b.is_stationary]
-    merged = [current.lidar.points]
     to_current = current.ego_pose.inverse()
+    moved = [np.zeros((0, 3))]
     for frame in adjacent:
         if frame.tag == current.tag:
             raise ValueError(
                 f"adjacent frame carries the current frame's tag {current.tag!r}"
             )
-        moved = to_current.compose(frame.ego_pose).apply(frame.lidar.points)
-        merged.append(moved[points_in_box(stationary, moved)])
-    return PointCloud(np.concatenate(merged), current.tag)
+        moved.append(to_current.compose(frame.ego_pose).apply(frame.lidar.points))
+    past = np.concatenate(moved)
+    kept = past[points_in_box(stationary, past)]
+    return PointCloud(np.concatenate([current.lidar.points, kept]), current.tag)
 
 
 def pseudo_point_assignment(

@@ -303,21 +303,29 @@ def generate_scene(cfg: SceneConfig, seed: int) -> Scene:
 
     dropped_current = rng.random(cfg.n_boxes) < cfg.dropout_fraction
 
+    world_centers = np.array([box.center for box in world]).reshape(-1, 3)
+    world_velocities = np.array([box.velocity for box in world]).reshape(-1, 2)
+
     def boxes_at(t: float, pose: RigidTransform, visibilities) -> list[Box3D]:
+        # Stacked matvecs give each box the bits of its own inv.apply and rot2 @ v;
+        # z moves by an exact +0.0.
         inv = pose.inverse()
         ego_yaw = EGO_YAW_RATE * t
         rot2 = rotation_about_z(-ego_yaw)[:2, :2]
+        moved = world_centers + np.pad(world_velocities * (t - t_cur), ((0, 0), (0, 1)))
+        centers = np.matmul(inv.rotation, moved[:, :, None])[:, :, 0] + inv.translation
+        velocities = np.matmul(rot2, world_velocities[:, :, None])[:, :, 0]
         return [
             Box3D(
-                center=inv.apply(box.center + np.append(box.velocity * (t - t_cur), 0.0)),
+                center=center,
                 size=box.size,
                 yaw=box.yaw - ego_yaw,
-                velocity=rot2 @ box.velocity,
+                velocity=velocity,
                 class_id=box.class_id,
                 is_stationary=box.is_stationary,
                 visibility=visibility,
             )
-            for box, visibility in zip(world, visibilities)
+            for box, center, velocity, visibility in zip(world, centers, velocities, visibilities)
         ]
 
     # Visibility is judged in the current frame, where downstream gating uses it: level 1-4

@@ -294,6 +294,88 @@ class TestMsfeFuse:
                 rng.normal(0, 1, (4, 4, 2)),
             )
 
+    @pytest.mark.parametrize("level", ["f4", "f8", "f16"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_level_rejected(self, level, bad):
+        rng = np.random.default_rng(12)
+        levels = {name: getattr(random_pyramid(rng), name).copy() for name in ("f4", "f8", "f16")}
+        levels[level][1, 2, 0] = bad
+        with pytest.raises(ValueError, match=f"^{level} features must be finite"):
+            FeaturePyramid(**levels)
+
+
+def whole_map_fuse(pyr, heatmap, beta):
+    """msfe_fuse's formula on the whole pyramid, every stride-16 row included."""
+    mask4 = threshold_filter(heatmap, beta).values
+    mask8 = downsample(mask4, 2)
+    return pyr.f16 + downsample(pyr.f8 * mask8[:, :, None], 2) + downsample(pyr.f4 * mask4[:, :, None], 4)
+
+
+def block_mask(h16, w16, blocks):
+    """(4 h16, 4 w16) heatmap values, non-zero exactly in the listed stride-16 blocks."""
+    on = np.zeros((h16, w16))
+    for i, j in blocks:
+        on[i, j] = 1.0
+    return np.kron(on, np.full((4, 4), 0.5))
+
+
+def fuse_masks(rng, h16, w16):
+    """Named (values, beta) pairs: empty, full, one block, border blocks, random, -0.0 cells."""
+    h4, w4 = 4 * h16, 4 * w16
+    sparse = rng.uniform(0, 1, (h4, w4)) * (rng.uniform(size=(h4, w4)) < 0.05)
+    neg_zero = np.where(rng.uniform(size=(h4, w4)) < 0.5, -0.0, sparse)
+    return {
+        "all-zero": (np.zeros((h4, w4)), 0.1),
+        "all-non-zero": (rng.uniform(0.01, 1, (h4, w4)), 0.0),
+        "one-block": (block_mask(h16, w16, [(h16 // 2, w16 // 2)]), 0.3),
+        "top-border": (block_mask(h16, w16, [(0, j) for j in range(0, w16, 2)]), 0.3),
+        "bottom-border": (block_mask(h16, w16, [(h16 - 1, w16 - 1)]), 0.3),
+        "left-right-borders": (block_mask(h16, w16, [(h16 // 2, 0), (h16 // 2, w16 - 1)]), 0.3),
+        "random-sparse": (sparse, 0.2),
+        "negative-zero-cells": (neg_zero, 0.0),
+    }
+
+
+class TestMsfeFuseOnForegroundRows:
+    """msfe_fuse gates and pools only the stride-16 rows holding a non-zero mask cell."""
+
+    # 1 channel and width 1 take numpy's other summation orders for the 4x4 mean.
+    @pytest.mark.parametrize("h16,w16,channels", [(5, 7, 3), (4, 6, 1), (3, 1, 1), (1, 4, 2), (6, 9, 32)])
+    def test_equals_whole_map_bitwise(self, h16, w16, channels):
+        rng = np.random.default_rng(h16 * 100 + w16 * 10 + channels)
+        for name, (values, beta) in fuse_masks(rng, h16, w16).items():
+            pyr = random_pyramid(rng, h16, w16, channels)
+            # Zero f16 cells, of both signs, where only np.square may agree.
+            f16 = np.where(rng.uniform(size=pyr.f16.shape) < 0.3, -0.0, pyr.f16)
+            f16[rng.uniform(size=f16.shape) < 0.1] = 0.0
+            pyr = FeaturePyramid(pyr.f4, pyr.f8, f16)
+            hm = ForegroundHeatmap(values)
+            got, want = msfe_fuse(pyr, hm, beta), whole_map_fuse(pyr, hm, beta)
+            nonzero = f16 != 0.0
+            assert got[nonzero].tobytes() == want[nonzero].tobytes(), name
+            assert np.square(got).tobytes() == np.square(want).tobytes(), name
+
+    def test_fused_l2_bits_on_random_masks(self):
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            h16, w16, channels = (int(n) for n in rng.integers(1, 7, 3))
+            pyr = random_pyramid(rng, h16, w16, channels)
+            values = rng.uniform(0, 1, (4 * h16, 4 * w16)) * (rng.uniform(size=(4 * h16, 4 * w16)) < 0.1)
+            hm = ForegroundHeatmap(values)
+            beta = float(rng.uniform(0, 0.5))
+            got = float(np.linalg.norm(msfe_fuse(pyr, hm, beta)))
+            assert got.hex() == float(np.linalg.norm(whole_map_fuse(pyr, hm, beta))).hex()
+
+    def test_result_does_not_alias_f16(self):
+        rng = np.random.default_rng(14)
+        pyr = random_pyramid(rng)
+        before = pyr.f16.copy()
+        for values in (np.zeros((16, 24)), np.ones((16, 24))):
+            out = msfe_fuse(pyr, ForegroundHeatmap(values), 0.1)
+            assert not np.shares_memory(out, pyr.f16)
+            out += 1.0
+            assert np.array_equal(pyr.f16, before)
+
 
 class TestGaussianFocalLoss:
     def test_perfect_prediction_limit(self):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from fgbev.geometry import (
     PointCloud,
     RigidTransform,
     box_point_counts,
+    points_in_box,
 )
 from fgbev.labels import (
     DepthBinConfig,
@@ -27,6 +29,15 @@ from fgbev.pci import (
 from fgbev.scene import Frame, SceneConfig, generate_scene
 
 EMPTY_CLOUD = PointCloud(np.zeros((0, 3)), "frame-1")
+SMALL_DROPOUT = SceneConfig(
+    n_frames=3,
+    n_boxes=8,
+    lidar_rays_per_box=10,
+    dropout_fraction=0.5,
+    stationary_fraction=0.8,
+    image_width=256,
+    image_height=128,
+)
 
 
 def make_frame(tag, ego_pose, boxes, points, timestamp=0.0):
@@ -74,7 +85,7 @@ class TestFrameCombination:
 
     def test_no_adjacent_frames_identity(self):
         out = frame_combination(self.current, [])
-        assert np.array_equal(out.points, self.current.lidar.points)
+        assert out.points.tobytes() == self.current.lidar.points.tobytes()
         assert out.frame_tag == self.current.tag
 
     def test_stationary_points_combined(self):
@@ -94,8 +105,10 @@ class TestFrameCombination:
         assert len(out) == 1
 
     def test_current_frame_in_adjacent_list_rejected(self):
-        with pytest.raises(ValueError, match="current frame's tag"):
-            frame_combination(self.current, [self.current])
+        adj = self.adjacent_with_world_points([[10.5, 0.5, 1.2]])
+        for adjacent in ([self.current], [adj, self.current]):
+            with pytest.raises(ValueError, match="current frame's tag"):
+                frame_combination(self.current, adjacent)
 
     def test_all_dynamic_adds_nothing(self):
         current = make_frame(
@@ -136,6 +149,50 @@ class TestFrameCombination:
             before = box_point_counts(scene.current.boxes, scene.current.lidar.points)
             after = box_point_counts(scene.current.boxes, combined.points)
             assert (after >= before).all()
+
+
+def per_frame_combination(current, adjacent):
+    """frame_combination as one points_in_box pass per adjacent frame."""
+    stationary = [b for b in current.boxes if b.is_stationary]
+    merged = [current.lidar.points]
+    to_current = current.ego_pose.inverse()
+    for frame in adjacent:
+        moved = to_current.compose(frame.ego_pose).apply(frame.lidar.points)
+        merged.append(moved[points_in_box(stationary, moved)])
+    return np.concatenate(merged)
+
+
+class TestOneMembershipPass:
+    def test_equals_per_frame_loop_bitwise(self):
+        grown = 0
+        for seed in range(20):
+            cfg = SceneConfig(
+                n_frames=2 + seed % 8,
+                n_boxes=10,
+                lidar_rays_per_box=8,
+                clutter_points=30,
+                dropout_fraction=0.5,
+                image_width=256,
+                image_height=128,
+            )
+            scene = generate_scene(cfg, seed)
+            got = frame_combination(scene.current, scene.past)
+            want = per_frame_combination(scene.current, scene.past)
+            assert got.points.tobytes() == want.tobytes()
+            assert got.frame_tag == scene.current.tag
+            grown += len(got) > len(scene.current.lidar)
+        assert grown >= 15  # the scenes do carry returns over
+
+    def test_empty_adjacent_cloud_and_no_stationary_boxes(self):
+        scene = generate_scene(SMALL_DROPOUT, 5)
+        first, second = scene.past
+        empty = make_frame(first.tag, first.ego_pose, first.boxes, np.zeros((0, 3)))
+        out = frame_combination(scene.current, [empty, second])
+        assert out.points.tobytes() == per_frame_combination(scene.current, [empty, second]).tobytes()
+        dynamic = [replace(b, is_stationary=False) for b in scene.current.boxes]
+        current = make_frame(scene.current.tag, scene.current.ego_pose, dynamic, scene.current.lidar.points)
+        out = frame_combination(current, scene.past)
+        assert out.points.tobytes() == scene.current.lidar.points.tobytes()
 
 
 class TestPseudoPointAssignment:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fgbev import oracles
+from fgbev import scene as scene_module
 from fgbev.geometry import (
     Box3D,
     box3d_corners,
@@ -19,6 +20,7 @@ from fgbev.labels import DepthBinConfig, generate_hard_labels
 from fgbev.selfcheck import level_camera
 from fgbev.scene import (
     BACKGROUND_SEG_FLOOR,
+    EGO_YAW_RATE,
     Frame,
     Scene,
     SceneConfig,
@@ -172,6 +174,29 @@ SURFACE_BOXES = {
         2,
     ),
 }
+
+
+@pytest.mark.parametrize("n_boxes", [0, 1, 30])
+def test_box_poses_equal_per_box_transforms_bitwise(n_boxes, monkeypatch):
+    # The first n_boxes Box3D that generate_scene builds are the world-frame boxes.
+    built = []
+
+    def recording_box(*args, **kwargs):
+        built.append(Box3D(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(scene_module, "Box3D", recording_box)
+    cfg = SceneConfig(n_frames=9, n_boxes=n_boxes, lidar_rays_per_box=2, clutter_points=4)
+    scene = generate_scene(cfg, 21)
+    world, t_cur = built[:n_boxes], scene.current.timestamp
+    for frame in scene.frames:
+        inv = frame.ego_pose.inverse()
+        rot2 = rotation_about_z(-EGO_YAW_RATE * frame.timestamp)[:2, :2]
+        assert len(frame.boxes) == n_boxes
+        for w, box in zip(world, frame.boxes):
+            moved = w.center + np.append(w.velocity * (frame.timestamp - t_cur), 0.0)
+            assert box.center.tobytes() == inv.apply(moved).tobytes()
+            assert box.velocity.tobytes() == (rot2 @ w.velocity).tobytes()
 
 
 class RecordingRng:
