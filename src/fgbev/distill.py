@@ -17,20 +17,31 @@ DEFAULT_NORM_EPS = 1e-6
 class BevEncoder:
     """Deterministic map over BEV grids with fixed shared parameters.
 
-    An output cell is +0.0 when every input cell it reads is, so an encoder
-    computes only the cells its input's stored cells reach.
+    An output cell is +0.0 when every input cell within `reach` rows and columns of it
+    is, so an encoder computes only the cells its input's stored cells reach.
     """
 
     name = "base"
+    reach = 0
 
     def __call__(self, grid: BevFeatureGrid) -> BevFeatureGrid:
+        h, w, k = grid.cfg.grid_h, grid.cfg.grid_w, self.reach
+        if not k:
+            return self.encode_at(grid, grid.cells)
+        reached = np.zeros((h + 2 * k, w + 2 * k), dtype=bool)
+        r, c, d = *np.divmod(grid.cells, w), np.arange(2 * k + 1)
+        reached[(r[:, None] + d)[:, :, None], (c[:, None] + d)[:, None, :]] = True
+        return self.encode_at(grid, np.flatnonzero(reached[k : k + h, k : k + w]))
+
+    def encode_at(self, grid: BevFeatureGrid, cells: np.ndarray) -> BevFeatureGrid:
+        """A grid that reads as the encoding of `grid` at each ascending flat id in `cells`."""
         raise NotImplementedError
 
 
 class IdentityEncoder(BevEncoder):
     name = "identity"
 
-    def __call__(self, grid: BevFeatureGrid) -> BevFeatureGrid:
+    def encode_at(self, grid: BevFeatureGrid, cells: np.ndarray) -> BevFeatureGrid:
         return grid
 
 
@@ -42,17 +53,10 @@ class BoxBlurEncoder(BevEncoder):
     """
 
     name = "box_blur"
+    reach = 1
 
-    def __call__(self, grid: BevFeatureGrid) -> BevFeatureGrid:
-        h, w = grid.cfg.grid_h, grid.cfg.grid_w
-        stored = np.zeros((h, w), dtype=bool)
-        stored.flat[grid.cells] = True
-        reached = np.zeros((h + 2, w + 2), dtype=bool)
-        for dy in range(3):
-            for dx in range(3):
-                reached[dy : dy + h, dx : dx + w] |= stored
-        cells = np.flatnonzero(reached[1:-1, 1:-1])
-        r, c = np.divmod(cells, w)
+    def encode_at(self, grid: BevFeatureGrid, cells: np.ndarray) -> BevFeatureGrid:
+        r, c = np.divmod(cells, grid.cfg.grid_w)
         lut, rows = grid.lookup(pad=1)
         out = np.zeros((len(cells), grid.channels))
         # A tap on a cell that is not stored, or outside the grid, adds the
@@ -78,10 +82,11 @@ def get_encoder(kind: str) -> BevEncoder:
 def encode_joint(
     encoder: BevEncoder, student: BevFeatureGrid, teacher: BevFeatureGrid
 ) -> tuple[BevFeatureGrid, BevFeatureGrid]:
-    """Encode student and teacher with the one shared encoder, each on its own cells."""
+    """(student, teacher) by the shared encoder; the student only at the teacher's encoded cells."""
     if student.shape != teacher.shape:
         raise ValueError(f"shape mismatch: student {student.shape} vs teacher {teacher.shape}")
-    return encoder(student), encoder(teacher)
+    enc_teacher = encoder(teacher)
+    return encoder.encode_at(student, enc_teacher.cells), enc_teacher
 
 
 def _cell_norms(values: np.ndarray) -> np.ndarray:

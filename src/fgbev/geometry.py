@@ -189,11 +189,31 @@ class Box3D:
         object.__setattr__(self, "center", _as_vector(self.center, 3, "center"))
         object.__setattr__(self, "velocity", _as_vector(self.velocity, 2, "velocity"))
         size = tuple(float(s) for s in self.size)
-        if len(size) != 3 or any(s <= 0 for s in size):
+        if len(size) != 3 or not all(s > 0 for s in size):
             raise ValueError(f"size components must be positive, got {self.size}")
         object.__setattr__(self, "size", size)
+        if not math.isfinite(self.yaw):
+            raise ValueError(f"yaw must be finite, got {self.yaw}")
         if self.visibility not in (1, 2, 3, 4):
             raise ValueError(f"visibility must be in {{1,2,3,4}}, got {self.visibility}")
+
+    @classmethod
+    def from_arrays(cls, centers, sizes, yaws, velocities, class_ids, stationary, visibility):
+        """One box per row of the arrays, checked by `__post_init__`'s rules once over them;
+        the first bad row raises its `Box3D` error, prefixed by its index."""
+        rows = list(zip(centers, map(tuple, sizes.tolist()), yaws.tolist(), velocities,
+                        class_ids.tolist(), stationary.tolist(), visibility.tolist()))
+        ok = np.isfinite(np.column_stack([centers, velocities, yaws])).all(axis=1)
+        ok &= (sizes > 0).all(axis=1) & (visibility[:, None] == (1, 2, 3, 4)).any(axis=1)
+        for i in np.flatnonzero(~ok)[:1].tolist():
+            try:
+                cls(*rows[i])
+            except ValueError as exc:
+                raise ValueError(f"box {i}: {exc}") from None
+        boxes = [object.__new__(cls) for _ in rows]
+        for box, row in zip(boxes, rows):
+            vars(box).update(zip(cls.__dataclass_fields__, row))
+        return boxes
 
     @property
     def half_size(self) -> np.ndarray:
@@ -217,15 +237,25 @@ _CORNER_SIGNS = np.array(
 )
 
 
-def box3d_corners(boxes: list[Box3D]) -> np.ndarray:
-    """(B, 8, 3): each box's 8 corners in ego coordinates, in the documented fixed order.
+def yaw_rotations(yaws) -> np.ndarray:
+    """(B, 3, 3): `rotation_about_z` of each yaw, from the same `math.cos` and `math.sin`."""
+    c, s = np.array([(math.cos(yaw), math.sin(yaw)) for yaw in yaws]).reshape(-1, 2).T
+    rots = np.zeros((len(c), 3, 3))
+    rots[:, 0, 0], rots[:, 0, 1], rots[:, 1, 0], rots[:, 1, 1], rots[:, 2, 2] = c, -s, s, c, 1.0
+    return rots
 
-    One stacked matmul gives each box the bits of its own `local @ rot.T`.
-    """
-    local = _CORNER_SIGNS * (np.array([box.size for box in boxes]).reshape(-1, 1, 3) / 2.0)
-    rots = np.array([rotation_about_z(box.yaw) for box in boxes]).reshape(-1, 3, 3)
-    centers = np.array([box.center for box in boxes]).reshape(-1, 1, 3)
-    return np.matmul(local, rots.transpose(0, 2, 1)) + centers
+
+def cuboid_corners(centers, sizes, rots) -> np.ndarray:
+    """(B, 8, 3) corners of the boxes with (B, 3) centers and sizes and (B, 3, 3) yaw
+    rotations; one stacked matmul gives each box the bits of its own `local @ rot.T`."""
+    local = _CORNER_SIGNS * (np.reshape(sizes, (-1, 1, 3)) / 2.0)
+    return np.matmul(local, rots.transpose(0, 2, 1)) + np.reshape(centers, (-1, 1, 3))
+
+
+def box3d_corners(boxes: list[Box3D]) -> np.ndarray:
+    """(B, 8, 3): each box's 8 corners in ego coordinates, in the documented fixed order."""
+    centers, sizes = [box.center for box in boxes], [box.size for box in boxes]
+    return cuboid_corners(centers, sizes, yaw_rotations([box.yaw for box in boxes]))
 
 
 def box_corner_pixels(cam: CameraModel, boxes: list[Box3D]):
@@ -244,6 +274,7 @@ def _inside(box: Box3D, pts: np.ndarray) -> np.ndarray:
 # within the box's circumscribed xy radius r of its center up to a rounding error
 # of a few ulps of r + |cx| + |cy| (about 1e-15 of it); this slack is far larger.
 WINDOW_SLACK = 1e-9
+PAIR_BLOCK = 1 << 20  # a block of candidate boxes holds at most max(N, PAIR_BLOCK) pairs
 
 
 def _box_candidates(boxes: list[Box3D], pts: np.ndarray):
@@ -251,8 +282,8 @@ def _box_candidates(boxes: list[Box3D], pts: np.ndarray):
 
     The candidates of a box are the points whose x and y each lie within its
     circumscribed xy radius, grown by WINDOW_SLACK, of its center: a superset of
-    the points inside it. The cloud is sorted by x once, so each box's x range
-    is one slice of that order.
+    the points inside it. The cloud is sorted by x once, so each box's x range is
+    one slice of that order, and the y test is one pass over all those slices.
     """
     if not boxes or not len(pts):
         return
@@ -261,14 +292,21 @@ def _box_candidates(boxes: list[Box3D], pts: np.ndarray):
     centers = np.array([box.center[:2] for box in boxes])
     reach = np.array([math.hypot(*box.size[:2]) / 2.0 for box in boxes])
     reach += WINDOW_SLACK * (reach + np.abs(centers).sum(axis=1))
-    lo = np.searchsorted(xs, centers[:, 0] - reach, "left").tolist()
-    hi = np.searchsorted(xs, centers[:, 0] + reach, "right").tolist()
-    for i, (a, b, cy, r) in enumerate(zip(lo, hi, centers[:, 1].tolist(), reach.tolist())):
-        if a == b:
-            continue
-        near = np.abs(ys[a:b] - cy) <= r
-        if near.any():
-            yield i, np.sort(order[a:b][near])
+    lo = np.searchsorted(xs, centers[:, 0] - reach, "left")
+    n = np.searchsorted(xs, centers[:, 0] + reach, "right") - lo
+    begin = np.cumsum(n) - n  # pair begin + k is a box's k-th x candidate, sorted point lo + k
+    start, cap = 0, max(len(pts), PAIR_BLOCK)
+    while start < len(boxes):  # one box holds at most N <= cap pairs
+        stop = int(np.searchsorted(begin + n, begin[start] + cap, "right"))
+        box = np.repeat(np.arange(start, stop), n[start:stop])
+        pos = np.arange(begin[start], begin[stop - 1] + n[stop - 1]) + (lo - begin)[box]
+        near = np.abs(ys[pos] - centers[box, 1]) <= reach[box]
+        box, idx = np.divmod(np.sort(box[near] * len(pts) + order[pos[near]]), len(pts))
+        bounds = np.searchsorted(box, np.arange(start, stop + 1)).tolist()
+        for i, a, b in zip(range(start, stop), bounds, bounds[1:]):
+            if a < b:
+                yield i, idx[a:b]
+        start = stop
 
 
 def points_in_box(boxes: list[Box3D], points: np.ndarray) -> np.ndarray:

@@ -24,9 +24,12 @@ from .geometry import (
     PointCloud,
     RigidTransform,
     box_corner_pixels,
+    cuboid_corners,
     points_in_box,
     project_box3d_to_box2d,
+    project_points_unbounded,
     rotation_about_z,
+    yaw_rotations,
 )
 from .labels import (
     DepthBinConfig,
@@ -161,9 +164,9 @@ def _build_cameras(cfg: SceneConfig) -> list[CameraModel]:
     return cams
 
 
-def _sample_frame_surface(rng, boxes: list[Box3D], dropped: np.ndarray, n: int) -> np.ndarray:
-    """n LiDAR returns on the sensor-facing side faces of each box, in box order
-    and ego coordinates, from one `rng.random` call.
+def _sample_frame_surface(rng, centers, sizes, rots, dropped: np.ndarray, n: int) -> np.ndarray:
+    """n LiDAR returns on the sensor-facing side faces of each box ((B, 3) centers and sizes,
+    (B, 3, 3) yaw rotations), in box order and ego coordinates, from one `rng.random` call.
 
     A dropped box, or one with no side face toward the sensor, gets no
     returns and draws nothing. Each drawing box's slice of the draws holds
@@ -171,13 +174,12 @@ def _sample_frame_surface(rng, boxes: list[Box3D], dropped: np.ndarray, n: int) 
     arithmetic on them, of `rng.choice` over its facing faces weighted by
     area followed by `rng.uniform` over the pairs (README "Determinism").
     """
-    if n == 0 or not boxes:
+    if n == 0 or not len(centers):
         return np.zeros((0, 3))
-    rots_t = np.array([rotation_about_z(box.yaw) for box in boxes]).transpose(0, 2, 1)
-    centers = np.array([box.center for box in boxes])
+    rots_t = rots.transpose(0, 2, 1)
     # The ego origin in each box frame: each box's rot.T @ (-center).
     sensor = np.matmul(rots_t, -centers[:, :, None])[:, :, 0]
-    half = np.array([box.size for box in boxes]) / 2.0
+    half = sizes / 2.0
     # A side face's outward normal is sign * e_axis and its center sits at
     # sign * half[axis]; at most one sign per axis can face the sensor.
     facing = np.abs(sensor[:, :2]) > half[:, :2]
@@ -242,6 +244,46 @@ def _sample_clutter(rng, cfg: SceneConfig, boxes: list[Box3D]) -> np.ndarray:
     )
 
 
+def _place_boxes(rng, cfg: SceneConfig, pose_cur: RigidTransform, ego_xy: np.ndarray):
+    """Boxes placed without footprint overlap in the current frame's detection region, in the
+    world frame: (B, 3) centres and sizes, (B,) yaws, (B, 2) velocities, class ids, stationary."""
+    b = cfg.n_boxes
+    centres, sizes, yaws, radii = np.empty((b, 3)), np.empty((b, 3)), np.empty(b), np.empty(b)
+    velocities, class_ids, stationary = np.zeros((b, 2)), np.zeros(b, np.int64), np.zeros(b, bool)
+    extent = cfg.detection_range_xy * 0.95
+    for k in range(b):
+        class_id = int(rng.random() < 0.25)
+        lo, hi = [((3.6, 1.6, 1.4), (5.0, 2.1, 1.9)), ((0.4, 0.4, 0.6), (0.8, 0.8, 1.1))][class_id]
+        size = tuple(map(rng.uniform, lo, hi))
+        radius = math.hypot(size[0], size[1]) / 2.0
+        yaw_w = rng.uniform(-math.pi, math.pi)
+        still = rng.random() < cfg.stationary_fraction
+        if not still:
+            speed, heading = rng.uniform(1.0, MAX_BOX_SPEED), rng.uniform(0.0, 2.0 * math.pi)
+            velocities[k] = speed * np.array([math.cos(heading), math.sin(heading)])
+
+        for _ in range(MAX_PLACEMENT_ATTEMPTS):
+            xy_ego = rng.uniform(-extent, extent, 2)
+            center_w = pose_cur.apply(np.array([xy_ego[0], xy_ego[1], size[2] / 2.0]))
+            if not (
+                np.any(np.linalg.norm(ego_xy - center_w[:2], axis=1) < radius + EGO_CLEARANCE)
+                or np.any(
+                    np.linalg.norm(centres[:k, :2] - center_w[:2], axis=1)
+                    < (radii[:k] + radius) + 0.3
+                )
+            ):
+                break
+        else:
+            raise ConfigError(
+                f"could not place box {k} without overlap after "
+                f"{MAX_PLACEMENT_ATTEMPTS} attempts; reduce scene.n_boxes or widen "
+                "scene.detection_range_xy"
+            )
+        centres[k], sizes[k], yaws[k], radii[k] = center_w, size, yaw_w, radius
+        class_ids[k], stationary[k] = class_id, still
+    return centres, sizes, yaws, velocities, class_ids, stationary
+
+
 def generate_scene(cfg: SceneConfig, seed: int) -> Scene:
     """Build a deterministic scene: boxes, ego trajectory, LiDAR, cameras.
 
@@ -256,94 +298,37 @@ def generate_scene(cfg: SceneConfig, seed: int) -> Scene:
     cameras = _build_cameras(cfg)
     times = [i * cfg.frame_interval for i in range(cfg.n_frames)]
     poses = [_ego_pose(t) for t in times]
-    t_cur = times[-1]
-    pose_cur = poses[-1]
+    t_cur, pose_cur = times[-1], poses[-1]
     ego_xy = np.array([p.translation[:2] for p in poses])
-
-    # Placement happens in the current frame; each box is kept in the world frame.
-    world: list[Box3D] = []
-    centres = np.empty((cfg.n_boxes, 2))
-    radii = np.empty(cfg.n_boxes)
-    extent = cfg.detection_range_xy * 0.95
-    for k in range(cfg.n_boxes):
-        if rng.random() < 0.25:
-            size = (rng.uniform(0.4, 0.8), rng.uniform(0.4, 0.8), rng.uniform(0.6, 1.1))
-            class_id = 1
-        else:
-            size = (rng.uniform(3.6, 5.0), rng.uniform(1.6, 2.1), rng.uniform(1.4, 1.9))
-            class_id = 0
-        radius = math.hypot(size[0], size[1]) / 2.0
-        yaw_w = rng.uniform(-math.pi, math.pi)
-        stationary = rng.random() < cfg.stationary_fraction
-        if stationary:
-            vel_w = np.zeros(2)
-        else:
-            speed = rng.uniform(1.0, MAX_BOX_SPEED)
-            heading = rng.uniform(0.0, 2.0 * math.pi)
-            vel_w = speed * np.array([math.cos(heading), math.sin(heading)])
-
-        for _ in range(MAX_PLACEMENT_ATTEMPTS):
-            xy_ego = rng.uniform(-extent, extent, 2)
-            center_w = pose_cur.apply(np.array([xy_ego[0], xy_ego[1], size[2] / 2.0]))
-            if not (
-                np.any(np.linalg.norm(ego_xy - center_w[:2], axis=1) < radius + EGO_CLEARANCE)
-                or np.any(
-                    np.linalg.norm(centres[:k] - center_w[:2], axis=1) < (radii[:k] + radius) + 0.3
-                )
-            ):
-                break
-        else:
-            raise ConfigError(
-                f"could not place box {k} without overlap after "
-                f"{MAX_PLACEMENT_ATTEMPTS} attempts; reduce scene.n_boxes or widen "
-                "scene.detection_range_xy"
-            )
-        centres[k], radii[k] = center_w[:2], radius
-        world.append(Box3D(center_w, size, yaw_w, vel_w, class_id, is_stationary=stationary))
-
+    centers_w, sizes, yaws_w, vels_w, class_ids, still = _place_boxes(rng, cfg, pose_cur, ego_xy)
     dropped_current = rng.random(cfg.n_boxes) < cfg.dropout_fraction
 
-    world_centers = np.array([box.center for box in world]).reshape(-1, 3)
-    world_velocities = np.array([box.velocity for box in world]).reshape(-1, 2)
-
-    def boxes_at(t: float, pose: RigidTransform, visibilities) -> list[Box3D]:
-        # Stacked matvecs give each box the bits of its own inv.apply and rot2 @ v;
-        # z moves by an exact +0.0.
-        inv = pose.inverse()
+    def at(t: float, pose: RigidTransform):
+        # (centers, yaws, yaw rotations, velocities) in the ego frame at t. Stacked matvecs give
+        # each box the bits of its own pose.inverse().apply and rot2 @ v; z moves by an exact +0.0.
+        inv_rot = pose.rotation.T
         ego_yaw = EGO_YAW_RATE * t
         rot2 = rotation_about_z(-ego_yaw)[:2, :2]
-        moved = world_centers + np.pad(world_velocities * (t - t_cur), ((0, 0), (0, 1)))
-        centers = np.matmul(inv.rotation, moved[:, :, None])[:, :, 0] + inv.translation
-        velocities = np.matmul(rot2, world_velocities[:, :, None])[:, :, 0]
-        return [
-            Box3D(
-                center=center,
-                size=box.size,
-                yaw=box.yaw - ego_yaw,
-                velocity=velocity,
-                class_id=box.class_id,
-                is_stationary=box.is_stationary,
-                visibility=visibility,
-            )
-            for box, center, velocity, visibility in zip(world, centers, velocities, visibilities)
-        ]
+        moved = centers_w + np.pad(vels_w * (t - t_cur), ((0, 0), (0, 1)))
+        centers = np.matmul(inv_rot, moved[:, :, None])[:, :, 0] + -inv_rot @ pose.translation
+        yaws = yaws_w - ego_yaw
+        return centers, yaws, yaw_rotations(yaws), np.matmul(rot2, vels_w[:, :, None])[:, :, 0]
 
     # Visibility is judged in the current frame, where downstream gating uses it: level 1-4
-    # when the camera seeing most of a box's corners sees 0, 1-3, 4-7 or 8; ints for JSON.
-    current_boxes = boxes_at(t_cur, pose_cur, [4] * cfg.n_boxes)
-    in_view = [
-        cam.in_image(*box_corner_pixels(cam, current_boxes)[0].transpose(2, 0, 1)).sum(axis=1)
-        for cam in cameras
-    ]
-    seen = np.max(in_view, axis=0)
-    visibilities = (1 + (seen >= 1) + (seen >= 4) + (seen >= 8)).tolist()
+    # when the camera seeing most of a box's corners sees 0, 1-3, 4-7 or 8.
+    current = at(t_cur, pose_cur)
+    corners = cuboid_corners(current[0], sizes, current[2]).reshape(-1, 3)
+    in_view = [cam.in_image(*project_points_unbounded(cam, corners)[0].T) for cam in cameras]
+    seen = np.max([v.reshape(-1, 8).sum(axis=1) for v in in_view], axis=0)
+    visibility = 1 + (seen >= 1) + (seen >= 4) + (seen >= 8)
 
     frames = []
     for idx, (t, pose) in enumerate(zip(times, poses)):
         is_current = idx == cfg.n_frames - 1
-        boxes = boxes_at(t, pose, visibilities)
+        centers, yaws, rots, velocities = current if is_current else at(t, pose)
+        boxes = Box3D.from_arrays(centers, sizes, yaws, velocities, class_ids, still, visibility)
         surf = _sample_frame_surface(
-            rng, boxes, dropped_current & is_current, cfg.lidar_rays_per_box
+            rng, centers, sizes, rots, dropped_current & is_current, cfg.lidar_rays_per_box
         )
         clutter = _sample_clutter(rng, cfg, boxes)
         lidar = PointCloud(np.concatenate([surf, clutter]), f"frame-{idx}")

@@ -60,17 +60,26 @@ class TestEncoders:
         assert np.array_equal(fast, ref)
         assert fast.tobytes() == ref.tobytes()
 
-    def test_joint_equals_separate_bitwise(self):
-        # Each grid is encoded as the oracle encodes it alone on the zero-padded full grid.
+    def test_joint_matches_oracle_at_teacher_cells(self):
+        # The teacher equals the oracle on the zero-padded full grid, and the student equals
+        # the oracle of the full student at every teacher cell. Random sparse grids hold -0.0
+        # values, border cells, and sometimes no cell (an empty teacher).
         rng = np.random.default_rng(1)
+        empty_teachers = 0
         for _ in range(100):
             s = random_sparse_grid(rng, CFG, 4)
             t = random_sparse_grid(rng, CFG, 4)
+            empty_teachers += not len(t.cells)
             full = np.stack([s.values, t.values])
             want = {"identity": full, "box_blur": oracles.box_blur_reference(full)}
             for enc in (IdentityEncoder(), BoxBlurEncoder()):
                 js, jt = encode_joint(enc, s, t)
-                assert np.stack([js.values, jt.values]).tobytes() == want[enc.name].tobytes()
+                assert jt.values.tobytes() == want[enc.name][1].tobytes()
+                at = jt.cells
+                got = js.values.reshape(-1, 4)[at]
+                assert got.tobytes() == want[enc.name][0].reshape(-1, 4)[at].tobytes()
+            assert js.cells.tobytes() == jt.cells.tobytes()  # the box blur's student
+        assert empty_teachers > 0
 
     def test_box_blur_on_random_cells_matches_padded_oracle_bitwise(self):
         # Random cell sets that reach all four borders, plus no cells and every cell.
@@ -190,19 +199,19 @@ class TestWindows:
         full = np.stack([s.values, t.values])
         blur_s, blur_t = encode_joint(BoxBlurEncoder(), s, t)
         want = oracles.box_blur_reference(full)
-        assert blur_s.values.tobytes() == want[0].tobytes()
+        assert BoxBlurEncoder()(s).values.tobytes() == want[0].tobytes()
         assert blur_t.values.tobytes() == want[1].tobytes()
-        assert BoxBlurEncoder()(t).values.tobytes() == want[1].tobytes()
+        # The student is encoded at the teacher's encoded cells only.
+        assert blur_s.cells.tobytes() == blur_t.cells.tobytes()
+        at = blur_t.cells
+        assert blur_s.features.tobytes() == want[0].reshape(-1, 3)[at].tobytes()
         same_s, same_t = encode_joint(IdentityEncoder(), s, t)
-        assert same_s.values.tobytes() == full[0].tobytes()
-        assert same_t.values.tobytes() == full[1].tobytes()
-        # Each grid stores its own cells grown by the encoder's reach.
-        encoded = {BoxBlurEncoder(): (blur_s, blur_t), IdentityEncoder(): (same_s, same_t)}
-        for enc, got in encoded.items():
-            for g, name in zip(got, (student_win, teacher_win)):
-                cells = window_cells(name, MARGIN[enc.name])
-                assert np.array_equal(g.cells, cells), enc.name
-                assert g.features.shape == (len(cells), 3)
+        assert same_s is s and same_t is t
+        # The teacher stores its own cells grown by the encoder's reach.
+        for enc, g in ((BoxBlurEncoder(), blur_t), (IdentityEncoder(), same_t)):
+            cells = window_cells(teacher_win, MARGIN[enc.name])
+            assert np.array_equal(g.cells, cells), enc.name
+            assert g.features.shape == (len(cells), 3)
 
     def test_loss_matches_oracle_and_whole_grid_window(self, student_win, teacher_win):
         rng = np.random.default_rng(13)

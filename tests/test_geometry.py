@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from fgbev.geometry import (
     _CORNER_SIGNS,
+    PAIR_BLOCK,
     Box2D,
     Box3D,
     CameraModel,
@@ -296,6 +298,78 @@ class TestCulledMembership:
         assert np.array_equal(box_point_counts(far_only, on), [0])
 
 
+@st.composite
+def membership_cases(draw):
+    """(boxes, points): up to 5 boxes on a 1/8 m grid, near the origin or all about 4e5 m off
+    it, with yaw 0 or any yaw; points on each box's 1/16 m local grid, inside, outside, on
+    faces and on corners; a box with no candidates; points that share another point's x.
+
+    At yaw 0 every step of `_inside` and of the oracle is exact, so face and corner points
+    stay on the boundary. At any other yaw a boundary point is moved 1e-6 m in or out, and
+    points within 1e-7 m of such a box's face planes are dropped: both rules round there.
+    """
+    offset = draw(st.sampled_from([0.0, 4e5]))
+    eighths = lambda lo, hi: np.array([draw(st.integers(lo, hi)) for _ in range(3)]) / 8
+    boxes, points = [], []
+    for _ in range(draw(st.integers(0, 5))):
+        center, size = offset + eighths(-40, 40), eighths(1, 40)
+        yaw = draw(st.one_of(st.just(0.0), st.floats(-math.pi, math.pi)))
+        boxes.append(Box3D(center, tuple(size), yaw))
+        half16 = (size * 8).astype(int)  # the half size in sixteenths
+        for _ in range(draw(st.integers(0, 8))):
+            m = np.array(
+                [draw(st.sampled_from([-h, h]) | st.integers(-h - 16, h + 16)) for h in half16]
+            )
+            local = m / 16.0
+            if yaw != 0.0:
+                local += np.where(np.abs(m) == half16, draw(st.sampled_from([-1e-6, 1e-6])), 0.0)
+            points.append(rotation_about_z(yaw) @ local + center)
+    if draw(st.booleans()):
+        boxes.append(Box3D((offset - 1e3, 1e3, 0.0), (2.0, 2.0, 2.0), draw(st.floats(-3, 3))))
+    for _ in range(draw(st.integers(0, 6))):
+        if points:
+            x = points[draw(st.integers(0, len(points) - 1))][0]
+            points.append(np.array([x, *(offset + eighths(-48, 48)[:2])]))
+    rotated = [box for box in boxes if box.yaw != 0.0]
+    points = [p for p in points if not any(_near_boundary(b, p, 1e-7) for b in rotated)]
+    return boxes, np.array(points).reshape(-1, 3)
+
+
+class TestMembershipOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(membership_cases())
+    def test_kernels_equal_the_halfspace_oracle(self, case):
+        boxes, pts = case
+        want = np.array(
+            [[oracles.point_in_box_reference(box, p) for p in pts] for box in boxes], dtype=bool
+        ).reshape(len(boxes), len(pts))
+        assert np.array_equal(points_in_box(boxes, pts), want.any(axis=0))
+        counts = box_point_counts(boxes, pts)
+        assert counts.dtype == np.int64 and np.array_equal(counts, want.sum(axis=1))
+
+    def test_blocks_bound_the_pair_arrays(self):
+        # 2000 boxes share one x window with 20k points: 4e7 (box, point) pairs. The
+        # blocks keep every pair array at most max(N, PAIR_BLOCK) long, so the peak
+        # traced memory stays near a few such arrays, far below one B x N int64 array.
+        rng = np.random.default_rng(22)
+        n_boxes, n_points = 2000, 20_000
+        boxes = [Box3D((0.0, 3.0 * k, 0.0), (1.0, 1.0, 1.0), 0.3) for k in range(n_boxes)]
+        pts = np.column_stack(
+            [rng.uniform(-0.4, 0.4, n_points), rng.uniform(-1, 3 * n_boxes, n_points),
+             rng.uniform(-0.6, 0.6, n_points)]
+        )
+        tracemalloc.start()
+        try:
+            counts = box_point_counts(boxes, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want = np.array([np.count_nonzero(_inside(box, pts)) for box in boxes])
+        assert np.array_equal(counts, want) and want.sum() > 0
+        block_bytes = 8 * max(n_points, PAIR_BLOCK)
+        assert peak < 8 * block_bytes < 8 * n_boxes * n_points / 4
+
+
 def _near_boundary(box, p, tol=1e-9):
     local = np.abs(rotation_about_z(box.yaw).T @ (np.asarray(p) - box.center))
     return bool(np.any(np.abs(local - box.half_size) < tol))
@@ -426,6 +500,20 @@ class TestValidation:
     def test_box_rejects_nonpositive_size(self):
         with pytest.raises(ValueError, match="size"):
             Box3D(center=(0, 0, 0), size=(1, 0, 1), yaw=0.0)
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            (dict(size=(math.nan, 1, 1)), "size"),
+            (dict(size=(1, 1, math.nan)), "size"),
+            (dict(yaw=math.nan), "yaw"),
+            (dict(yaw=math.inf), "yaw"),
+            (dict(yaw=-math.inf), "yaw"),
+        ],
+    )
+    def test_box_rejects_nan_size_and_non_finite_yaw(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            Box3D(**{"center": (0, 0, 0), "size": (1, 1, 1), "yaw": 0.0, **kwargs})
 
     def test_box_rejects_bad_visibility(self):
         with pytest.raises(ValueError, match="visibility"):

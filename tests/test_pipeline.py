@@ -450,3 +450,34 @@ def test_traced_benchmark_metrics_enter_their_spans(capsys):
     assert sorted(span for span in spans if calls[0][span] == 0) == []
     assert calls[1]["pipeline.ablation_sweep"] == 1
     assert calls[1]["distill.encode_joint"] == len(rows) == 4
+
+
+# lib-large with 16 channels: 40 boxes, 1408x512 images, 9 frames, a 256^2 grid, box blur.
+LIB_LARGE_16 = {
+    "scene": {"n_boxes": 40, "image_width": 1408, "image_height": 512, "n_frames": 9},
+    "bev": {"grid_h": 256, "grid_w": 256},
+    "context_channels": 16,
+    "encoder_kind": "box_blur",
+}
+
+
+@pytest.mark.parametrize("seed", range(1, 13))
+def test_lib_large_loss_equals_full_grid_oracles(seed, monkeypatch):
+    """run_pipeline's loss and included cells equal distill_loss_reference on the
+    zero-padded full-grid box blur of the student and teacher it encodes."""
+    from fgbev import oracles
+
+    grids, encode = [], fgbev.pipeline.encode_joint
+    monkeypatch.setattr(
+        fgbev.pipeline, "encode_joint", lambda enc, s, t: grids.append((s, t)) or encode(enc, s, t)
+    )
+    result = run_pipeline(config_from_dict({**LIB_LARGE_16, "seed": seed}))
+    ((student, teacher),) = grids
+    enc_s, enc_t = oracles.box_blur_reference(np.stack([student.values, teacher.values]))
+    # Outside the rows and columns where the encoded teacher is non-zero, every teacher
+    # norm is 0 < eps, so the oracle loop runs on that window only.
+    rows, cols = (np.flatnonzero(enc_t.any(axis=(2, a))) for a in (1, 0))
+    window = np.s_[rows.min() : rows.max() + 1, cols.min() : cols.max() + 1]
+    loss, included = oracles.distill_loss_reference(enc_t[window], enc_s[window], 1e-6)
+    assert result.included_cells == included > 0
+    assert math.isclose(result.loss, loss, rel_tol=1e-12)

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,10 +13,12 @@ from fgbev import scene as scene_module
 from fgbev.geometry import (
     Box3D,
     box3d_corners,
+    box_corner_pixels,
     box_point_counts,
     points_in_box,
     project_points_unbounded,
     rotation_about_z,
+    yaw_rotations,
 )
 from fgbev.labels import DepthBinConfig, generate_hard_labels
 from fgbev.selfcheck import level_camera
@@ -176,27 +180,131 @@ SURFACE_BOXES = {
 }
 
 
+def record_placement(monkeypatch):
+    """Patch generate_scene's placement to also append its world-frame arrays to a list."""
+    placed, place = [], scene_module._place_boxes
+    monkeypatch.setattr(
+        scene_module, "_place_boxes", lambda *args: placed.append(place(*args)) or placed[-1]
+    )
+    return placed
+
+
 @pytest.mark.parametrize("n_boxes", [0, 1, 30])
 def test_box_poses_equal_per_box_transforms_bitwise(n_boxes, monkeypatch):
-    # The first n_boxes Box3D that generate_scene builds are the world-frame boxes.
-    built = []
-
-    def recording_box(*args, **kwargs):
-        built.append(Box3D(*args, **kwargs))
-        return built[-1]
-
-    monkeypatch.setattr(scene_module, "Box3D", recording_box)
+    placed = record_placement(monkeypatch)
     cfg = SceneConfig(n_frames=9, n_boxes=n_boxes, lidar_rays_per_box=2, clutter_points=4)
     scene = generate_scene(cfg, 21)
-    world, t_cur = built[:n_boxes], scene.current.timestamp
+    (centers, _, _, velocities, _, _), t_cur = placed[0], scene.current.timestamp
     for frame in scene.frames:
         inv = frame.ego_pose.inverse()
         rot2 = rotation_about_z(-EGO_YAW_RATE * frame.timestamp)[:2, :2]
         assert len(frame.boxes) == n_boxes
-        for w, box in zip(world, frame.boxes):
-            moved = w.center + np.append(w.velocity * (frame.timestamp - t_cur), 0.0)
+        for center, velocity, box in zip(centers, velocities, frame.boxes):
+            moved = center + np.append(velocity * (frame.timestamp - t_cur), 0.0)
             assert box.center.tobytes() == inv.apply(moved).tobytes()
-            assert box.velocity.tobytes() == (rot2 @ w.velocity).tobytes()
+            assert box.velocity.tobytes() == (rot2 @ velocity).tobytes()
+
+
+def field_bytes(value):
+    """A Box3D field as (type, bytes), so equal pairs mean the same type and bits."""
+    if isinstance(value, np.ndarray):
+        return type(value), value.dtype, value.shape, value.tobytes()
+    if isinstance(value, tuple):
+        return type(value), tuple(field_bytes(v) for v in value)
+    return type(value), float(value).hex()
+
+
+BOX_ARRAY_SCENES = {
+    "lib-large": dict(n_boxes=40, image_width=1408, image_height=512, n_frames=9),
+    "3-cameras": dict(n_cameras=3, n_boxes=40, n_frames=3, dropout_fraction=0.5),
+    "0-boxes": dict(n_boxes=0),
+    "1-box": dict(n_boxes=1),
+}
+
+
+class TestBoxArrays:
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("name", sorted(BOX_ARRAY_SCENES))
+    def test_frame_boxes_equal_per_box_builds(self, name, seed, monkeypatch):
+        """Every frame's boxes equal the per-box `Box3D(...)` builds of the world boxes
+        moved into that frame, byte for byte and type for type."""
+        placed = record_placement(monkeypatch)
+        scene = generate_scene(SceneConfig(**BOX_ARRAY_SCENES[name]), seed)
+        # The world boxes as placement drew them: Python floats, ints and bools.
+        c, s, yaws, v, ids, still = placed[0]
+        scalars = zip(s.tolist(), yaws.tolist(), ids.tolist(), still.tolist())
+        world = [
+            Box3D(c[i], tuple(size), yaw, v[i], class_id, is_stationary=stationary)
+            for i, (size, yaw, class_id, stationary) in enumerate(scalars)
+        ]
+
+        def per_box(frame, visibilities):
+            inv = frame.ego_pose.inverse()
+            ego_yaw = EGO_YAW_RATE * frame.timestamp
+            rot2 = rotation_about_z(-ego_yaw)[:2, :2]
+            dt = frame.timestamp - scene.current.timestamp
+            return [
+                Box3D(
+                    inv.apply(w.center + np.append(w.velocity * dt, 0.0)), w.size,
+                    w.yaw - ego_yaw, rot2 @ w.velocity, w.class_id, w.is_stationary, vis,
+                )
+                for w, vis in zip(world, visibilities)
+            ]
+
+        current = per_box(scene.current, [4] * len(world))
+        seen = np.max(
+            [
+                cam.in_image(*box_corner_pixels(cam, current)[0].transpose(2, 0, 1)).sum(axis=1)
+                for cam in scene.current.cameras
+            ],
+            axis=0,
+        )
+        visibilities = (1 + (seen >= 1) + (seen >= 4) + (seen >= 8)).tolist()
+        for frame in scene.frames:
+            assert len(frame.boxes) == len(world)
+            for got, want in zip(frame.boxes, per_box(frame, visibilities)):
+                for f in dataclasses.fields(Box3D):
+                    assert field_bytes(getattr(got, f.name)) == field_bytes(getattr(want, f.name))
+                assert type(got.is_stationary) is bool and type(got.class_id) is int
+                assert type(got.visibility) is int and type(got.yaw) is float
+
+    def test_no_per_box_check_runs(self, monkeypatch):
+        calls, post_init = [], Box3D.__post_init__
+        monkeypatch.setattr(Box3D, "__post_init__", lambda box: calls.append(box) or post_init(box))
+        scene = generate_scene(SceneConfig(**BOX_ARRAY_SCENES["lib-large"]), 0)
+        assert calls == [] and len(scene.current.boxes) == 40
+
+    ROW_ERRORS = [
+        ("centers", [0.0, math.nan, 0.0], "center must be finite"),
+        ("velocities", [math.inf, 0.0], "velocity must be finite"),
+        ("sizes", [1.0, math.nan, 1.0], "size components must be positive"),
+        ("sizes", [1.0, 1.0, 0.0], "size components must be positive"),
+        ("yaws", math.inf, "yaw must be finite"),
+        ("yaws", math.nan, "yaw must be finite"),
+        ("visibility", 5, "visibility must be in"),
+    ]
+
+    @pytest.mark.parametrize("field, value, message", ROW_ERRORS)
+    def test_from_arrays_names_the_field_and_box(self, field, value, message):
+        arrays = {
+            "centers": np.zeros((4, 3)),
+            "sizes": np.ones((4, 3)),
+            "yaws": np.zeros(4),
+            "velocities": np.zeros((4, 2)),
+            "class_ids": np.zeros(4, np.int64),
+            "stationary": np.zeros(4, bool),
+            "visibility": np.full(4, 4),
+        }
+        assert len(Box3D.from_arrays(**arrays)) == 4
+        arrays[field][2] = arrays[field][3] = value
+        with pytest.raises(ValueError, match=re.escape(f"box 2: {message}")) as caught:
+            Box3D.from_arrays(**arrays)
+        # The message after the index is the one `Box3D(...)` gives for that row.
+        row = [arrays[k][2] for k in arrays]
+        row[1] = tuple(row[1].tolist())
+        with pytest.raises(ValueError) as single:
+            Box3D(*row)
+        assert str(caught.value) == f"box 2: {single.value}"
 
 
 class RecordingRng:
@@ -208,6 +316,15 @@ class RecordingRng:
     def __getattr__(self, name):
         self.calls.append(name)
         return getattr(self.rng, name)
+
+
+def sample_boxes(rng, boxes, dropped, n):
+    """`_sample_frame_surface` on the arrays of a box list."""
+    centers = np.array([box.center for box in boxes]).reshape(-1, 3)
+    sizes = np.array([box.size for box in boxes]).reshape(-1, 3)
+    return _sample_frame_surface(
+        rng, centers, sizes, yaw_rotations([box.yaw for box in boxes]), dropped, n
+    )
 
 
 class TestSurfaceSamplingOracle:
@@ -222,7 +339,7 @@ class TestSurfaceSamplingOracle:
     def test_same_points_and_rng_state_as_loop(self, name, n):
         box, n_faces = SURFACE_BOXES[name]
         fast_rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
-        fast = _sample_frame_surface(fast_rng, [box], np.zeros(1, bool), n)
+        fast = sample_boxes(fast_rng, [box], np.zeros(1, bool), n)
         ref = oracles.surface_points_reference(ref_rng, box, n)
         assert fast.shape == ref.shape == ((n if n_faces else 0), 3)
         assert np.array_equal(fast, ref)
@@ -237,7 +354,7 @@ class TestSurfaceSamplingOracle:
         boxes = [SURFACE_BOXES[name][0] for name in names + names + ["two-faces"]][:n_boxes]
         dropped = np.array([False] * 4 + [True] * 4 + [False])[:n_boxes]
         fast_rng, ref_rng = RecordingRng(11), np.random.default_rng(11)
-        fast = _sample_frame_surface(fast_rng, boxes, dropped, n)
+        fast = sample_boxes(fast_rng, boxes, dropped, n)
         ref = [
             oracles.surface_points_reference(ref_rng, box, n)
             for box, drop in zip(boxes, dropped)
