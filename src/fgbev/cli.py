@@ -42,7 +42,7 @@ from .arrayio import (
 )
 from .config import check_budget, from_dict
 from .distill import ENCODERS
-from .geometry import CameraModel, project_box3d_to_box2d
+from .geometry import CameraModel, box_point_counts, project_box3d_to_box2d
 from .labels import DepthBinConfig, generate_hard_labels
 from .msfe import elliptical_gaussian_heatmap, threshold_filter
 from .pci import frame_combination, pci_statistics, pseudo_point_assignment
@@ -228,8 +228,10 @@ def _cmd_pci_stats(args) -> int:
     if args.d_max <= args.d_min:
         raise ValueError(f"--d-max ({args.d_max}) must exceed --d-min ({args.d_min})")
     combined = frame_combination(frame, scene.past)
-    pseudo = pseudo_point_assignment(combined, frame.boxes, cam, (args.d_min, args.d_max))
-    report = dataclasses.asdict(pci_statistics(frame, combined, pseudo))
+    before = box_point_counts(frame.boxes, frame.lidar.points)
+    after = box_point_counts(frame.boxes, combined.points)
+    pseudo = pseudo_point_assignment(after, frame.boxes, cam, (args.d_min, args.d_max))
+    report = dataclasses.asdict(pci_statistics(before, after, pseudo))
     if args.format == "csv":
         print(csv_text(PCI_CSV_COLUMNS, [report]), end="")
     else:

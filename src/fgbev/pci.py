@@ -4,7 +4,7 @@ Two strategies: frame combination pulls stationary-object returns from
 temporally adjacent frames into the current frame, and pseudo point
 assignment gives each still-empty, well-visible, in-range box a single
 synthetic point at its 2D box center with the minimum projected-corner
-depth.
+depth. It and the report read per-box point counts, not clouds.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .geometry import (
     Box3D,
     CameraModel,
     PointCloud,
-    box_point_counts,
     points_in_box,
     visible_corner_rects,
 )
@@ -97,23 +96,22 @@ def frame_combination(current: Frame, adjacent: list[Frame]) -> PointCloud:
 
 
 def pseudo_point_assignment(
-    combined: PointCloud,
+    counts: np.ndarray,
     boxes: list[Box3D],
     cam: CameraModel,
     depth_range: tuple[float, float],
 ) -> list[PseudoPoint]:
     """One synthetic point per box that stayed empty after combination.
 
-    A box qualifies when it contains zero combined points, its nearest
-    projected corner depth lies within depth_range, its visibility is 3 or
-    4, and the center of its unclipped projected 2D box falls inside the
-    image. The emitted point sits at that center with the minimum positive
-    corner depth.
+    counts[i] is how many combined points lie in boxes[i]. A box qualifies
+    when that is zero, its nearest projected corner depth lies within
+    depth_range, its visibility is 3 or 4, and the center of its unclipped
+    projected 2D box falls inside the image. The emitted point sits at that
+    center with the minimum positive corner depth.
     """
     lo, hi = depth_range
-    gated = [i for i, box in enumerate(boxes) if box.visibility in VISIBILITY_GATE]
-    counts = box_point_counts([boxes[i] for i in gated], combined.points)
-    empty = [i for i, n in zip(gated, counts) if not n]
+    empty = [i for i, (box, n) in enumerate(zip(boxes, counts, strict=True))
+             if not n and box.visibility in VISIBILITY_GATE]
     rects, depths = visible_corner_rects(cam, [boxes[i] for i in empty])
     out = []
     for i, (x1, y1, x2, y2), d_corner in zip(empty, rects.tolist(), depths.tolist()):
@@ -127,21 +125,20 @@ def pseudo_point_assignment(
 
 
 def pci_statistics(
-    current: Frame, combined: PointCloud, pseudo: list[PseudoPoint]
+    before: np.ndarray, after: np.ndarray, pseudo: list[PseudoPoint]
 ) -> PciReport:
     """Count how many current-frame boxes each densification stage rescued.
 
-    combined is the frame-combination output (the current cloud when it is
-    off) and pseudo the points assigned to it (empty when assignment is off).
+    before and after are each current box's point count in the current
+    cloud and in the frame-combination output (the same counts when it is
+    off); pseudo is the points assigned (empty when assignment is off).
     """
-    before = int((box_point_counts(current.boxes, current.lidar.points) == 0).sum())
-    if combined is current.lidar:
-        after_fc = before
-    else:
-        after_fc = int((box_point_counts(current.boxes, combined.points) == 0).sum())
+    if len(before) != len(after):
+        raise ValueError(f"{len(before)} box counts before combination but {len(after)} after")
+    after_fc = int((after == 0).sum())
     return PciReport(
-        total_boxes=len(current.boxes),
-        boxes_without_points_before=before,
+        total_boxes=len(before),
+        boxes_without_points_before=int((before == 0).sum()),
         boxes_without_points_after_fc=after_fc,
         boxes_assigned_pseudo=len(pseudo),
         boxes_unrecoverable=after_fc - len(pseudo),

@@ -1,9 +1,11 @@
 """End-to-end orchestration of one frame through the full data path.
 
 prepare: scene -> synthetic features -> foreground fusion diagnostics -> soft
-labels -> frustum -> student pooling. teacher_branch: hard labels on the
-densified cloud -> pseudo points -> teacher pooling -> shared encoding ->
-distillation loss. Only the teacher branch depends on fc_enabled/ppa_enabled.
+labels -> frustum -> student pooling. densify: the teacher's cloud, its hard
+labels and per-box point counts; fc off reuses the current frame's, which
+prepare keeps. teacher_branch: pseudo points and PCI report from the counts
+-> teacher pooling -> shared encoding -> distillation loss. A sweep densifies
+once per fc_enabled value.
 The frustum stage only fixes the lift geometry; each pooling lifts the cells
 its own seg gate passes. Each BEV grid stores only its occupied cells: the
 one encoder encodes each grid's cells, the loss reads the teacher's cells,
@@ -17,13 +19,20 @@ import dataclasses
 import functools
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import ConfigError, bounded, check_budget, check_fields, from_dict
 from .distill import DEFAULT_NORM_EPS, ENCODERS, distillation_loss, encode_joint, get_encoder
-from .geometry import project_box3d_to_box2d
-from .labels import DepthBinConfig, DepthDistributionMap, SegmentationMap, generate_hard_labels
+from .geometry import PointCloud, box_point_counts, project_box3d_to_box2d
+from .labels import (
+    DepthBinConfig,
+    DepthDistributionMap,
+    HardLabels,
+    SegmentationMap,
+    generate_hard_labels,
+)
 from .msfe import ForegroundHeatmap, elliptical_gaussian_heatmap, gaussian_focal_loss, msfe_fuse
 from .pci import (
     PciReport,
@@ -164,9 +173,17 @@ def _stage(timing: dict, name: str, fn):
     return out
 
 
+class DensifiedCloud(NamedTuple):
+    """A teacher cloud in the current frame, its hard labels and each current box's member count."""
+
+    cloud: PointCloud
+    hard: HardLabels
+    counts: np.ndarray
+
+
 @dataclass(frozen=True)
 class PreparedFrame:
-    """Outputs of the stages the fc/ppa toggles leave untouched."""
+    """Outputs of the stages the fc/ppa toggles leave untouched; raw is the current cloud's."""
 
     scene: Scene
     ctx: ContextFeatureMap
@@ -175,6 +192,7 @@ class PreparedFrame:
     frustum: Frustum
     student: BevFeatureGrid
     msfe_metrics: dict
+    raw: DensifiedCloud
 
 
 def prepare(cfg: PipelineConfig, timing: dict) -> PreparedFrame:
@@ -206,52 +224,72 @@ def prepare(cfg: PipelineConfig, timing: dict) -> PreparedFrame:
 
     msfe_metrics = stage("msfe", msfe_diag)
 
-    soft_depth, soft_seg = stage(
-        "soft_labels",
-        lambda: soft_labels_from_frame(
+    def soft_labels():
+        depth, seg, hard = soft_labels_from_frame(
             current, 0, cfg.bins, cfg.soft_label_noise, cfg.seed + 2, FEATURE_STRIDE
-        ),
-    )
+        )
+        counts = box_point_counts(current.boxes, current.lidar.points)
+        return depth, seg, DensifiedCloud(current.lidar, hard, counts)
+
+    soft_depth, soft_seg, raw = stage("soft_labels", soft_labels)
     frustum = stage("frustum", lambda: build_frustum(cam, cfg.bins, FEATURE_STRIDE))
     ctx = ContextFeatureMap(pyramid.f16)
     student = stage(
         "student_pooling",
         lambda: sa_bev_pool(ctx, soft_depth, soft_seg, frustum, cfg.bev, cfg.seg_threshold),
     )
-    return PreparedFrame(scene, ctx, soft_depth, soft_seg, frustum, student, msfe_metrics)
+    return PreparedFrame(scene, ctx, soft_depth, soft_seg, frustum, student, msfe_metrics, raw)
+
+
+def densify(cfg: PipelineConfig, prep: PreparedFrame, timing: dict) -> DensifiedCloud:
+    """The teacher's cloud as cfg.fc_enabled says: the combined frames, or prep.raw.
+
+    With fc off both stages reuse prep.raw but still record a time, so every
+    run times the same stages.
+    """
+    stage = functools.partial(_stage, timing)
+    if not cfg.fc_enabled:
+        stage("frame_combination", lambda: None)
+        stage("hard_labels", lambda: None)
+        return prep.raw
+    current = prep.scene.current
+
+    def combine():
+        cloud = frame_combination(current, prep.scene.past)
+        return cloud, box_point_counts(current.boxes, cloud.points)
+
+    cloud, counts = stage("frame_combination", combine)
+    cloud.require_tag(current.tag)
+    hard = stage(
+        "hard_labels",
+        lambda: generate_hard_labels(
+            cloud, current.boxes, current.cameras[0], cfg.bins, FEATURE_STRIDE
+        ),
+    )
+    return DensifiedCloud(cloud, hard, counts)
 
 
 def teacher_branch(
-    cfg: PipelineConfig, prep: PreparedFrame, timing: dict
+    cfg: PipelineConfig, prep: PreparedFrame, dense: DensifiedCloud, timing: dict
 ) -> tuple[float, int, PciReport, BevFeatureGrid]:
-    """Densify the teacher's LiDAR as cfg.fc_enabled/ppa_enabled say, pool and score it.
+    """Assign pseudo points as cfg.ppa_enabled says, then pool and score the teacher.
 
-    Returns (loss, included cells, PCI report, teacher grid); prep is only read.
+    dense is densify(cfg, prep, ...). Returns (loss, included cells, PCI
+    report, teacher grid); prep and dense are only read.
     """
     stage = functools.partial(_stage, timing)
-    scene = prep.scene
-    current = scene.current
-    cam = current.cameras[0]
-    combined = stage(
-        "frame_combination",
-        lambda: frame_combination(current, scene.past) if cfg.fc_enabled else current.lidar,
-    )
-    combined.require_tag(current.tag)
-    hard = stage(
-        "hard_labels",
-        lambda: generate_hard_labels(combined, current.boxes, cam, cfg.bins, FEATURE_STRIDE),
-    )
+    current = prep.scene.current
 
     def ppa():
         if not cfg.ppa_enabled:
-            return [], hard
+            return [], dense.hard
         pseudo = pseudo_point_assignment(
-            combined, current.boxes, cam, (cfg.bins.d_min, cfg.bins.d_max)
+            dense.counts, current.boxes, current.cameras[0], (cfg.bins.d_min, cfg.bins.d_max)
         )
-        return pseudo, inject_pseudo_points(hard, pseudo, FEATURE_STRIDE)
+        return pseudo, inject_pseudo_points(dense.hard, pseudo, FEATURE_STRIDE)
 
     pseudo, hard_final = stage("pseudo_points", ppa)
-    report = stage("pci_report", lambda: pci_statistics(current, combined, pseudo))
+    report = stage("pci_report", lambda: pci_statistics(prep.raw.counts, dense.counts, pseudo))
     teacher = stage(
         "teacher_pooling",
         lambda: teacher_bev(
@@ -269,10 +307,10 @@ def teacher_branch(
 
 
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
-    """Run one frame end to end: prepare, then the teacher branch."""
+    """Run one frame end to end: prepare, densify, then the teacher branch."""
     timing: dict[str, float] = {}
     prep = prepare(cfg, timing)
-    loss, included, report, teacher = teacher_branch(cfg, prep, timing)
+    loss, included, report, teacher = teacher_branch(cfg, prep, densify(cfg, prep, timing), timing)
     return PipelineResult(
         loss=loss,
         included_cells=included,
@@ -289,7 +327,8 @@ SWEEP_TOGGLES = {"fc": "fc_enabled", "ppa": "ppa_enabled"}
 
 
 def ablation_sweep(base: PipelineConfig, toggles: list[str]) -> list[dict]:
-    """One prepare(), then a teacher branch per on/off combination of the named SWEEP_TOGGLES.
+    """One prepare() and one densify() per fc_enabled value, then a teacher branch per
+    on/off combination of the named SWEEP_TOGGLES.
 
     Row k sets toggle i's flag to bit i of k (all off first); other flags keep base's value.
     Unknown or repeated names fail before any stage runs.
@@ -300,11 +339,14 @@ def ablation_sweep(base: PipelineConfig, toggles: list[str]) -> list[dict]:
         if name in toggles[:k]:
             raise ValueError(f"toggle {name!r} is given more than once")
     prep = prepare(base, {})
+    clouds: dict[bool, DensifiedCloud] = {}
     rows = []
     for mask in range(1 << len(toggles)):
         on = [name for k, name in enumerate(toggles) if mask >> k & 1]
         cfg = dataclasses.replace(base, **{SWEEP_TOGGLES[n]: n in on for n in toggles})
-        loss, included, report, _ = teacher_branch(cfg, prep, {})
+        if cfg.fc_enabled not in clouds:
+            clouds[cfg.fc_enabled] = densify(cfg, prep, {})
+        loss, included, report, _ = teacher_branch(cfg, prep, clouds[cfg.fc_enabled], {})
         pci = dataclasses.asdict(report)
         rows.append({"toggles": on, "loss": loss, "included_cells": included, "pci_report": pci})
     return rows

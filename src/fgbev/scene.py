@@ -34,6 +34,7 @@ from .geometry import (
 from .labels import (
     DepthBinConfig,
     DepthDistributionMap,
+    HardLabels,
     SegmentationMap,
     generate_hard_labels,
 )
@@ -456,7 +457,7 @@ def soft_labels_from_frame(
     noise: float,
     seed: int,
     feature_stride: int = 16,
-) -> tuple[DepthDistributionMap, SegmentationMap]:
+) -> tuple[DepthDistributionMap, SegmentationMap, HardLabels]:
     """Simulate the predictions a well-trained depth/segmentation head would make.
 
     With noise=0 every cell peaks at its true depth: cells covered by this
@@ -464,6 +465,8 @@ def soft_labels_from_frame(
     cells fall back to exact ray casting against the boxes, and everything
     else gets a uniform depth row with the background segmentation floor.
     Noise blends in a seeded random distribution and jitters segmentation.
+    Also returns the frame's own hard labels, the ones the soft labels were
+    built from.
     """
     if noise < 0:
         raise ValueError(f"noise must be nonnegative, got {noise}")
@@ -493,7 +496,7 @@ def soft_labels_from_frame(
         depth = (1.0 - noise) * depth + noise * raw
         seg = np.clip(seg + noise * rng.uniform(-0.3, 0.3, size=seg.shape), 0.0, 1.0)
 
-    return DepthDistributionMap(depth, depth_cfg), SegmentationMap(seg)
+    return DepthDistributionMap(depth, depth_cfg), SegmentationMap(seg), hard
 
 
 # --------------------------------------------------------------------------

@@ -356,13 +356,10 @@ def _suite_pseudo_points(seed: int, n: int) -> SuiteResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     emitted = 0
-    from .geometry import PointCloud
-
-    empty = PointCloud(np.zeros((0, 3)), "check")
     for _ in range(n):
         cam = random_camera(rng, width=256, height=128)
         box = random_box(rng)
-        got = pseudo_point_assignment(empty, [box], cam, (0.1, 1e9))
+        got = pseudo_point_assignment([0], [box], cam, (0.1, 1e9))
         if not got:
             continue
         emitted += 1
@@ -383,7 +380,10 @@ def _suite_inject(seed: int, n: int) -> SuiteResult:
         combined = frame_combination(current, scene.past)
         hard = generate_hard_labels(combined, current.boxes, cam, bin_cfg, 16)
         pseudo = pseudo_point_assignment(
-            combined, current.boxes, cam, (bin_cfg.d_min, bin_cfg.d_max)
+            box_point_counts(current.boxes, combined.points),
+            current.boxes,
+            cam,
+            (bin_cfg.d_min, bin_cfg.d_max),
         )
         injected = inject_pseudo_points(hard, pseudo, 16)
         want = hard.valid_mask

@@ -12,6 +12,7 @@ from fgbev.geometry import (
     RigidTransform,
     box_point_counts,
     points_in_box,
+    visible_corner_rects,
 )
 from fgbev.labels import (
     DepthBinConfig,
@@ -19,6 +20,7 @@ from fgbev.labels import (
     generate_hard_labels,
 )
 from fgbev.pci import (
+    VISIBILITY_GATE,
     PciReport,
     PseudoPoint,
     frame_combination,
@@ -28,7 +30,6 @@ from fgbev.pci import (
 )
 from fgbev.scene import Frame, SceneConfig, generate_scene
 
-EMPTY_CLOUD = PointCloud(np.zeros((0, 3)), "frame-1")
 SMALL_DROPOUT = SceneConfig(
     n_frames=3,
     n_boxes=8,
@@ -48,6 +49,11 @@ def make_frame(tag, ego_pose, boxes, points, timestamp=0.0):
         lidar=PointCloud(np.asarray(points, dtype=float).reshape(-1, 3), tag),
         cameras=[],
     )
+
+
+def no_points(boxes):
+    """Per-box counts of an empty cloud."""
+    return np.zeros(len(boxes), dtype=np.int64)
 
 
 def ppa_camera():
@@ -197,47 +203,44 @@ class TestOneMembershipPass:
 
 class TestPseudoPointAssignment:
     def test_reference_arithmetic(self):
-        got = pseudo_point_assignment(EMPTY_CLOUD, [ppa_box()], ppa_camera(), (1.0, 60.0))
+        got = pseudo_point_assignment([0], [ppa_box()], ppa_camera(), (1.0, 60.0))
         assert len(got) == 1
         p = got[0]
         assert (p.u, p.v, p.depth) == (120.0, 70.0, 22.5)
         assert p.source_box == 0
 
     def test_low_visibility_gate(self):
-        got = pseudo_point_assignment(
-            EMPTY_CLOUD, [ppa_box(visibility=2)], ppa_camera(), (1.0, 60.0)
-        )
+        got = pseudo_point_assignment([0], [ppa_box(visibility=2)], ppa_camera(), (1.0, 60.0))
         assert got == []
 
     def test_box_with_real_point_skipped(self):
-        cloud = PointCloud(np.array([[0.0, 0.0, 27.0]]), "frame-1")
-        got = pseudo_point_assignment(cloud, [ppa_box()], ppa_camera(), (1.0, 60.0))
+        got = pseudo_point_assignment([1], [ppa_box()], ppa_camera(), (1.0, 60.0))
         assert got == []
 
     def test_depth_range_gate(self):
-        got = pseudo_point_assignment(EMPTY_CLOUD, [ppa_box()], ppa_camera(), (30.0, 60.0))
+        got = pseudo_point_assignment([0], [ppa_box()], ppa_camera(), (30.0, 60.0))
         assert got == []
 
     def test_behind_camera_skipped(self):
         box = ppa_box(center=(0.0, 0.0, -27.0))
-        got = pseudo_point_assignment(EMPTY_CLOUD, [box], ppa_camera(), (1.0, 60.0))
+        got = pseudo_point_assignment([0], [box], ppa_camera(), (1.0, 60.0))
         assert got == []
 
     def test_behind_camera_skipped_with_unbounded_depth_range(self):
         # Its rectangle is (+inf, +inf, -inf, -inf) with depth +inf, which passes the
         # depth gate; the NaN center fails the image test.
         boxes = [ppa_box(center=(0.0, 0.0, -27.0)), ppa_box()]
-        got = pseudo_point_assignment(EMPTY_CLOUD, boxes, ppa_camera(), (0.1, math.inf))
+        got = pseudo_point_assignment(no_points(boxes), boxes, ppa_camera(), (0.1, math.inf))
         assert [p.source_box for p in got] == [1]
 
     def test_off_image_center_skipped(self):
         box = ppa_box(center=(-35.0, 0.0, 25.0))
-        got = pseudo_point_assignment(EMPTY_CLOUD, [box], ppa_camera(), (1.0, 60.0))
+        got = pseudo_point_assignment([0], [box], ppa_camera(), (1.0, 60.0))
         assert got == []
 
     def test_at_most_one_point_per_box(self):
         boxes = [ppa_box(), ppa_box(center=(20.0, 0.0, 40.0))]
-        got = pseudo_point_assignment(EMPTY_CLOUD, boxes, ppa_camera(), (1.0, 60.0))
+        got = pseudo_point_assignment(no_points(boxes), boxes, ppa_camera(), (1.0, 60.0))
         assert len(got) == len({p.source_box for p in got})
 
     def test_matches_corner_oracle_on_random_boxes(self):
@@ -251,7 +254,7 @@ class TestPseudoPointAssignment:
                 yaw=rng.uniform(-3, 3),
                 visibility=4,
             )
-            got = pseudo_point_assignment(EMPTY_CLOUD, [box], cam, (0.5, 100.0))
+            got = pseudo_point_assignment([0], [box], cam, (0.5, 100.0))
             if not got:
                 continue
             emitted += 1
@@ -273,12 +276,12 @@ class TestPseudoPointAssignment:
             )
             for _ in range(200)
         ]
-        got = pseudo_point_assignment(EMPTY_CLOUD, boxes, cam, (0.5, math.inf))
+        got = pseudo_point_assignment(no_points(boxes), boxes, cam, (0.5, math.inf))
         want = []
         for i, box in enumerate(boxes):
             want += [
                 PseudoPoint(p.u, p.v, p.depth, i)
-                for p in pseudo_point_assignment(EMPTY_CLOUD, [box], cam, (0.5, math.inf))
+                for p in pseudo_point_assignment([0], [box], cam, (0.5, math.inf))
             ]
         assert got == want and len(got) > 50
 
@@ -286,11 +289,12 @@ class TestPseudoPointAssignment:
 def densified_report(scene, cam, depth_range, fc_enabled=True, ppa_enabled=True):
     """Run frame combination and pseudo points as the pipeline does, then count."""
     current = scene.current
-    combined = frame_combination(current, scene.past) if fc_enabled else current.lidar
-    pseudo = (
-        pseudo_point_assignment(combined, current.boxes, cam, depth_range) if ppa_enabled else []
-    )
-    return pci_statistics(current, combined, pseudo)
+    before = box_point_counts(current.boxes, current.lidar.points)
+    after = before
+    if fc_enabled:
+        after = box_point_counts(current.boxes, frame_combination(current, scene.past).points)
+    pseudo = pseudo_point_assignment(after, current.boxes, cam, depth_range) if ppa_enabled else []
+    return pci_statistics(before, after, pseudo)
 
 
 class TestPciStatistics:
@@ -344,28 +348,28 @@ class TestPciStatistics:
             assert report.boxes_without_points_after_fc <= report.boxes_without_points_before
 
     def test_each_cloud_counted_once(self, monkeypatch):
-        import fgbev.pci as pci
+        # The pipeline counts the current cloud once in prepare and the combined cloud once
+        # per sweep; pseudo points and every report read those counts.
+        import fgbev.pipeline as pipeline
 
         counted = []
-        real = pci.box_point_counts
+        real = pipeline.box_point_counts
         monkeypatch.setattr(
-            pci, "box_point_counts", lambda boxes, p: counted.append(len(boxes)) or real(boxes, p)
+            pipeline, "box_point_counts", lambda boxes, p: counted.append(len(p)) or real(boxes, p)
         )
-        cfg = SceneConfig(n_frames=3, n_boxes=10, dropout_fraction=0.5, image_width=256,
-                          image_height=128)
-        scene = generate_scene(cfg, 5)
-        current = scene.current
-        # With frame combination off the combined cloud is the current one: one count.
-        off = pci_statistics(current, current.lidar, [])
-        assert counted == [10]
-        assert off.boxes_without_points_after_fc == off.boxes_without_points_before > 0
-        combined = frame_combination(current, scene.past)
-        pci_statistics(current, combined, [])
-        assert counted == [10, 10, 10]
-        # One count over the visibility-gated boxes, whatever their number.
-        gated = sum(box.visibility >= 3 for box in current.boxes)
-        pseudo_point_assignment(combined, current.boxes, current.cameras[0], (1.0, 60.0))
-        assert counted == [10, 10, 10, gated]
+        cfg = pipeline.PipelineConfig(
+            scene=SceneConfig(n_frames=3, n_boxes=10, dropout_fraction=0.5, image_width=256,
+                              image_height=128),
+            seed=5,
+        )
+        current = generate_scene(cfg.scene, cfg.seed).current
+        rows = pipeline.ablation_sweep(cfg, ["fc", "ppa"])
+        assert counted[0] == len(current.lidar) < counted[1] and len(counted) == 2
+        off = rows[0]["pci_report"]
+        assert off["boxes_without_points_after_fc"] == off["boxes_without_points_before"] > 0
+        counted.clear()
+        pipeline.run_pipeline(replace(cfg, fc_enabled=False))
+        assert counted == [len(current.lidar)]
 
     def test_flags_reflected_in_report(self):
         cfg = SceneConfig(
@@ -391,6 +395,61 @@ class TestPciStatistics:
             PciReport(5, 1, 2, 1, 1)
         with pytest.raises(ValueError, match="must equal"):
             PciReport(5, 3, 2, 1, 2)
+
+
+def recounting_pci_statistics(current, combined, pseudo):
+    """pci_statistics as it was: it recounted the current and the combined cloud."""
+    before = int((box_point_counts(current.boxes, current.lidar.points) == 0).sum())
+    if combined is current.lidar:
+        after_fc = before
+    else:
+        after_fc = int((box_point_counts(current.boxes, combined.points) == 0).sum())
+    return PciReport(len(current.boxes), before, after_fc, len(pseudo), after_fc - len(pseudo))
+
+
+def recounting_pseudo_point_assignment(combined, boxes, cam, depth_range):
+    """pseudo_point_assignment as it was: it counted the gated boxes' members in the cloud."""
+    lo, hi = depth_range
+    gated = [i for i, box in enumerate(boxes) if box.visibility in VISIBILITY_GATE]
+    counts = box_point_counts([boxes[i] for i in gated], combined.points)
+    empty = [i for i, n in zip(gated, counts) if not n]
+    rects, depths = visible_corner_rects(cam, [boxes[i] for i in empty])
+    out = []
+    for i, (x1, y1, x2, y2), d_corner in zip(empty, rects.tolist(), depths.tolist()):
+        u, v = (x1 + x2) / 2.0, (y1 + y2) / 2.0
+        if lo <= d_corner <= hi and cam.in_image(u, v):
+            out.append(PseudoPoint(u=u, v=v, depth=d_corner, source_box=i))
+    return out
+
+
+def test_counts_equal_the_cloud_recount():
+    """The count-based pseudo points and report equal the versions that recounted clouds."""
+    assigned = rescued = 0
+    for seed in range(20):
+        scene = generate_scene(SMALL_DROPOUT, seed)
+        current = scene.current
+        cam = current.cameras[0]
+        before = box_point_counts(current.boxes, current.lidar.points)
+        for fc_enabled in (False, True):
+            combined = frame_combination(current, scene.past) if fc_enabled else current.lidar
+            after = box_point_counts(current.boxes, combined.points) if fc_enabled else before
+            pseudo = pseudo_point_assignment(after, current.boxes, cam, (1.0, 60.0))
+            assert pseudo == recounting_pseudo_point_assignment(
+                combined, current.boxes, cam, (1.0, 60.0)
+            )
+            for points in (pseudo, []):
+                report = pci_statistics(before, after, points)
+                assert report == recounting_pci_statistics(current, combined, points)
+            assigned += len(pseudo)
+            rescued += report.boxes_without_points_before - report.boxes_without_points_after_fc
+    assert assigned > 0 and rescued > 0
+
+
+def test_counts_must_match_the_boxes():
+    with pytest.raises(ValueError, match="before combination"):
+        pci_statistics(np.zeros(3, dtype=np.int64), np.zeros(2, dtype=np.int64), [])
+    with pytest.raises(ValueError):
+        pseudo_point_assignment([0, 0], [ppa_box()], ppa_camera(), (1.0, 60.0))
 
 
 def empty_hard_labels(h=8, w=16, cfg=None):
@@ -479,8 +538,9 @@ class TestQualifyingBoxGainsCoverage:
             cam = scene.current.cameras[0]
             combined = frame_combination(scene.current, scene.past)
             hard = generate_hard_labels(combined, scene.current.boxes, cam, bin_cfg, 16)
+            counts = box_point_counts(scene.current.boxes, combined.points)
             pseudo = pseudo_point_assignment(
-                combined, scene.current.boxes, cam, (bin_cfg.d_min, bin_cfg.d_max)
+                counts, scene.current.boxes, cam, (bin_cfg.d_min, bin_cfg.d_max)
             )
             out = inject_pseudo_points(hard, pseudo, 16)
             for p in pseudo:
@@ -515,8 +575,9 @@ class TestQualifyingBoxGainsCoverage:
             cam = scene.current.cameras[0]
             combined = frame_combination(scene.current, scene.past)
             hard = generate_hard_labels(combined, scene.current.boxes, cam, bin_cfg, 16)
+            counts = box_point_counts(scene.current.boxes, combined.points)
             pseudo = pseudo_point_assignment(
-                combined, scene.current.boxes, cam, (bin_cfg.d_min, bin_cfg.d_max)
+                counts, scene.current.boxes, cam, (bin_cfg.d_min, bin_cfg.d_max)
             )
             out = inject_pseudo_points(hard, pseudo, 16)
             for p in pseudo:

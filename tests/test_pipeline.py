@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fgbev.pipeline
+import fgbev.scene
 from fgbev.cli import main
 from fgbev.labels import DepthBinConfig, generate_hard_labels
 from fgbev.pci import frame_combination
@@ -38,6 +39,14 @@ SMALL_SCENE = SceneConfig(
 )
 
 
+# The stages run_pipeline times, whatever the fc/ppa toggles.
+STAGES = {
+    "generate_scene", "synth_features", "msfe", "soft_labels", "frustum", "student_pooling",
+    "frame_combination", "hard_labels", "pseudo_points", "pci_report", "teacher_pooling",
+    "encode", "distill_loss",
+}
+
+
 def failing_stage(*args, **kwargs):
     raise ValueError("injected failure")
 
@@ -60,20 +69,14 @@ class TestRunPipeline:
         assert np.array_equal(a.bev_occupancy_teacher, b.bev_occupancy_teacher)
         assert a.to_dict() == b.to_dict()
 
-    def test_all_stages_timed(self):
-        result = run_pipeline(small_config())
-        assert {
-            "generate_scene",
-            "msfe",
-            "soft_labels",
-            "hard_labels",
-            "frame_combination",
-            "pseudo_points",
-            "student_pooling",
-            "teacher_pooling",
-            "encode",
-            "distill_loss",
-        } <= set(result.timing)
+    @pytest.mark.parametrize(
+        "fc, ppa", [(False, False), (True, False), (False, True), (True, True)],
+        ids=["none", "fc", "ppa", "fc-ppa"],
+    )
+    def test_all_stages_timed(self, fc, ppa):
+        # A stage that reuses a prepared value still records its time.
+        result = run_pipeline(small_config(fc_enabled=fc, ppa_enabled=ppa))
+        assert set(result.timing) == STAGES
         assert all(t >= 0 for t in result.timing.values())
 
     def test_fixed_point_without_lidar(self):
@@ -329,23 +332,24 @@ class TestAblationSweep:
         assert [r["toggles"] for r in rows] == [[], ["fc"], ["ppa"], ["fc", "ppa"]]
 
 
-def dropout_sweep_base():
+def dropout_sweep_base(seed=0):
     """A sweep base on a scene where fc and ppa rescue boxes; fc starts off, ppa on."""
     return config_from_dict(
-        {"scene": {"dropout_fraction": 0.5, "n_frames": 4}, "fc_enabled": False}
+        {"scene": {"dropout_fraction": 0.5, "n_frames": 4}, "fc_enabled": False, "seed": seed}
     )
 
 
-def count_calls(monkeypatch, *names):
-    calls = collections.Counter()
+def count_calls(monkeypatch, *names, module=fgbev.pipeline, calls=None):
+    """Count the calls to each named function of module (into calls, when given)."""
+    calls = collections.Counter() if calls is None else calls
     for name in names:
-        fn = getattr(fgbev.pipeline, name)
+        fn = getattr(module, name)
 
         def counted(*args, _name=name, _fn=fn, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(fgbev.pipeline, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -356,20 +360,43 @@ class TestSweepSharesPrepare:
         ids=["none", "fc", "ppa", "fc-ppa", "ppa-fc"],
     )
     def test_rows_equal_run_pipeline(self, toggles, monkeypatch):
-        base = dropout_sweep_base()
-        calls = count_calls(monkeypatch, "generate_scene", "build_frustum")
-        rows = ablation_sweep(base, toggles)
-        assert calls == {"generate_scene": 1, "build_frustum": 1}
-        assert len(rows) == 1 << len(toggles)
+        calls = count_calls(
+            monkeypatch, "generate_scene", "build_frustum", "frame_combination",
+            "generate_hard_labels",
+        )
+        assigned, losses = set(), []
+        for seed in range(8):
+            base = dropout_sweep_base(seed)
+            calls.clear()
+            rows = ablation_sweep(base, toggles)
+            assert calls["generate_scene"] == calls["build_frustum"] == 1
+            # Rows with fc on share one combined cloud and its hard labels; fc off reuses
+            # the hard labels the soft labels were built from.
+            fc_rows = "fc" in toggles or base.fc_enabled
+            assert calls["frame_combination"] == calls["generate_hard_labels"] == fc_rows
+            assert len(rows) == 1 << len(toggles)
+            losses.append(len({r["loss"] for r in rows}))
+            for row in rows:
+                # A toggled flag is on exactly in the rows that name it; the rest keep base's value.
+                flags = {SWEEP_TOGGLES[name]: name in row["toggles"] for name in toggles}
+                result = run_pipeline(dataclasses.replace(base, **flags))
+                assert row["loss"] == result.loss
+                assert row["included_cells"] == result.included_cells
+                assert row["pci_report"] == dataclasses.asdict(result.pci_report)
+                assigned.add(row["pci_report"]["boxes_assigned_pseudo"] > 0)
+        # Over the seeds, some rows assign pseudo points and some assign none (ppa off, or
+        # fc and ppa on at seeds 4 and 5); with no toggles every row has ppa on and fc off.
+        assert assigned == ({False, True} if toggles else {True})
         # The toggles change the teacher.
-        assert len(rows) == 1 or len({r["loss"] for r in rows}) > 1
-        for row in rows:
-            # A toggled flag is on exactly in the rows that name it; the rest keep base's value.
-            flags = {SWEEP_TOGGLES[name]: name in row["toggles"] for name in toggles}
-            result = run_pipeline(dataclasses.replace(base, **flags))
-            assert row["loss"] == result.loss
-            assert row["included_cells"] == result.included_cells
-            assert row["pci_report"] == dataclasses.asdict(result.pci_report)
+        assert len(rows) == 1 or max(losses) > 1
+
+    def test_fc_off_labels_the_cloud_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, "generate_hard_labels")
+        count_calls(monkeypatch, "generate_hard_labels", module=fgbev.scene, calls=calls)
+        for seed in range(8):
+            calls.clear()
+            run_pipeline(dropout_sweep_base(seed))
+            assert calls == {"generate_hard_labels": 1}
 
     @pytest.mark.parametrize(
         "toggles", [["seed"], ["fc", "fc"], ["msfe"]], ids=["seed", "fc-fc", "msfe"]

@@ -449,7 +449,7 @@ class TestFeaturePyramid:
 class TestSoftLabels:
     def test_distributions_normalized_any_noise(self, scene):
         for noise in (0.0, 0.2, 0.8):
-            depth, seg = soft_labels_from_frame(
+            depth, seg, _ = soft_labels_from_frame(
                 scene.current, 0, DepthBinConfig(), noise, seed=11
             )
             assert np.allclose(depth.values.sum(axis=2), 1.0, atol=1e-6)
@@ -458,8 +458,11 @@ class TestSoftLabels:
     def test_noise_zero_matches_measured_bins(self, scene):
         cfg = DepthBinConfig()
         frame = scene.current
-        depth, seg = soft_labels_from_frame(frame, 0, cfg, 0.0, seed=0)
-        hard = generate_hard_labels(frame.lidar, frame.boxes, frame.cameras[0], cfg, 16)
+        depth, seg, hard = soft_labels_from_frame(frame, 0, cfg, 0.0, seed=0)
+        # The hard labels handed back are the frame's own, which the pipeline reuses.
+        want = generate_hard_labels(frame.lidar, frame.boxes, frame.cameras[0], cfg, 16)
+        assert np.array_equal(hard.bins, want.bins)
+        assert np.array_equal(hard.foreground, want.foreground)
         fg = hard.foreground
         assert fg.any()
         assert np.array_equal(depth.values[fg].argmax(axis=1), hard.bins[fg])
@@ -468,7 +471,7 @@ class TestSoftLabels:
     def test_empty_frame_is_floor(self):
         cfg = SceneConfig(n_boxes=0, clutter_points=0, image_width=256, image_height=128)
         s = generate_scene(cfg, 2)
-        depth, seg = soft_labels_from_frame(s.current, 0, DepthBinConfig(), 0.0, seed=0)
+        depth, seg, _ = soft_labels_from_frame(s.current, 0, DepthBinConfig(), 0.0, seed=0)
         assert (seg.values == BACKGROUND_SEG_FLOOR).all()
         assert np.allclose(depth.values, 1.0 / DepthBinConfig().n_bins)
 
