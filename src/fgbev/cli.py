@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -413,6 +414,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built on its first call; parsing leaves it unchanged, so later calls reuse it.
+_shared_parser = functools.cache(build_parser)
+
+
 # glibc mallopt parameters (malloc.h).
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
@@ -436,7 +441,7 @@ def _pin_allocator() -> None:
 
 def main(argv=None) -> int:
     _pin_allocator()
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -47,8 +47,10 @@ class RigidTransform:
         rot = np.asarray(self.rotation, dtype=np.float64)
         if rot.shape != (3, 3):
             raise ValueError(f"rotation must be 3x3, got shape {rot.shape}")
-        if not np.allclose(rot @ rot.T, np.eye(3), atol=ORTHONORMAL_TOL):
-            raise ValueError("rotation is not orthonormal within 1e-9")
+        # A non-finite entry fails before the product, which would warn on inf.
+        ok = np.isfinite(rot).all() and np.abs(rot @ rot.T - np.eye(3)).max() <= ORTHONORMAL_TOL
+        if not ok:
+            raise ValueError(f"rotation is not orthonormal within {ORTHONORMAL_TOL}")
         if abs(np.linalg.det(rot) - 1.0) > 1e-6:
             raise ValueError("rotation must have determinant +1 (no reflections)")
         object.__setattr__(self, "rotation", rot)

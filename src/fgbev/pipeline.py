@@ -42,6 +42,7 @@ from .pci import (
     pseudo_point_assignment,
 )
 from .scene import Scene, SceneConfig, generate_scene, soft_labels_from_frame, synth_feature_pyramid
+from .scene import background_magnitude, rect_cells
 from .view_transform import (
     DEFAULT_SEG_THRESHOLD,
     BevFeatureGrid,
@@ -151,9 +152,16 @@ class PipelineResult:
         return out
 
 
-def _predicted_heatmap(f4: np.ndarray) -> ForegroundHeatmap:
-    """Heatmap stand-in: per-cell feature magnitude rescaled to [0, 1]."""
-    mag = np.linalg.norm(f4, axis=2)
+def _predicted_heatmap(f4: np.ndarray, width: int, height: int, rects: list) -> ForegroundHeatmap:
+    """Heatmap stand-in: per-cell feature magnitude rescaled to [0, 1].
+
+    f4 is synth_feature_pyramid's stride-4 level for boxes projecting to rects; outside their
+    rect_cells it is the background. A cell's norm reads only its own channels, so norming
+    those cells over the cached background magnitude gives the whole-map norm's bits.
+    """
+    mag = background_magnitude(width, height, HEATMAP_STRIDE, f4.shape[2]).copy()
+    for cells in rect_cells(rects, width, height, HEATMAP_STRIDE):
+        mag[cells] = np.linalg.norm(f4[cells], axis=2)
     lo, hi = mag.min(), mag.max()
     if hi <= lo:
         return ForegroundHeatmap(np.zeros_like(mag))
@@ -208,15 +216,13 @@ def prepare(cfg: PipelineConfig, timing: dict) -> PreparedFrame:
     )
 
     def msfe_diag():
-        rects = project_box3d_to_box2d(cam, current.boxes)
+        rects = [r for r in project_box3d_to_box2d(cam, current.boxes) if r is not None]
+        width, height = cam.image_width, cam.image_height
         target = elliptical_gaussian_heatmap(
-            [r for r in rects if r is not None],
-            cam.image_height // HEATMAP_STRIDE,
-            cam.image_width // HEATMAP_STRIDE,
-            HEATMAP_STRIDE,
+            rects, height // HEATMAP_STRIDE, width // HEATMAP_STRIDE, HEATMAP_STRIDE
         )
         fused = msfe_fuse(pyramid, target, cfg.beta)
-        pred = _predicted_heatmap(pyramid.f4)
+        pred = _predicted_heatmap(pyramid.f4, width, height, rects)
         return {
             "fused_l2": float(np.linalg.norm(fused)),
             "heatmap_focal_loss": gaussian_focal_loss(pred, target),
@@ -255,8 +261,10 @@ def densify(cfg: PipelineConfig, prep: PreparedFrame, timing: dict) -> Densified
     current = prep.scene.current
 
     def combine():
+        # The combined cloud lists the current points first, and prepare counted those.
         cloud = frame_combination(current, prep.scene.past)
-        return cloud, box_point_counts(current.boxes, cloud.points)
+        kept = cloud.points[len(current.lidar.points):]
+        return cloud, prep.raw.counts + box_point_counts(current.boxes, kept)
 
     cloud, counts = stage("frame_combination", combine)
     cloud.require_tag(current.tag)

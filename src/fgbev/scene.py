@@ -11,6 +11,7 @@ the sensor mast.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -361,6 +362,30 @@ def background_feature_level(
     return along_u[None, :, :] * along_v[:, None, :]
 
 
+@functools.lru_cache(maxsize=4)
+def background_magnitude(width: int, height: int, stride: int, channels: int) -> np.ndarray:
+    """Read-only per-cell L2 norm of background_feature_level, computed once per process."""
+    mag = np.linalg.norm(background_feature_level(width, height, stride, channels), axis=2)
+    mag.flags.writeable = False
+    return mag
+
+
+def rect_cells(rects: list, width: int, height: int, stride: int) -> list:
+    """(rows, cols) slices of the cells whose centers lie in each rectangle; None stays None.
+
+    Cell centers increase along each axis, so those cells are one row range times one column range.
+    """
+    u = _cell_centers(width // stride, stride)
+    v = _cell_centers(height // stride, stride)
+    return [
+        None if r is None else (
+            slice(np.searchsorted(v, r.y1), np.searchsorted(v, r.y2, "right")),
+            slice(np.searchsorted(u, r.x1), np.searchsorted(u, r.x2, "right")),
+        )
+        for r in rects
+    ]
+
+
 def synth_feature_pyramid(
     frame: Frame, cam_index: int, channels: int, seed: int
 ) -> FeaturePyramid:
@@ -368,31 +393,24 @@ def synth_feature_pyramid(
 
     Each level is a smooth function of pixel position; cells whose centers
     fall inside a projected 2D box get a seeded per-box magnitude boost so
-    foreground regions are distinguishable from background.
+    foreground regions are distinguishable from background. Outside those
+    rect_cells each level is background_feature_level bit for bit.
     """
     cam = frame.cameras[cam_index]
-    if cam.image_width % 16 or cam.image_height % 16:
-        raise ValueError(
-            f"image {cam.image_width}x{cam.image_height} not divisible by 16"
-        )
+    width, height = cam.image_width, cam.image_height
+    if width % 16 or height % 16:
+        raise ValueError(f"image {width}x{height} not divisible by 16")
     rng = np.random.default_rng(seed)
     boosts = rng.uniform(1.0, 2.0, size=len(frame.boxes))
     rects = project_box3d_to_box2d(cam, frame.boxes)
+    chan_gain = 1.0 + 0.1 * np.sin(np.arange(channels))
 
     levels = []
     for stride in (4, 8, 16):
-        level = background_feature_level(cam.image_width, cam.image_height, stride, channels)
-        u = _cell_centers(level.shape[1], stride)
-        v = _cell_centers(level.shape[0], stride)
-        chan_gain = 1.0 + 0.1 * np.sin(np.arange(channels))
-        for amp, rect in zip(boosts, rects):
-            if rect is None:
-                continue
-            # Cell centers increase along each axis, so the cells inside the
-            # rectangle form one row range times one column range.
-            rows = slice(np.searchsorted(v, rect.y1), np.searchsorted(v, rect.y2, "right"))
-            cols = slice(np.searchsorted(u, rect.x1), np.searchsorted(u, rect.x2, "right"))
-            level[rows, cols] += amp * chan_gain
+        level = background_feature_level(width, height, stride, channels)
+        for amp, cells in zip(boosts, rect_cells(rects, width, height, stride)):
+            if cells is not None:
+                level[cells] += amp * chan_gain
         levels.append(level)
     return FeaturePyramid(*levels)
 

@@ -960,6 +960,45 @@ class TestUsability:
         assert main(["labels"]) == 1
 
 
+class TestMainCalledAgain:
+    """main() parses with one parser per process; no call may leave state for the next."""
+
+    def _stdout(self, capsys, argv, code=0) -> str:
+        capsys.readouterr()
+        assert main(argv) == code
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv", [["pipeline"], ["sweep", "--toggles", "fc,ppa", "--seed", "3"]]
+    )
+    def test_identical_calls_print_identical_stdout(self, pipe_cfg_path, capsys, argv):
+        argv = [*argv, "--config", str(pipe_cfg_path)]
+        first = self._stdout(capsys, argv)
+        assert first and self._stdout(capsys, argv) == first
+
+    def test_timing_does_not_carry_over(self, pipe_cfg_path, capsys):
+        argv = ["pipeline", "--config", str(pipe_cfg_path)]
+        plain = self._stdout(capsys, argv)
+        assert "timing" in json.loads(self._stdout(capsys, [*argv, "--timing"]))
+        assert self._stdout(capsys, argv) == plain
+
+    def test_usage_error_then_valid_call(self, pipe_cfg_path, capsys):
+        argv = ["pipeline", "--config", str(pipe_cfg_path)]
+        plain = self._stdout(capsys, argv)
+        assert self._stdout(capsys, [*argv, "--encoder-kind", "nope"], code=1) == ""
+        assert self._stdout(capsys, ["pipeline", "--no-such-flag"], code=1) == ""
+        assert self._stdout(capsys, argv) == plain
+
+    def test_parser_built_at_most_once(self, monkeypatch, capsys):
+        built = []
+        real = fgbev.cli.build_parser
+        monkeypatch.setattr(fgbev.cli, "build_parser", lambda: built.append(1) or real())
+        for argv in (["--help"], ["frobnicate"], ["selfcheck", "--help"], ["labels"]):
+            main(argv)
+        assert len(built) <= 1
+        assert build_parser() is not build_parser()
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fgbev.geometry import (
     _CORNER_SIGNS,
+    ORTHONORMAL_TOL,
     PAIR_BLOCK,
     Box2D,
     Box3D,
@@ -49,6 +50,29 @@ class TestRigidTransform:
     def test_rejects_non_orthonormal(self):
         with pytest.raises(ValueError, match="orthonormal"):
             RigidTransform(np.eye(3) * 1.01, np.zeros(3))
+
+    @pytest.mark.parametrize("scale", [1 + 3e-7, 1 - 3e-7, 1 + 1e-9, 1 - 1e-9])
+    def test_rejects_rotation_beyond_the_tolerance(self, scale):
+        # |R R^T - I| is about 2 * |scale - 1|: above ORTHONORMAL_TOL, though within
+        # a relative 1e-5 of the identity.
+        rot = rotation_about_z(0.3) * scale
+        assert np.abs(rot @ rot.T - np.eye(3)).max() > ORTHONORMAL_TOL
+        with pytest.raises(ValueError, match="orthonormal"):
+            RigidTransform(rot, np.zeros(3))
+
+    @pytest.mark.parametrize("scale", [1 + 4e-10, 1 - 4e-10, 1.0])
+    def test_accepts_rotation_within_the_tolerance(self, scale):
+        rot = rotation_about_z(0.3) * scale
+        assert np.abs(rot @ rot.T - np.eye(3)).max() <= ORTHONORMAL_TOL
+        assert RigidTransform(rot, np.zeros(3)).rotation.tobytes() == rot.tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("index", [(0, 0), (1, 2), (2, 2)])
+    def test_rejects_non_finite_rotation(self, bad, index):
+        rot = rotation_about_z(0.3)
+        rot[index] = bad
+        with pytest.raises(ValueError, match="orthonormal"):
+            RigidTransform(rot, np.zeros(3))
 
     def test_rejects_reflection(self):
         with pytest.raises(ValueError, match="determinant"):

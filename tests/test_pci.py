@@ -348,8 +348,8 @@ class TestPciStatistics:
             assert report.boxes_without_points_after_fc <= report.boxes_without_points_before
 
     def test_each_cloud_counted_once(self, monkeypatch):
-        # The pipeline counts the current cloud once in prepare and the combined cloud once
-        # per sweep; pseudo points and every report read those counts.
+        # The pipeline counts the current cloud once in prepare and, once per sweep, only the
+        # points frame combination adds; pseudo points and every report read those counts.
         import fgbev.pipeline as pipeline
 
         counted = []
@@ -362,9 +362,11 @@ class TestPciStatistics:
                               image_height=128),
             seed=5,
         )
-        current = generate_scene(cfg.scene, cfg.seed).current
+        scene = generate_scene(cfg.scene, cfg.seed)
+        current = scene.current
+        kept = len(frame_combination(current, scene.past)) - len(current.lidar)
         rows = pipeline.ablation_sweep(cfg, ["fc", "ppa"])
-        assert counted[0] == len(current.lidar) < counted[1] and len(counted) == 2
+        assert counted == [len(current.lidar), kept] and kept > 0
         off = rows[0]["pci_report"]
         assert off["boxes_without_points_after_fc"] == off["boxes_without_points_before"] > 0
         counted.clear()

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import fgbev.pipeline
 import fgbev.scene
 from fgbev.cli import main
+from fgbev.geometry import Box2D, Box3D, box_point_counts, project_box3d_to_box2d
 from fgbev.labels import DepthBinConfig, generate_hard_labels
 from fgbev.pci import frame_combination
 from fgbev.pipeline import (
@@ -508,3 +509,86 @@ def test_lib_large_loss_equals_full_grid_oracles(seed, monkeypatch):
     loss, included = oracles.distill_loss_reference(enc_t[window], enc_s[window], 1e-6)
     assert result.included_cells == included > 0
     assert math.isclose(result.loss, loss, rel_tol=1e-12)
+
+
+def _whole_map_heatmap(f4: np.ndarray) -> np.ndarray:
+    """The oracle: the per-cell norm of all of f4, rescaled to [0, 1]."""
+    mag = np.linalg.norm(f4, axis=2)
+    lo, hi = mag.min(), mag.max()
+    return np.zeros_like(mag) if hi <= lo else (mag - lo) / (hi - lo)
+
+
+class TestPredictedHeatmap:
+    """_predicted_heatmap norms only the box cells over the cached background magnitude,
+    and holds the bits of the whole-map norm."""
+
+    def _check(self, frame, channels, seed):
+        cam = frame.cameras[0]
+        f4 = fgbev.scene.synth_feature_pyramid(frame, 0, channels, seed).f4
+        rects = [r for r in project_box3d_to_box2d(cam, frame.boxes) if r is not None]
+        pred = fgbev.pipeline._predicted_heatmap(f4, cam.image_width, cam.image_height, rects)
+        assert pred.values.tobytes() == _whole_map_heatmap(f4).tobytes()
+        return rects
+
+    @pytest.mark.parametrize("seed", range(1, 13))
+    def test_lib_large_scenes(self, seed):
+        cfg = config_from_dict({**LIB_LARGE_16, "context_channels": 32, "seed": seed})
+        assert self._check(generate_scene(cfg.scene, seed).current, 32, seed + 1)
+
+    def test_default_config(self):
+        cfg = PipelineConfig()
+        current = generate_scene(cfg.scene, cfg.seed).current
+        assert self._check(current, cfg.context_channels, cfg.seed + 1)
+
+    @pytest.mark.parametrize("channels", [1, 2, 3, 9, 32])
+    def test_channels_and_rectangle_layouts(self, channels):
+        current = generate_scene(SMALL_SCENE, 0).current
+        cam = current.cameras[0]
+        assert not self._check(dataclasses.replace(current, boxes=[]), channels, 0)
+        # Two boxes straight ahead overlap in the image; the others cross its left and
+        # right borders and its bottom edge.
+        boxes = [Box3D(center=(x, y, 1.0), size=(2.0, 2.0, 2.0), yaw=0.0, visibility=4)
+                 for x, y in ((12.0, 0.0), (14.0, 0.5), (6.0, 6.0), (6.0, -6.0), (3.0, 0.0))]
+        rects = self._check(dataclasses.replace(current, boxes=boxes), channels, 7)
+        assert min(r.x1 for r in rects) == 0.0
+        assert max(r.x2 for r in rects) >= cam.image_width - 1
+        assert max(r.y2 for r in rects) >= cam.image_height - 1
+        a, b = rects[:2]
+        assert max(a.x1, b.x1) < min(a.x2, b.x2) and max(a.y1, b.y1) < min(a.y2, b.y2)
+
+    def test_rect_cells_hold_the_cells_whose_centers_lie_inside(self):
+        rects = [None, Box2D(-30.0, -5.0, 18.0, 6.0), Box2D(10.0, 2.0, 10.0, 2.0),
+                 Box2D(250.0, 100.0, 400.0, 200.0), Box2D(-9.0, -9.0, -1.0, -1.0),
+                 Box2D(6.0, 2.0, 14.0, 10.0)]
+        for stride in (4, 8, 16):
+            cells = fgbev.scene.rect_cells(rects, 256, 128, stride)
+            assert cells[0] is None
+            for rect, (rows, cols) in zip(rects[1:], cells[1:]):
+                mask = np.zeros((128 // stride, 256 // stride), dtype=bool)
+                mask[rows, cols] = True
+                v, u = (np.arange(n) * stride + stride / 2 for n in mask.shape)
+                inside = ((rect.y1 <= v) & (v <= rect.y2))[:, None] & (
+                    (rect.x1 <= u) & (u <= rect.x2))[None, :]
+                assert np.array_equal(mask, inside)
+
+    def test_cached_background_is_read_only(self):
+        mag = fgbev.scene.background_magnitude(256, 128, 4, 3)
+        assert fgbev.scene.background_magnitude(256, 128, 4, 3) is mag
+        assert not mag.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            mag[0, 0] = 1.0
+        bg = fgbev.scene.background_feature_level(256, 128, 4, 3)
+        assert mag.tobytes() == np.linalg.norm(bg, axis=2).tobytes()
+
+
+@pytest.mark.parametrize("scene", [SMALL_SCENE, PipelineConfig().scene,
+                                   config_from_dict({"scene": {"dropout_fraction": 0.5,
+                                                               "n_frames": 4}}).scene])
+@pytest.mark.parametrize("seed", range(4))
+def test_densified_counts_equal_whole_cloud_counts(scene, seed):
+    """densify adds the carried-over points' counts to the current cloud's."""
+    cfg = PipelineConfig(scene=scene, seed=seed)
+    prep = fgbev.pipeline.prepare(cfg, {})
+    dense = fgbev.pipeline.densify(cfg, prep, {})
+    whole = box_point_counts(prep.scene.current.boxes, dense.cloud.points)
+    assert np.array_equal(dense.counts, whole) and dense.counts.dtype == whole.dtype
