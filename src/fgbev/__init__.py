@@ -24,10 +24,12 @@ from .geometry import (
     PointCloud,
     RigidTransform,
     box3d_corners,
+    box_corner_pixels,
     box_point_counts,
+    clip_rects,
     points_in_box,
     project_box3d_to_box2d,
-    project_point,
+    visible_corner_rects,
 )
 from .labels import (
     DepthBinConfig,

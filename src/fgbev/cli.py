@@ -43,7 +43,8 @@ from .arrayio import (
 )
 from .config import check_budget, from_dict
 from .distill import ENCODERS
-from .geometry import CameraModel, box_point_counts, project_box3d_to_box2d
+from .geometry import CameraModel, box_corner_pixels, box_point_counts, visible_corner_rects
+from .geometry import project_box3d_to_box2d
 from .labels import DepthBinConfig, generate_hard_labels
 from .msfe import elliptical_gaussian_heatmap, threshold_filter
 from .pci import frame_combination, pci_statistics, pseudo_point_assignment
@@ -231,7 +232,9 @@ def _cmd_pci_stats(args) -> int:
     combined = frame_combination(frame, scene.past)
     before = box_point_counts(frame.boxes, frame.lidar.points)
     after = box_point_counts(frame.boxes, combined.points)
-    pseudo = pseudo_point_assignment(after, frame.boxes, cam, (args.d_min, args.d_max))
+    rects, near = visible_corner_rects(*box_corner_pixels(cam, frame.boxes))
+    depth_range = (args.d_min, args.d_max)
+    pseudo = pseudo_point_assignment(after, frame.boxes, rects, near, cam, depth_range)
     report = dataclasses.asdict(pci_statistics(before, after, pseudo))
     if args.format == "csv":
         print(csv_text(PCI_CSV_COLUMNS, [report]), end="")
@@ -422,6 +425,7 @@ _shared_parser = functools.cache(build_parser)
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
 
+@functools.cache
 def _pin_allocator() -> None:
     """Serve arrays of up to 32 MiB from the heap and keep up to 64 MiB of it.
 
@@ -429,7 +433,7 @@ def _pin_allocator() -> None:
     the threshold to the largest mapped block freed so far. A BEV grid stores
     its occupied cells, whose number varies with the seed, so the page faults
     each stage paid depended on the seeds the process had run. C libraries
-    without mallopt are left as they are.
+    without mallopt are left as they are. Only the first call acts: the settings last.
     """
     try:
         libc = ctypes.CDLL(None)

@@ -132,25 +132,6 @@ class CameraModel:
         return (0.0 <= u) & (u <= self.image_width - 1) & (0.0 <= v) & (v <= self.image_height - 1)
 
 
-def project_point(cam: CameraModel, p_ego) -> tuple[float, float, float] | None:
-    """Project an ego-frame point to (u, v, depth).
-
-    Returns None when the point is behind the camera (depth <= 0) or lands
-    outside the image bounds [0, W-1] x [0, H-1]. Absence is a value here,
-    not an error.
-    """
-    p = _as_vector(p_ego, 3, "p_ego")
-    pc = cam.ego_to_cam.apply(p)
-    z = pc[2]
-    if z <= 0.0:
-        return None
-    u = cam.fx * pc[0] / z + cam.cx
-    v = cam.fy * pc[1] / z + cam.cy
-    if not cam.in_image(u, v):
-        return None
-    return float(u), float(v), float(z)
-
-
 def project_points_unbounded(cam: CameraModel, points: np.ndarray):
     """Vectorized pinhole projection without bounds filtering.
 
@@ -355,33 +336,36 @@ class Box2D:
         return self.y2 - self.y1
 
 
-def visible_corner_rects(cam: CameraModel, boxes: list[Box3D]):
-    """(rects, depth): each box's unclipped bounding rectangle (x1, y1, x2, y2)
-    over its corners with positive camera depth, (B, 4), and their least depth, (B,).
+def visible_corner_rects(uv: np.ndarray, depth: np.ndarray):
+    """(rects, depth) from box_corner_pixels' (uv, depth): each box's unclipped bounding
+    rectangle (x1, y1, x2, y2) over its corners with positive camera depth, (B, 4), and
+    their least depth, (B,).
 
     A box with no corner in front of the camera gets the empty rectangle
     x1 = y1 = +inf, x2 = y2 = -inf and depth +inf.
     """
-    uv, depth = box_corner_pixels(cam, boxes)
     front = depth > 0.0
     lo = np.where(front[:, :, None], uv, np.inf).min(axis=1)
     hi = np.where(front[:, :, None], uv, -np.inf).max(axis=1)
     return np.concatenate([lo, hi], axis=1), np.where(front, depth, np.inf).min(axis=1)
 
 
-def project_box3d_to_box2d(cam: CameraModel, boxes: list[Box3D]) -> list[Box2D | None]:
-    """Each box's rectangle of projected visible corners, clipped to the image.
-
-    None for a box with no corner of positive depth or whose rectangle misses
-    the image entirely.
-    """
+def clip_rects(cam: CameraModel, rects: np.ndarray) -> list[Box2D | None]:
+    """Each visible_corner_rects rectangle clipped to the image; None for one that misses
+    the image entirely, the empty rectangle of a box with no front corner included."""
     w, h = cam.image_width - 1, cam.image_height - 1
     return [
         None
         if x2 < 0 or y2 < 0 or x1 > w or y1 > h
         else Box2D(max(x1, 0.0), max(y1, 0.0), min(x2, float(w)), min(y2, float(h)))
-        for x1, y1, x2, y2 in visible_corner_rects(cam, boxes)[0].tolist()
+        for x1, y1, x2, y2 in rects.tolist()
     ]
+
+
+def project_box3d_to_box2d(cam: CameraModel, boxes: list[Box3D]) -> list[Box2D | None]:
+    """Each box's rectangle of projected visible corners, clipped to the image (clip_rects
+    of visible_corner_rects of box_corner_pixels); None where clip_rects gives None."""
+    return clip_rects(cam, visible_corner_rects(*box_corner_pixels(cam, boxes))[0])
 
 
 @dataclass(frozen=True)

@@ -14,13 +14,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .geometry import (
-    Box3D,
-    CameraModel,
-    PointCloud,
-    points_in_box,
-    visible_corner_rects,
-)
+from .geometry import Box3D, CameraModel, PointCloud, points_in_box
 from .labels import HardLabels
 from .scene import Frame
 
@@ -98,24 +92,25 @@ def frame_combination(current: Frame, adjacent: list[Frame]) -> PointCloud:
 def pseudo_point_assignment(
     counts: np.ndarray,
     boxes: list[Box3D],
+    rects: np.ndarray,
+    near: np.ndarray,
     cam: CameraModel,
     depth_range: tuple[float, float],
 ) -> list[PseudoPoint]:
     """One synthetic point per box that stayed empty after combination.
 
-    counts[i] is how many combined points lie in boxes[i]. A box qualifies
-    when that is zero, its nearest projected corner depth lies within
-    depth_range, its visibility is 3 or 4, and the center of its unclipped
-    projected 2D box falls inside the image. The emitted point sits at that
-    center with the minimum positive corner depth.
+    counts[i] is how many combined points lie in boxes[i], and rects[i] and
+    near[i] its unclipped projected 2D box in cam and nearest front-corner
+    depth (visible_corner_rects). A box qualifies when its count is zero,
+    that depth lies within depth_range, its visibility is 3 or 4, and the
+    center of its 2D box falls inside the image. The emitted point sits at
+    that center with that depth. A length other than len(boxes) raises ValueError.
     """
     lo, hi = depth_range
-    empty = [i for i, (box, n) in enumerate(zip(boxes, counts, strict=True))
-             if not n and box.visibility in VISIBILITY_GATE]
-    rects, depths = visible_corner_rects(cam, [boxes[i] for i in empty])
     out = []
-    for i, (x1, y1, x2, y2), d_corner in zip(empty, rects.tolist(), depths.tolist()):
-        if not lo <= d_corner <= hi:
+    rows = zip(boxes, counts, rects.tolist(), near.tolist(), strict=True)
+    for i, (box, n, (x1, y1, x2, y2), d_corner) in enumerate(rows):
+        if n or box.visibility not in VISIBILITY_GATE or not lo <= d_corner <= hi:
             continue
         u, v = (x1 + x2) / 2.0, (y1 + y2) / 2.0
         if not cam.in_image(u, v):

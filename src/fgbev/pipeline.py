@@ -1,11 +1,12 @@
 """End-to-end orchestration of one frame through the full data path.
 
-prepare: scene -> synthetic features -> foreground fusion diagnostics -> soft
-labels -> frustum -> student pooling. densify: the teacher's cloud, its hard
-labels and per-box point counts; fc off reuses the current frame's, which
-prepare keeps. teacher_branch: pseudo points and PCI report from the counts
--> teacher pooling -> shared encoding -> distillation loss. A sweep densifies
-once per fc_enabled value.
+prepare: scene -> one projection of the current boxes and synthetic features ->
+foreground fusion diagnostics -> soft labels -> frustum -> student pooling.
+densify: the teacher's cloud, its hard labels and per-box point counts; fc off
+reuses the current frame's, which prepare keeps. teacher_branch: pseudo points
+from the prepared projection and PCI report from the counts -> teacher pooling
+-> shared encoding -> distillation loss. A sweep densifies once per fc_enabled
+value.
 The frustum stage only fixes the lift geometry; each pooling lifts the cells
 its own seg gate passes. Each BEV grid stores only its occupied cells: the
 one encoder encodes each grid's cells, the loss reads the teacher's cells,
@@ -25,7 +26,8 @@ import numpy as np
 
 from .config import ConfigError, bounded, check_budget, check_fields, from_dict
 from .distill import DEFAULT_NORM_EPS, ENCODERS, distillation_loss, encode_joint, get_encoder
-from .geometry import PointCloud, box_point_counts, project_box3d_to_box2d
+from .geometry import PointCloud, box_corner_pixels, box_point_counts, clip_rects
+from .geometry import visible_corner_rects
 from .labels import (
     DepthBinConfig,
     DepthDistributionMap,
@@ -191,9 +193,11 @@ class DensifiedCloud(NamedTuple):
 
 @dataclass(frozen=True)
 class PreparedFrame:
-    """Outputs of the stages the fc/ppa toggles leave untouched; raw is the current cloud's."""
+    """Outputs of the stages the fc/ppa toggles leave untouched; raw is the current cloud's,
+    corners the current boxes' visible_corner_rects in camera 0."""
 
     scene: Scene
+    corners: tuple[np.ndarray, np.ndarray]
     ctx: ContextFeatureMap
     soft_depth: DepthDistributionMap
     soft_seg: SegmentationMap
@@ -210,13 +214,17 @@ def prepare(cfg: PipelineConfig, timing: dict) -> PreparedFrame:
     current = scene.current
     cam = current.cameras[0]
 
-    pyramid = stage(
-        "synth_features",
-        lambda: synth_feature_pyramid(current, 0, cfg.context_channels, cfg.seed + 1),
-    )
+    def features():
+        pixels = box_corner_pixels(cam, current.boxes)  # the one projection of the boxes
+        corners = visible_corner_rects(*pixels)
+        clipped = clip_rects(cam, corners[0])
+        pyramid = synth_feature_pyramid(cam, clipped, cfg.context_channels, cfg.seed + 1)
+        return pixels, corners, clipped, pyramid
+
+    pixels, corners, clipped, pyramid = stage("synth_features", features)
 
     def msfe_diag():
-        rects = [r for r in project_box3d_to_box2d(cam, current.boxes) if r is not None]
+        rects = [r for r in clipped if r is not None]
         width, height = cam.image_width, cam.image_height
         target = elliptical_gaussian_heatmap(
             rects, height // HEATMAP_STRIDE, width // HEATMAP_STRIDE, HEATMAP_STRIDE
@@ -232,7 +240,7 @@ def prepare(cfg: PipelineConfig, timing: dict) -> PreparedFrame:
 
     def soft_labels():
         depth, seg, hard = soft_labels_from_frame(
-            current, 0, cfg.bins, cfg.soft_label_noise, cfg.seed + 2, FEATURE_STRIDE
+            current, 0, pixels, cfg.bins, cfg.soft_label_noise, cfg.seed + 2, FEATURE_STRIDE
         )
         counts = box_point_counts(current.boxes, current.lidar.points)
         return depth, seg, DensifiedCloud(current.lidar, hard, counts)
@@ -244,7 +252,9 @@ def prepare(cfg: PipelineConfig, timing: dict) -> PreparedFrame:
         "student_pooling",
         lambda: sa_bev_pool(ctx, soft_depth, soft_seg, frustum, cfg.bev, cfg.seg_threshold),
     )
-    return PreparedFrame(scene, ctx, soft_depth, soft_seg, frustum, student, msfe_metrics, raw)
+    return PreparedFrame(
+        scene, corners, ctx, soft_depth, soft_seg, frustum, student, msfe_metrics, raw
+    )
 
 
 def densify(cfg: PipelineConfig, prep: PreparedFrame, timing: dict) -> DensifiedCloud:
@@ -292,7 +302,8 @@ def teacher_branch(
         if not cfg.ppa_enabled:
             return [], dense.hard
         pseudo = pseudo_point_assignment(
-            dense.counts, current.boxes, current.cameras[0], (cfg.bins.d_min, cfg.bins.d_max)
+            dense.counts, current.boxes, *prep.corners, current.cameras[0],
+            (cfg.bins.d_min, cfg.bins.d_max),
         )
         return pseudo, inject_pseudo_points(dense.hard, pseudo, FEATURE_STRIDE)
 

@@ -20,14 +20,13 @@ import numpy as np
 
 from .config import ConfigError, bounded, check_budget, check_fields, from_dict, to_dict
 from .geometry import (
+    Box2D,
     Box3D,
     CameraModel,
     PointCloud,
     RigidTransform,
-    box_corner_pixels,
     cuboid_corners,
     points_in_box,
-    project_box3d_to_box2d,
     project_points_unbounded,
     rotation_about_z,
     yaw_rotations,
@@ -387,22 +386,20 @@ def rect_cells(rects: list, width: int, height: int, stride: int) -> list:
 
 
 def synth_feature_pyramid(
-    frame: Frame, cam_index: int, channels: int, seed: int
+    cam: CameraModel, rects: list[Box2D | None], channels: int, seed: int
 ) -> FeaturePyramid:
     """Deterministic stand-in for learned multi-scale image features.
 
-    Each level is a smooth function of pixel position; cells whose centers
-    fall inside a projected 2D box get a seeded per-box magnitude boost so
-    foreground regions are distinguishable from background. Outside those
-    rect_cells each level is background_feature_level bit for bit.
+    rects holds each box's clip_rects 2D box in cam's image, or None. Each level is a
+    smooth function of pixel position; cells whose centers fall inside a 2D box get a
+    seeded per-box magnitude boost so foreground regions are distinguishable from
+    background. Outside those rect_cells each level is background_feature_level bit for bit.
     """
-    cam = frame.cameras[cam_index]
     width, height = cam.image_width, cam.image_height
     if width % 16 or height % 16:
         raise ValueError(f"image {width}x{height} not divisible by 16")
     rng = np.random.default_rng(seed)
-    boosts = rng.uniform(1.0, 2.0, size=len(frame.boxes))
-    rects = project_box3d_to_box2d(cam, frame.boxes)
+    boosts = rng.uniform(1.0, 2.0, size=len(rects))
     chan_gain = 1.0 + 0.1 * np.sin(np.arange(channels))
 
     levels = []
@@ -421,10 +418,11 @@ def synth_feature_pyramid(
 
 
 def _ray_box_entry_depths(
-    cam: CameraModel, boxes: list[Box3D], h_f: int, w_f: int, stride: int
+    cam: CameraModel, boxes: list[Box3D], pixels, h_f: int, w_f: int, stride: int
 ) -> np.ndarray:
     """Camera-frame depth where each feature cell's center ray enters the
-    nearest box; +inf where no box is hit.
+    nearest box; +inf where no box is hit. pixels is box_corner_pixels(cam, boxes);
+    another length raises ValueError.
 
     A ray point at parameter t has depth t > 0, so a box whose 8 corners all
     have depth <= 0 is skipped. A box wholly in front of the camera is tested
@@ -443,7 +441,7 @@ def _ray_box_entry_depths(
     dirs = (dirs_cam @ c2e.rotation.T).reshape(h_f, w_f, 3)
 
     best = np.full((h_f, w_f), np.inf)
-    for box, uv, depth in zip(boxes, *box_corner_pixels(cam, boxes)):
+    for box, uv, depth in zip(boxes, *pixels, strict=True):
         if not (depth > 0.0).any():
             continue
         rows = cols = slice(None)
@@ -471,6 +469,7 @@ def _ray_box_entry_depths(
 def soft_labels_from_frame(
     frame: Frame,
     cam_index: int,
+    pixels: tuple[np.ndarray, np.ndarray],
     depth_cfg: DepthBinConfig,
     noise: float,
     seed: int,
@@ -484,7 +483,7 @@ def soft_labels_from_frame(
     else gets a uniform depth row with the background segmentation floor.
     Noise blends in a seeded random distribution and jitters segmentation.
     Also returns the frame's own hard labels, the ones the soft labels were
-    built from.
+    built from. pixels is box_corner_pixels of the frame's boxes in that camera.
     """
     if noise < 0:
         raise ValueError(f"noise must be nonnegative, got {noise}")
@@ -493,7 +492,7 @@ def soft_labels_from_frame(
     n_bins = depth_cfg.n_bins
 
     hard = generate_hard_labels(frame.lidar, frame.boxes, cam, depth_cfg, feature_stride)
-    entry = _ray_box_entry_depths(cam, frame.boxes, h_f, w_f, feature_stride)
+    entry = _ray_box_entry_depths(cam, frame.boxes, pixels, h_f, w_f, feature_stride)
     ray_bins, ray_ok = depth_cfg.bin_indices(np.where(np.isfinite(entry), entry, 0.0))
     ray_ok &= np.isfinite(entry)
 

@@ -30,8 +30,9 @@ from .geometry import (
     box_point_counts,
     points_in_box,
     project_box3d_to_box2d,
-    project_point,
+    project_points_unbounded,
     rotation_about_z,
+    visible_corner_rects,
 )
 from .labels import (
     DepthBinConfig,
@@ -198,11 +199,12 @@ def _suite_ray_entry(seed: int, n: int) -> SuiteResult:
             dataclasses.replace(random_box(rng), center=rng.uniform((-8, -8, -4), (8, 8, 16)))
             for _ in range(int(rng.integers(1, 7)))
         ]
-        front = np.count_nonzero(box_corner_pixels(cam, boxes)[1] > 0.0, axis=1)
+        pixels = box_corner_pixels(cam, boxes)
+        front = np.count_nonzero(pixels[1] > 0.0, axis=1)
         rules["skipped"] += int(np.count_nonzero(front == 0))
         rules["windowed"] += int(np.count_nonzero(front == 8))
         rules["full"] += int(np.count_nonzero((front > 0) & (front < 8)))
-        got = _ray_box_entry_depths(cam, boxes, 12, 16, 8)
+        got = _ray_box_entry_depths(cam, boxes, pixels, 12, 16, 8)
         want = oracles.ray_entry_depth_reference(cam, boxes, 12, 16, 8)
         if not np.array_equal(got, want):
             return SuiteResult("ray-entry", False, "entry depths differ from the unculled oracle")
@@ -250,15 +252,13 @@ def _suite_frustum_roundtrip(seed: int, n: int) -> SuiteResult:
         cam = random_camera(rng, width=64, height=32)
         frustum = build_frustum(cam, bin_cfg, 8)
         picks = rng.integers(0, len(frustum), 20)
-        for idx in picks:
-            r, c, b = frustum.rows[idx], frustum.cols[idx], frustum.bins[idx]
-            hit = project_point(cam, frustum.points[idx])
-            if hit is None:
-                bad += 1
-                continue
-            u, v, d = hit
-            if int(v // 8) != r or int(u // 8) != c or bin_cfg.bin_index(d) != b:
-                bad += 1
+        uv, d = project_points_unbounded(cam, frustum.points[picks])
+        u, v = uv.T
+        bins, in_range = bin_cfg.bin_indices(d)
+        # A point behind the camera has NaN pixels, which in_image rejects.
+        ok = cam.in_image(u, v) & in_range & (bins == frustum.bins[picks])
+        ok &= (v // 8 == frustum.rows[picks]) & (u // 8 == frustum.cols[picks])
+        bad += int(np.count_nonzero(~ok))
     return SuiteResult("frustum-roundtrip", bad == 0, f"{bad} bad round trips")
 
 
@@ -359,7 +359,8 @@ def _suite_pseudo_points(seed: int, n: int) -> SuiteResult:
     for _ in range(n):
         cam = random_camera(rng, width=256, height=128)
         box = random_box(rng)
-        got = pseudo_point_assignment([0], [box], cam, (0.1, 1e9))
+        corners = visible_corner_rects(*box_corner_pixels(cam, [box]))
+        got = pseudo_point_assignment([0], [box], *corners, cam, (0.1, 1e9))
         if not got:
             continue
         emitted += 1
@@ -382,6 +383,7 @@ def _suite_inject(seed: int, n: int) -> SuiteResult:
         pseudo = pseudo_point_assignment(
             box_point_counts(current.boxes, combined.points),
             current.boxes,
+            *visible_corner_rects(*box_corner_pixels(cam, current.boxes)),
             cam,
             (bin_cfg.d_min, bin_cfg.d_max),
         )

@@ -19,7 +19,7 @@ from fgbev.distill import (
     encode_joint,
     loss_gradient_check,
 )
-from fgbev.geometry import Box3D, box_point_counts
+from fgbev.geometry import Box3D, box_corner_pixels, box_point_counts, visible_corner_rects
 from fgbev.labels import DepthBinConfig, generate_hard_labels, merge_labels
 from fgbev.msfe import (
     Box2D,
@@ -52,6 +52,12 @@ from fgbev.view_transform import (
     ContextFeatureMap,
     sa_bev_pool,
 )
+
+
+def assign(counts, boxes, cam, depth_range):
+    """pseudo_point_assignment on the boxes' own projection in cam."""
+    rects, near = visible_corner_rects(*box_corner_pixels(cam, boxes))
+    return pseudo_point_assignment(counts, boxes, rects, near, cam, depth_range)
 
 
 def report(n, text):
@@ -220,7 +226,7 @@ def test_criterion_06_pci_monotonicity_and_bookkeeping():
         combined = frame_combination(scene.current, scene.past)
         before = box_point_counts(scene.current.boxes, scene.current.lidar.points)
         after = box_point_counts(scene.current.boxes, combined.points)
-        pseudo = pseudo_point_assignment(
+        pseudo = assign(
             after, scene.current.boxes, cam, (bin_cfg.d_min, bin_cfg.d_max)
         )
         report_ = pci_statistics(before, after, pseudo)
@@ -249,10 +255,10 @@ def test_criterion_06_pci_monotonicity_and_bookkeeping():
 
     cam = CameraModel(100.0, 100.0, 120.0, 70.0, RigidTransform.identity(), 256, 256)
     visible = Box3D(center=(0, 0, 27), size=(9, 9, 9), yaw=0.0, visibility=4)
-    assert pseudo_point_assignment([0], [visible], cam, (1.0, 60.0))
+    assert assign([0], [visible], cam, (1.0, 60.0))
     for vis in (1, 2):
         gated = Box3D(center=(0, 0, 27), size=(9, 9, 9), yaw=0.0, visibility=vis)
-        assert pseudo_point_assignment([0], [gated], cam, (1.0, 60.0)) == []
+        assert assign([0], [gated], cam, (1.0, 60.0)) == []
     report(6, f"50 scenes: monotone coverage ({strict_decrease} strict), exact "
               f"bookkeeping, {emitted_total} pseudo points all foreground, "
               "visibility<=2 never assigned")
@@ -270,7 +276,7 @@ def test_criterion_07_pseudo_point_equation_exactness():
             yaw=rng.uniform(-math.pi, math.pi),
             visibility=4,
         )
-        got = pseudo_point_assignment([0], [box], cam, (0.5, 200.0))
+        got = assign([0], [box], cam, (0.5, 200.0))
         if not got:
             continue
         emitted += 1

@@ -1047,6 +1047,26 @@ def test_main_serves_large_arrays_from_the_heap(capsys):
     del block
 
 
+def test_allocator_pinned_once_per_process(monkeypatch, capsys):
+    calls = []
+
+    class FakeLibc:
+        def mallopt(self, param, value):
+            calls.append((param, value))
+            return 1
+
+    monkeypatch.setattr(fgbev.cli.ctypes, "CDLL", lambda name: FakeLibc())
+    fgbev.cli._pin_allocator.cache_clear()
+    try:
+        assert main(["--help"]) == 0
+        assert main(["frobnicate"]) == 1
+    finally:
+        fgbev.cli._pin_allocator.cache_clear()  # the next main call pins the real allocator
+    assert calls == [
+        (fgbev.cli._M_MMAP_THRESHOLD, 32 << 20), (fgbev.cli._M_TRIM_THRESHOLD, 64 << 20)
+    ]
+
+
 class TestArrayIO:
     def test_occupancy_scaling(self):
         from fgbev.arrayio import occupancy_to_u16

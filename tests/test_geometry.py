@@ -19,9 +19,10 @@ from fgbev.geometry import (
     box3d_corners,
     box_corner_pixels,
     box_point_counts,
+    clip_rects,
     points_in_box,
     project_box3d_to_box2d,
-    project_point,
+    project_points_unbounded,
     rotation_about_z,
     visible_corner_rects,
 )
@@ -79,18 +80,33 @@ class TestRigidTransform:
             RigidTransform(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
 
 
+def project(cam, points):
+    """(u, v, depth) arrays of the points, and whether each lands in the image."""
+    uv, depth = project_points_unbounded(cam, points)
+    u, v = uv.T
+    return u, v, depth, cam.in_image(u, v)
+
+
 class TestProjectPoint:
+    """One point at a time through project_points_unbounded and in_image."""
+
     def test_principal_axis(self):
-        assert project_point(simple_camera(), (0, 0, 10)) == (50.0, 50.0, 10.0)
+        u, v, depth, inside = project(simple_camera(), [(0, 0, 10)])
+        assert (u[0], v[0], depth[0], inside[0]) == (50.0, 50.0, 10.0, True)
 
     def test_pinhole_arithmetic(self):
-        assert project_point(simple_camera(), (1, 0, 10)) == (60.0, 50.0, 10.0)
+        u, v, depth, inside = project(simple_camera(), [(1, 0, 10)])
+        assert (u[0], v[0], depth[0], inside[0]) == (60.0, 50.0, 10.0, True)
 
     def test_behind_camera_is_absent(self):
-        assert project_point(simple_camera(), (0, 0, -5)) is None
+        u, v, depth, inside = project(simple_camera(), [(0, 0, -5), (0, 0, 0)])
+        assert np.isnan(u).all() and np.isnan(v).all()
+        assert depth.tolist() == [-5.0, 0.0] and not inside.any()
 
     def test_outside_image_is_absent(self):
-        assert project_point(simple_camera(), (100, 0, 10)) is None
+        u, v, _, inside = project(simple_camera(), [(100, 0, 10), (0, -100, 10)])
+        assert u.tolist() == [1050.0, 50.0] and v.tolist() == [50.0, -950.0]
+        assert not inside.any()
 
     def test_in_image_bounds_are_closed_and_nan_is_outside(self):
         cam = simple_camera(w=101, h=51, cy=25.0)
@@ -112,19 +128,14 @@ class TestProjectPoint:
             y = (v - cam.cy) / cam.fy * depth
             return cam.cam_to_ego.apply(np.array([x, y, depth]))
 
-        hits = 0
-        for _ in range(500):
-            # Build the point inside the frustum: pick a pixel and a depth.
-            z = rng.uniform(0.5, 40.0)
-            u0 = rng.uniform(0, cam.image_width - 1)
-            v0 = rng.uniform(0, cam.image_height - 1)
-            p = back_project(u0, v0, z)
-            res = project_point(cam, p)
-            assert res is not None
-            hits += 1
-            u, v, d = res
-            assert np.allclose(back_project(u, v, d), p, atol=1e-6)
-        assert hits == 500
+        # Build the points inside the frustum: pick a pixel and a depth for each.
+        z = rng.uniform(0.5, 40.0, 500)
+        u0 = rng.uniform(0, cam.image_width - 1, 500)
+        v0 = rng.uniform(0, cam.image_height - 1, 500)
+        p = np.array([back_project(*args) for args in zip(u0, v0, z)])
+        u, v, d, inside = project(cam, p)
+        assert inside.all()
+        assert np.allclose([back_project(*args) for args in zip(u, v, d)], p, atol=1e-6)
 
 
 class TestBoxCorners:
@@ -469,8 +480,9 @@ class TestBoxLists:
         boxes = _mixed_boxes(rng, 60)
         corners = box3d_corners(boxes)
         uv, depth = box_corner_pixels(cam, boxes)
-        rects, min_depth = visible_corner_rects(cam, boxes)
+        rects, min_depth = visible_corner_rects(uv, depth)
         clipped = project_box3d_to_box2d(cam, boxes)
+        assert clipped == clip_rects(cam, rects)
         assert corners.shape == (64, 8, 3) and uv.shape == (64, 8, 2) and rects.shape == (64, 4)
         front = (depth > 0).sum(axis=1)
         assert (front == 0).any() and (front == 8).any() and ((front > 0) & (front < 8)).any()
@@ -482,7 +494,7 @@ class TestBoxLists:
             one_uv, one_depth = box_corner_pixels(cam, [box])
             assert uv[k].tobytes() == one_uv[0].tobytes()
             assert depth[k].tobytes() == one_depth[0].tobytes()
-            one_rect, one_min = visible_corner_rects(cam, [box])
+            one_rect, one_min = visible_corner_rects(one_uv, one_depth)
             assert rects[k].tobytes() == one_rect[0].tobytes()
             assert min_depth[k].tobytes() == one_min[0].tobytes()
             assert clipped[k] == project_box3d_to_box2d(cam, [box])[0]
@@ -497,7 +509,8 @@ class TestBoxLists:
     def test_no_front_corner_gives_empty_inf_rectangle(self):
         cam = simple_camera()
         boxes = [Box3D(center=(0, 0, -20), size=(2, 2, 2), yaw=0.0), Box3D((0, 0, 10), (2, 2, 2), 0.0)]
-        rects, min_depth = visible_corner_rects(cam, boxes)
+        rects, min_depth = visible_corner_rects(*box_corner_pixels(cam, boxes))
+        assert clip_rects(cam, rects)[0] is None
         assert rects[0].tolist() == [math.inf, math.inf, -math.inf, -math.inf]
         assert min_depth[0] == math.inf and min_depth[1] == 9.0
         assert np.isnan(box_corner_pixels(cam, boxes[:1])[0]).all()
@@ -505,11 +518,11 @@ class TestBoxLists:
     def test_empty_list(self):
         cam = simple_camera()
         uv, depth = box_corner_pixels(cam, [])
-        rects, min_depth = visible_corner_rects(cam, [])
+        rects, min_depth = visible_corner_rects(uv, depth)
         assert box3d_corners([]).shape == (0, 8, 3)
         assert uv.shape == (0, 8, 2) and depth.shape == (0, 8)
         assert rects.shape == (0, 4) and min_depth.shape == (0,)
-        assert project_box3d_to_box2d(cam, []) == []
+        assert project_box3d_to_box2d(cam, []) == clip_rects(cam, rects) == []
 
 
 class TestValidation:

@@ -10,6 +10,7 @@ from fgbev.geometry import (
     CameraModel,
     PointCloud,
     RigidTransform,
+    box_corner_pixels,
     box_point_counts,
     points_in_box,
     visible_corner_rects,
@@ -29,6 +30,12 @@ from fgbev.pci import (
     pseudo_point_assignment,
 )
 from fgbev.scene import Frame, SceneConfig, generate_scene
+
+
+def assign(counts, boxes, cam, depth_range):
+    """pseudo_point_assignment on the boxes' own projection in cam."""
+    rects, near = visible_corner_rects(*box_corner_pixels(cam, boxes))
+    return pseudo_point_assignment(counts, boxes, rects, near, cam, depth_range)
 
 SMALL_DROPOUT = SceneConfig(
     n_frames=3,
@@ -203,44 +210,44 @@ class TestOneMembershipPass:
 
 class TestPseudoPointAssignment:
     def test_reference_arithmetic(self):
-        got = pseudo_point_assignment([0], [ppa_box()], ppa_camera(), (1.0, 60.0))
+        got = assign([0], [ppa_box()], ppa_camera(), (1.0, 60.0))
         assert len(got) == 1
         p = got[0]
         assert (p.u, p.v, p.depth) == (120.0, 70.0, 22.5)
         assert p.source_box == 0
 
     def test_low_visibility_gate(self):
-        got = pseudo_point_assignment([0], [ppa_box(visibility=2)], ppa_camera(), (1.0, 60.0))
+        got = assign([0], [ppa_box(visibility=2)], ppa_camera(), (1.0, 60.0))
         assert got == []
 
     def test_box_with_real_point_skipped(self):
-        got = pseudo_point_assignment([1], [ppa_box()], ppa_camera(), (1.0, 60.0))
+        got = assign([1], [ppa_box()], ppa_camera(), (1.0, 60.0))
         assert got == []
 
     def test_depth_range_gate(self):
-        got = pseudo_point_assignment([0], [ppa_box()], ppa_camera(), (30.0, 60.0))
+        got = assign([0], [ppa_box()], ppa_camera(), (30.0, 60.0))
         assert got == []
 
     def test_behind_camera_skipped(self):
         box = ppa_box(center=(0.0, 0.0, -27.0))
-        got = pseudo_point_assignment([0], [box], ppa_camera(), (1.0, 60.0))
+        got = assign([0], [box], ppa_camera(), (1.0, 60.0))
         assert got == []
 
     def test_behind_camera_skipped_with_unbounded_depth_range(self):
         # Its rectangle is (+inf, +inf, -inf, -inf) with depth +inf, which passes the
         # depth gate; the NaN center fails the image test.
         boxes = [ppa_box(center=(0.0, 0.0, -27.0)), ppa_box()]
-        got = pseudo_point_assignment(no_points(boxes), boxes, ppa_camera(), (0.1, math.inf))
+        got = assign(no_points(boxes), boxes, ppa_camera(), (0.1, math.inf))
         assert [p.source_box for p in got] == [1]
 
     def test_off_image_center_skipped(self):
         box = ppa_box(center=(-35.0, 0.0, 25.0))
-        got = pseudo_point_assignment([0], [box], ppa_camera(), (1.0, 60.0))
+        got = assign([0], [box], ppa_camera(), (1.0, 60.0))
         assert got == []
 
     def test_at_most_one_point_per_box(self):
         boxes = [ppa_box(), ppa_box(center=(20.0, 0.0, 40.0))]
-        got = pseudo_point_assignment(no_points(boxes), boxes, ppa_camera(), (1.0, 60.0))
+        got = assign(no_points(boxes), boxes, ppa_camera(), (1.0, 60.0))
         assert len(got) == len({p.source_box for p in got})
 
     def test_matches_corner_oracle_on_random_boxes(self):
@@ -254,7 +261,7 @@ class TestPseudoPointAssignment:
                 yaw=rng.uniform(-3, 3),
                 visibility=4,
             )
-            got = pseudo_point_assignment([0], [box], cam, (0.5, 100.0))
+            got = assign([0], [box], cam, (0.5, 100.0))
             if not got:
                 continue
             emitted += 1
@@ -276,12 +283,12 @@ class TestPseudoPointAssignment:
             )
             for _ in range(200)
         ]
-        got = pseudo_point_assignment(no_points(boxes), boxes, cam, (0.5, math.inf))
+        got = assign(no_points(boxes), boxes, cam, (0.5, math.inf))
         want = []
         for i, box in enumerate(boxes):
             want += [
                 PseudoPoint(p.u, p.v, p.depth, i)
-                for p in pseudo_point_assignment([0], [box], cam, (0.5, math.inf))
+                for p in assign([0], [box], cam, (0.5, math.inf))
             ]
         assert got == want and len(got) > 50
 
@@ -293,7 +300,7 @@ def densified_report(scene, cam, depth_range, fc_enabled=True, ppa_enabled=True)
     after = before
     if fc_enabled:
         after = box_point_counts(current.boxes, frame_combination(current, scene.past).points)
-    pseudo = pseudo_point_assignment(after, current.boxes, cam, depth_range) if ppa_enabled else []
+    pseudo = assign(after, current.boxes, cam, depth_range) if ppa_enabled else []
     return pci_statistics(before, after, pseudo)
 
 
@@ -415,7 +422,7 @@ def recounting_pseudo_point_assignment(combined, boxes, cam, depth_range):
     gated = [i for i, box in enumerate(boxes) if box.visibility in VISIBILITY_GATE]
     counts = box_point_counts([boxes[i] for i in gated], combined.points)
     empty = [i for i, n in zip(gated, counts) if not n]
-    rects, depths = visible_corner_rects(cam, [boxes[i] for i in empty])
+    rects, depths = visible_corner_rects(*box_corner_pixels(cam, [boxes[i] for i in empty]))
     out = []
     for i, (x1, y1, x2, y2), d_corner in zip(empty, rects.tolist(), depths.tolist()):
         u, v = (x1 + x2) / 2.0, (y1 + y2) / 2.0
@@ -435,7 +442,7 @@ def test_counts_equal_the_cloud_recount():
         for fc_enabled in (False, True):
             combined = frame_combination(current, scene.past) if fc_enabled else current.lidar
             after = box_point_counts(current.boxes, combined.points) if fc_enabled else before
-            pseudo = pseudo_point_assignment(after, current.boxes, cam, (1.0, 60.0))
+            pseudo = assign(after, current.boxes, cam, (1.0, 60.0))
             assert pseudo == recounting_pseudo_point_assignment(
                 combined, current.boxes, cam, (1.0, 60.0)
             )
@@ -450,8 +457,19 @@ def test_counts_equal_the_cloud_recount():
 def test_counts_must_match_the_boxes():
     with pytest.raises(ValueError, match="before combination"):
         pci_statistics(np.zeros(3, dtype=np.int64), np.zeros(2, dtype=np.int64), [])
+    rects, near = visible_corner_rects(*box_corner_pixels(ppa_camera(), [ppa_box()]))
     with pytest.raises(ValueError):
-        pseudo_point_assignment([0, 0], [ppa_box()], ppa_camera(), (1.0, 60.0))
+        pseudo_point_assignment([0, 0], [ppa_box()], rects, near, ppa_camera(), (1.0, 60.0))
+
+
+def test_projection_must_match_the_boxes():
+    boxes = [ppa_box(), ppa_box(center=(20.0, 0.0, 40.0))]
+    rects, near = visible_corner_rects(*box_corner_pixels(ppa_camera(), boxes))
+    for r, d in ((rects[:1], near), (rects, near[:1]), (rects[:1], near[:1])):
+        with pytest.raises(ValueError):
+            pseudo_point_assignment([0, 0], boxes, r, d, ppa_camera(), (1.0, 60.0))
+    with pytest.raises(ValueError):  # a longer projection, too
+        pseudo_point_assignment([0], boxes[:1], rects, near, ppa_camera(), (1.0, 60.0))
 
 
 def empty_hard_labels(h=8, w=16, cfg=None):
@@ -541,7 +559,7 @@ class TestQualifyingBoxGainsCoverage:
             combined = frame_combination(scene.current, scene.past)
             hard = generate_hard_labels(combined, scene.current.boxes, cam, bin_cfg, 16)
             counts = box_point_counts(scene.current.boxes, combined.points)
-            pseudo = pseudo_point_assignment(
+            pseudo = assign(
                 counts, scene.current.boxes, cam, (bin_cfg.d_min, bin_cfg.d_max)
             )
             out = inject_pseudo_points(hard, pseudo, 16)
@@ -578,7 +596,7 @@ class TestQualifyingBoxGainsCoverage:
             combined = frame_combination(scene.current, scene.past)
             hard = generate_hard_labels(combined, scene.current.boxes, cam, bin_cfg, 16)
             counts = box_point_counts(scene.current.boxes, combined.points)
-            pseudo = pseudo_point_assignment(
+            pseudo = assign(
                 counts, scene.current.boxes, cam, (bin_cfg.d_min, bin_cfg.d_max)
             )
             out = inject_pseudo_points(hard, pseudo, 16)

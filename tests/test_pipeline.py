@@ -3,6 +3,7 @@ import dataclasses
 import importlib.util
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fgbev.geometry
 import fgbev.pipeline
 import fgbev.scene
 from fgbev.cli import main
@@ -391,6 +393,28 @@ class TestSweepSharesPrepare:
         # The toggles change the teacher.
         assert len(rows) == 1 or max(losses) > 1
 
+    @pytest.mark.parametrize(
+        "fc, ppa", [(False, False), (True, False), (False, True), (True, True)],
+        ids=["none", "fc", "ppa", "fc-ppa"],
+    )
+    def test_boxes_projected_once(self, fc, ppa, monkeypatch):
+        """One projection of the current boxes per run and per sweep, counted at the name
+        box_corner_pixels in every fgbev module that binds it."""
+        real = fgbev.geometry.box_corner_pixels
+        modules = [module for name, module in sorted(sys.modules.items())
+                   if name.startswith("fgbev.") and getattr(module, "box_corner_pixels", 0) is real]
+        assert {fgbev.geometry, fgbev.pipeline} <= set(modules)
+        calls = collections.Counter()
+        for module in modules:
+            count_calls(monkeypatch, "box_corner_pixels", module=module, calls=calls)
+        base = dataclasses.replace(dropout_sweep_base(), fc_enabled=fc, ppa_enabled=ppa)
+        run_pipeline(base)
+        assert calls == {"box_corner_pixels": 1}
+        calls.clear()
+        rows = ablation_sweep(base, ["fc", "ppa"])
+        assert calls == {"box_corner_pixels": 1}
+        assert any(row["pci_report"]["boxes_assigned_pseudo"] for row in rows)
+
     def test_fc_off_labels_the_cloud_once(self, monkeypatch):
         calls = count_calls(monkeypatch, "generate_hard_labels")
         count_calls(monkeypatch, "generate_hard_labels", module=fgbev.scene, calls=calls)
@@ -524,8 +548,9 @@ class TestPredictedHeatmap:
 
     def _check(self, frame, channels, seed):
         cam = frame.cameras[0]
-        f4 = fgbev.scene.synth_feature_pyramid(frame, 0, channels, seed).f4
-        rects = [r for r in project_box3d_to_box2d(cam, frame.boxes) if r is not None]
+        clipped = project_box3d_to_box2d(cam, frame.boxes)
+        f4 = fgbev.scene.synth_feature_pyramid(cam, clipped, channels, seed).f4
+        rects = [r for r in clipped if r is not None]
         pred = fgbev.pipeline._predicted_heatmap(f4, cam.image_width, cam.image_height, rects)
         assert pred.values.tobytes() == _whole_map_heatmap(f4).tobytes()
         return rects

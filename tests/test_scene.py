@@ -16,6 +16,7 @@ from fgbev.geometry import (
     box_corner_pixels,
     box_point_counts,
     points_in_box,
+    project_box3d_to_box2d,
     project_points_unbounded,
     rotation_about_z,
     yaw_rotations,
@@ -37,6 +38,18 @@ from fgbev.scene import (
     soft_labels_from_frame,
     synth_feature_pyramid,
 )
+
+
+def features(frame, channels, seed):
+    """synth_feature_pyramid on the frame's 2D boxes in camera 0."""
+    cam = frame.cameras[0]
+    return synth_feature_pyramid(cam, project_box3d_to_box2d(cam, frame.boxes), channels, seed)
+
+
+def soft_labels(frame, depth_cfg, noise, seed):
+    """soft_labels_from_frame on camera 0, with the frame's boxes projected through it."""
+    pixels = box_corner_pixels(frame.cameras[0], frame.boxes)
+    return soft_labels_from_frame(frame, 0, pixels, depth_cfg, noise, seed)
 
 SMALL = SceneConfig(
     n_frames=3,
@@ -404,15 +417,15 @@ class TestSceneValidation:
 
 class TestFeaturePyramid:
     def test_shapes_and_strides(self, scene):
-        pyr = synth_feature_pyramid(scene.current, 0, 6, seed=1)
+        pyr = features(scene.current, 6, seed=1)
         h, w = SMALL.image_height, SMALL.image_width
         assert pyr.f4.shape == (h // 4, w // 4, 6)
         assert pyr.f8.shape == (h // 8, w // 8, 6)
         assert pyr.f16.shape == (h // 16, w // 16, 6)
 
     def test_bitwise_deterministic(self, scene):
-        a = synth_feature_pyramid(scene.current, 0, 4, seed=5)
-        b = synth_feature_pyramid(scene.current, 0, 4, seed=5)
+        a = features(scene.current, 4, seed=5)
+        b = features(scene.current, 4, seed=5)
         assert np.array_equal(a.f4, b.f4)
         assert np.array_equal(a.f8, b.f8)
         assert np.array_equal(a.f16, b.f16)
@@ -420,45 +433,36 @@ class TestFeaturePyramid:
     def test_empty_frame_equals_background(self):
         cfg = SceneConfig(n_boxes=0, image_width=256, image_height=128)
         s = generate_scene(cfg, 3)
-        pyr = synth_feature_pyramid(s.current, 0, 5, seed=7)
+        pyr = features(s.current, 5, seed=7)
         for stride, level in ((4, pyr.f4), (8, pyr.f8), (16, pyr.f16)):
             assert np.array_equal(
                 level, background_feature_level(256, 128, stride, 5)
             )
 
     def test_boxes_elevate_foreground(self, scene):
-        pyr = synth_feature_pyramid(scene.current, 0, 4, seed=2)
+        pyr = features(scene.current, 4, seed=2)
         bg = background_feature_level(SMALL.image_width, SMALL.image_height, 4, 4)
         assert np.abs(pyr.f4).max() > np.abs(bg).max()
 
     def test_indivisible_image_rejected(self):
-        from fgbev.geometry import CameraModel, PointCloud, RigidTransform
+        from fgbev.geometry import CameraModel, RigidTransform
 
         cam = CameraModel(100, 100, 50, 50, RigidTransform.identity(), 250, 130)
-        frame = Frame(
-            timestamp=0.0,
-            ego_pose=RigidTransform.identity(),
-            boxes=[],
-            lidar=PointCloud(np.zeros((0, 3)), "frame-0"),
-            cameras=[cam],
-        )
         with pytest.raises(ValueError, match="divisible"):
-            synth_feature_pyramid(frame, 0, 4, seed=0)
+            synth_feature_pyramid(cam, [], 4, seed=0)
 
 
 class TestSoftLabels:
     def test_distributions_normalized_any_noise(self, scene):
         for noise in (0.0, 0.2, 0.8):
-            depth, seg, _ = soft_labels_from_frame(
-                scene.current, 0, DepthBinConfig(), noise, seed=11
-            )
+            depth, seg, _ = soft_labels(scene.current, DepthBinConfig(), noise, seed=11)
             assert np.allclose(depth.values.sum(axis=2), 1.0, atol=1e-6)
             assert seg.values.min() >= 0.0 and seg.values.max() <= 1.0
 
     def test_noise_zero_matches_measured_bins(self, scene):
         cfg = DepthBinConfig()
         frame = scene.current
-        depth, seg, hard = soft_labels_from_frame(frame, 0, cfg, 0.0, seed=0)
+        depth, seg, hard = soft_labels(frame, cfg, 0.0, seed=0)
         # The hard labels handed back are the frame's own, which the pipeline reuses.
         want = generate_hard_labels(frame.lidar, frame.boxes, frame.cameras[0], cfg, 16)
         assert np.array_equal(hard.bins, want.bins)
@@ -471,19 +475,19 @@ class TestSoftLabels:
     def test_empty_frame_is_floor(self):
         cfg = SceneConfig(n_boxes=0, clutter_points=0, image_width=256, image_height=128)
         s = generate_scene(cfg, 2)
-        depth, seg, _ = soft_labels_from_frame(s.current, 0, DepthBinConfig(), 0.0, seed=0)
+        depth, seg, _ = soft_labels(s.current, DepthBinConfig(), 0.0, seed=0)
         assert (seg.values == BACKGROUND_SEG_FLOOR).all()
         assert np.allclose(depth.values, 1.0 / DepthBinConfig().n_bins)
 
     def test_deterministic_given_seed(self, scene):
-        a = soft_labels_from_frame(scene.current, 0, DepthBinConfig(), 0.3, seed=4)
-        b = soft_labels_from_frame(scene.current, 0, DepthBinConfig(), 0.3, seed=4)
+        a = soft_labels(scene.current, DepthBinConfig(), 0.3, seed=4)
+        b = soft_labels(scene.current, DepthBinConfig(), 0.3, seed=4)
         assert np.array_equal(a[0].values, b[0].values)
         assert np.array_equal(a[1].values, b[1].values)
 
     def test_negative_noise_rejected(self, scene):
         with pytest.raises(ValueError, match="noise"):
-            soft_labels_from_frame(scene.current, 0, DepthBinConfig(), -0.1, seed=0)
+            soft_labels(scene.current, DepthBinConfig(), -0.1, seed=0)
 
 
 class TestRayEntryDepths:
@@ -491,7 +495,7 @@ class TestRayEntryDepths:
 
     def _check(self, cam, boxes, stride=8):
         h_f, w_f = cam.feature_grid_shape(stride)
-        got = _ray_box_entry_depths(cam, boxes, h_f, w_f, stride)
+        got = _ray_box_entry_depths(cam, boxes, box_corner_pixels(cam, boxes), h_f, w_f, stride)
         want = oracles.ray_entry_depth_reference(cam, boxes, h_f, w_f, stride)
         assert np.array_equal(got, want)
         return want
@@ -532,6 +536,17 @@ class TestRayEntryDepths:
         # the rectangle of the corners in front of it (v from 39.5 to 55.5).
         assert np.isfinite(want[0]).any()
         assert np.array_equal(self._check(cam, [behind, across, off_image]), want)
+
+    def test_projection_must_match_the_boxes(self, scene):
+        frame = scene.current
+        cam = frame.cameras[0]
+        pixels = box_corner_pixels(cam, frame.boxes)
+        fewer = (pixels[0][1:], pixels[1][1:])
+        for given, boxes in ((fewer, frame.boxes), (pixels, frame.boxes[1:])):
+            with pytest.raises(ValueError):
+                _ray_box_entry_depths(cam, boxes, given, 8, 16, 16)
+        with pytest.raises(ValueError):
+            soft_labels_from_frame(frame, 0, fewer, DepthBinConfig(), 0.0, seed=0)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_generated_scenes(self, seed):

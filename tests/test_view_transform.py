@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fgbev import oracles
-from fgbev.geometry import CameraModel, RigidTransform, project_point
+from fgbev.geometry import CameraModel, RigidTransform, project_points_unbounded
 from fgbev.labels import (
     DepthBinConfig,
     DepthDistributionMap,
@@ -83,13 +83,14 @@ class TestBuildFrustum:
         cam = camera()
         frustum = build_frustum(cam, BIN_CFG, 8)
         rng = np.random.default_rng(0)
-        for idx in rng.integers(0, len(frustum), 100):
-            res = project_point(cam, frustum.points[idx])
-            assert res is not None
-            u, v, d = res
-            assert int(v // 8) == frustum.rows[idx]
-            assert int(u // 8) == frustum.cols[idx]
-            assert BIN_CFG.bin_index(d) == frustum.bins[idx]
+        picks = rng.integers(0, len(frustum), 100)
+        uv, d = project_points_unbounded(cam, frustum.points[picks])
+        u, v = uv.T
+        assert cam.in_image(u, v).all()
+        assert np.array_equal(v // 8, frustum.rows[picks])
+        assert np.array_equal(u // 8, frustum.cols[picks])
+        bins, in_range = BIN_CFG.bin_indices(d)
+        assert in_range.all() and np.array_equal(bins, frustum.bins[picks])
 
     def test_stride_must_divide(self):
         with pytest.raises(ValueError, match="divide"):
