@@ -22,11 +22,15 @@ FOCAL_ALPHA, FOCAL_GAMMA = 2.0, 4.0  # the focal loss's alpha and gamma
 
 @dataclass(frozen=True)
 class FeaturePyramid:
-    """Three feature maps at strides 4, 8, 16 with a shared channel count."""
+    """Three feature maps at strides 4, 8, 16 with a shared channel count. f4 and f8 may
+    store only some rows: rows4 and rows8 hold each stored row's whole-map id, ascending
+    (every row by default); f16 is whole."""
 
     f4: np.ndarray
     f8: np.ndarray
     f16: np.ndarray
+    rows4: np.ndarray | None = None
+    rows8: np.ndarray | None = None
 
     def __post_init__(self):
         for name in ("f4", "f8", "f16"):
@@ -39,15 +43,32 @@ class FeaturePyramid:
         if not (self.f4.shape[2] == self.f8.shape[2] == self.f16.shape[2]):
             raise ValueError("pyramid levels must share a channel count")
         h, w, _ = self.f16.shape
-        if self.f8.shape[:2] != (2 * h, 2 * w) or self.f4.shape[:2] != (4 * h, 4 * w):
-            raise ValueError(
-                f"pyramid spatial sizes must be in 1:2:4 ratio, got "
-                f"{self.f4.shape[:2]}, {self.f8.shape[:2]}, {self.f16.shape[:2]}"
-            )
+        for name, k in (("f4", 4), ("f8", 2)):
+            ids = getattr(self, "rows" + name[1:])
+            ids = np.arange(k * h) if ids is None else np.asarray(ids, dtype=np.intp)
+            if ids.ndim != 1 or (np.diff(ids) <= 0).any() or ((ids < 0) | (ids >= k * h)).any():
+                raise ValueError(f"rows{name[1:]} must be ascending row ids below {k * h}")
+            if getattr(self, name).shape[:2] != (len(ids), k * w):
+                raise ValueError(
+                    f"pyramid spatial sizes must be in 1:2:4 ratio, got {self.f4.shape[:2]}, "
+                    f"{self.f8.shape[:2]}, {self.f16.shape[:2]} for {len(ids)} stored {name} rows"
+                )
+            object.__setattr__(self, "rows" + name[1:], ids)
 
     @property
     def channels(self) -> int:
         return self.f16.shape[2]
+
+    def row_index(self, name: str, rows: np.ndarray) -> np.ndarray:
+        """Where f4 or f8 stores each of the given whole-map rows; ValueError names one it
+        does not store."""
+        ids = getattr(self, "rows" + name[1:])
+        at = np.full(len(self.f16) * 16 // int(name[1:]), -1)
+        at[ids] = np.arange(len(ids))
+        at = at[rows]
+        if (at < 0).any():
+            raise ValueError(f"{name} row {rows[np.argmax(at < 0)]} is not stored")
+        return at
 
 
 @dataclass(frozen=True)
@@ -135,27 +156,33 @@ def downsample(values: np.ndarray, factor: int) -> np.ndarray:
     return arr.reshape(shape).mean(axis=(1, 3))
 
 
+def foreground_bands(heatmap: ForegroundHeatmap, beta: float):
+    """threshold_filter's values, the stride-16 rows whose 4-row band of them holds a
+    non-zero cell, and those rows' stride-8 and stride-4 rows, all ascending."""
+    mask4 = threshold_filter(heatmap, beta).values
+    rows = np.flatnonzero(mask4.reshape(-1, 4 * mask4.shape[1]).any(axis=1))
+    return mask4, rows, *((k * rows[:, None] + np.arange(k)).ravel() for k in (2, 4))
+
+
 def msfe_fuse(pyr: FeaturePyramid, heatmap: ForegroundHeatmap, beta: float) -> np.ndarray:
     """Fuse foreground-gated high-resolution features into the stride-16 map.
 
     Computes the filtered heatmap, gates f4 and f8 with it (broadcast across
     channels), average-pools both down to stride 16, and adds them to a copy
     of f16. Only the stride-16 rows whose 4-row band of the mask holds a
-    non-zero cell are gated and pooled. In every other row both terms are
-    signed zeros, so skipping them can change only the sign of a zero f16
-    cell. The kept rows go through the same `downsample` reshape as the
-    whole map, so every other cell keeps its bits (README "Determinism").
+    non-zero cell are gated and pooled, so pyr must store only their f4 and f8
+    rows. In every other row both terms are signed zeros, so skipping them can
+    change only the sign of a zero f16 cell. The kept rows go through the same
+    `downsample` reshape as the whole map, so every other cell keeps its bits
+    (README "Determinism").
     """
-    if heatmap.shape != pyr.f4.shape[:2]:
-        raise ValueError(
-            f"heatmap shape {heatmap.shape} must match f4 spatial {pyr.f4.shape[:2]}"
-        )
-    mask4 = threshold_filter(heatmap, beta).values
-    rows = np.flatnonzero(mask4.reshape(pyr.f16.shape[0], -1).any(axis=1))
-    band4, band8 = ((k * rows[:, None] + np.arange(k)).ravel() for k in (4, 2))
+    h, w, _ = pyr.f16.shape
+    if heatmap.shape != (4 * h, 4 * w):
+        raise ValueError(f"heatmap shape {heatmap.shape} must match f4 spatial {(4 * h, 4 * w)}")
+    mask4, rows, band8, band4 = foreground_bands(heatmap, beta)
     mask4 = mask4[band4]
-    term8 = downsample(pyr.f8[band8] * downsample(mask4, 2)[:, :, None], 2)
-    term4 = downsample(pyr.f4[band4] * mask4[:, :, None], 4)
+    term8 = downsample(pyr.f8[pyr.row_index("f8", band8)] * downsample(mask4, 2)[:, :, None], 2)
+    term4 = downsample(pyr.f4[pyr.row_index("f4", band4)] * mask4[:, :, None], 4)
     fused = pyr.f16.copy()
     fused[rows] = fused[rows] + term8 + term4
     return fused

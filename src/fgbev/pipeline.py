@@ -1,7 +1,8 @@
 """End-to-end orchestration of one frame through the full data path.
 
-prepare: scene -> one projection of the current boxes and synthetic features ->
-foreground fusion diagnostics -> soft labels -> frustum -> student pooling.
+prepare: scene -> one projection of the current boxes, the MSFE target, and synthetic
+features with f4 and f8 built only on the rows MSFE reads -> foreground fusion
+diagnostics -> soft labels -> frustum -> student pooling.
 densify: the teacher's cloud, its hard labels and per-box point counts; fc off
 reuses the current frame's, which prepare keeps. teacher_branch: pseudo points
 from the prepared projection and PCI report from the counts -> teacher pooling
@@ -35,7 +36,8 @@ from .labels import (
     SegmentationMap,
     generate_hard_labels,
 )
-from .msfe import ForegroundHeatmap, elliptical_gaussian_heatmap, gaussian_focal_loss, msfe_fuse
+from .msfe import ForegroundHeatmap, elliptical_gaussian_heatmap, foreground_bands
+from .msfe import gaussian_focal_loss, msfe_fuse
 from .pci import (
     PciReport,
     frame_combination,
@@ -154,16 +156,17 @@ class PipelineResult:
         return out
 
 
-def _predicted_heatmap(f4: np.ndarray, width: int, height: int, rects: list) -> ForegroundHeatmap:
+def _predicted_heatmap(pyr, width: int, height: int, rects: list) -> ForegroundHeatmap:
     """Heatmap stand-in: per-cell feature magnitude rescaled to [0, 1].
 
-    f4 is synth_feature_pyramid's stride-4 level for boxes projecting to rects; outside their
-    rect_cells it is the background. A cell's norm reads only its own channels, so norming
-    those cells over the cached background magnitude gives the whole-map norm's bits.
+    pyr is synth_feature_pyramid's for boxes projecting to rects; outside their rect_cells f4
+    is the background. A cell's norm reads only its own channels, so norming those cells
+    (whose rows pyr must store) over the cached background magnitude gives the whole-map bits.
     """
-    mag = background_magnitude(width, height, HEATMAP_STRIDE, f4.shape[2]).copy()
-    for cells in rect_cells(rects, width, height, HEATMAP_STRIDE):
-        mag[cells] = np.linalg.norm(f4[cells], axis=2)
+    mag = background_magnitude(width, height, HEATMAP_STRIDE, pyr.channels).copy()
+    for rows, cols in rect_cells(rects, width, height, HEATMAP_STRIDE):
+        at = pyr.row_index("f4", np.arange(rows.start, rows.stop))
+        mag[rows, cols] = np.linalg.norm(pyr.f4[at, cols], axis=2)
     lo, hi = mag.min(), mag.max()
     if hi <= lo:
         return ForegroundHeatmap(np.zeros_like(mag))
@@ -213,24 +216,32 @@ def prepare(cfg: PipelineConfig, timing: dict) -> PreparedFrame:
     scene: Scene = stage("generate_scene", lambda: generate_scene(cfg.scene, cfg.seed))
     current = scene.current
     cam = current.cameras[0]
+    width, height = cam.image_width, cam.image_height
 
     def features():
         pixels = box_corner_pixels(cam, current.boxes)  # the one projection of the boxes
         corners = visible_corner_rects(*pixels)
         clipped = clip_rects(cam, corners[0])
-        pyramid = synth_feature_pyramid(cam, clipped, cfg.context_channels, cfg.seed + 1)
-        return pixels, corners, clipped, pyramid
-
-    pixels, corners, clipped, pyramid = stage("synth_features", features)
-
-    def msfe_diag():
         rects = [r for r in clipped if r is not None]
-        width, height = cam.image_width, cam.image_height
         target = elliptical_gaussian_heatmap(
             rects, height // HEATMAP_STRIDE, width // HEATMAP_STRIDE, HEATMAP_STRIDE
         )
+        # f4 and f8 only on the rows msfe_fuse and _predicted_heatmap read. A row mask, since
+        # plain np.unique imports numpy.ma on its first call, 10-17 ms in a fresh process.
+        _, _, rows8, band4 = foreground_bands(target, cfg.beta)
+        need4 = np.zeros(height // HEATMAP_STRIDE, dtype=bool)
+        for rows in [band4, *(r for r, _ in rect_cells(rects, width, height, HEATMAP_STRIDE))]:
+            need4[rows] = True
+        pyramid = synth_feature_pyramid(
+            cam, clipped, cfg.context_channels, cfg.seed + 1, np.flatnonzero(need4), rows8
+        )
+        return pixels, corners, rects, target, pyramid
+
+    pixels, corners, rects, target, pyramid = stage("synth_features", features)
+
+    def msfe_diag():
         fused = msfe_fuse(pyramid, target, cfg.beta)
-        pred = _predicted_heatmap(pyramid.f4, width, height, rects)
+        pred = _predicted_heatmap(pyramid, width, height, rects)
         return {
             "fused_l2": float(np.linalg.norm(fused)),
             "heatmap_focal_loss": gaussian_focal_loss(pred, target),

@@ -348,11 +348,12 @@ def _cell_centers(n: int, stride: int) -> np.ndarray:
 
 
 def background_feature_level(
-    width: int, height: int, stride: int, channels: int
+    width: int, height: int, stride: int, channels: int, rows: np.ndarray | None = None
 ) -> np.ndarray:
-    """The seed-free smooth background, sampled at one stride's cell centers."""
+    """The seed-free smooth background at one stride's cell centers, on rows (None: all)."""
     u = _cell_centers(width // stride, stride)
     v = _cell_centers(height // stride, stride)
+    v = v if rows is None else v[rows]
     k = np.arange(channels)
     # Each factor depends on (column, channel) or (row, channel) only, so it is
     # evaluated once there and the product is formed by broadcasting.
@@ -369,13 +370,15 @@ def background_magnitude(width: int, height: int, stride: int, channels: int) ->
     return mag
 
 
-def rect_cells(rects: list, width: int, height: int, stride: int) -> list:
+def rect_cells(rects: list, width: int, height: int, stride: int, rows=None) -> list:
     """(rows, cols) slices of the cells whose centers lie in each rectangle; None stays None.
 
     Cell centers increase along each axis, so those cells are one row range times one column range.
+    Given ascending row ids, the rows slice indexes those ids instead of all rows.
     """
     u = _cell_centers(width // stride, stride)
     v = _cell_centers(height // stride, stride)
+    v = v if rows is None else v[rows]
     return [
         None if r is None else (
             slice(np.searchsorted(v, r.y1), np.searchsorted(v, r.y2, "right")),
@@ -386,7 +389,7 @@ def rect_cells(rects: list, width: int, height: int, stride: int) -> list:
 
 
 def synth_feature_pyramid(
-    cam: CameraModel, rects: list[Box2D | None], channels: int, seed: int
+    cam: CameraModel, rects: list[Box2D | None], channels: int, seed: int, rows4=None, rows8=None
 ) -> FeaturePyramid:
     """Deterministic stand-in for learned multi-scale image features.
 
@@ -394,6 +397,8 @@ def synth_feature_pyramid(
     smooth function of pixel position; cells whose centers fall inside a 2D box get a
     seeded per-box magnitude boost so foreground regions are distinguishable from
     background. Outside those rect_cells each level is background_feature_level bit for bit.
+    f4 and f8 are built only on the ascending row ids rows4 and rows8 (every row for None),
+    and each cell they store has the bits it has in the whole level.
     """
     width, height = cam.image_width, cam.image_height
     if width % 16 or height % 16:
@@ -403,13 +408,13 @@ def synth_feature_pyramid(
     chan_gain = 1.0 + 0.1 * np.sin(np.arange(channels))
 
     levels = []
-    for stride in (4, 8, 16):
-        level = background_feature_level(width, height, stride, channels)
-        for amp, cells in zip(boosts, rect_cells(rects, width, height, stride)):
+    for stride, ids in ((4, rows4), (8, rows8), (16, None)):
+        level = background_feature_level(width, height, stride, channels, ids)
+        for amp, cells in zip(boosts, rect_cells(rects, width, height, stride, ids)):
             if cells is not None:
                 level[cells] += amp * chan_gain
         levels.append(level)
-    return FeaturePyramid(*levels)
+    return FeaturePyramid(*levels, rows4, rows8)
 
 
 # --------------------------------------------------------------------------
@@ -510,7 +515,9 @@ def soft_labels_from_frame(
         rng = np.random.default_rng(seed)
         raw = rng.uniform(0.0, 1.0, size=depth.shape)
         raw /= raw.sum(axis=2, keepdims=True)
-        depth = (1.0 - noise) * depth + noise * raw
+        depth *= 1.0 - noise
+        raw *= noise
+        depth += raw
         seg = np.clip(seg + noise * rng.uniform(-0.3, 0.3, size=seg.shape), 0.0, 1.0)
 
     return DepthDistributionMap(depth, depth_cfg), SegmentationMap(seg), hard

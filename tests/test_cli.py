@@ -819,6 +819,28 @@ class TestSelfcheckCommand:
         assert done.returncode == 0, done.stderr
         assert done.stdout == "[]\n"
 
+    def test_pipeline_and_sweep_leave_numpy_ma_unloaded(self):
+        """Plain np.unique imports numpy.ma on its first call, 10-17 ms in a fresh process;
+        a pipeline op and a sweep op must not pay that."""
+        src = str(Path(fgbev.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = (
+            "import contextlib, io, sys, fgbev.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [fgbev.cli.main(argv) for argv in (['pipeline'],\n"
+            "             ['sweep', '--toggles', 'fc,ppa'])]\n"
+            "print(codes, 'numpy.ma' in sys.modules)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[0, 0] False\n"
+
 
 def _oracle(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)

@@ -304,6 +304,50 @@ class TestMsfeFuse:
             FeaturePyramid(**levels)
 
 
+class TestRowSubsetPyramid:
+    """A pyramid may store only some f4 and f8 rows; its readers map rows through the ids."""
+
+    def test_row_index_maps_rows_through_the_ids(self):
+        pyr = random_pyramid(np.random.default_rng(13))
+        rows4, rows8 = np.array([1, 2, 9, 15]), np.array([0, 5])
+        part = FeaturePyramid(pyr.f4[rows4], pyr.f8[rows8], pyr.f16, rows4, rows8)
+        assert np.array_equal(part.row_index("f4", np.array([9, 1, 9])), [2, 0, 2])
+        assert np.array_equal(part.row_index("f8", rows8), [0, 1])
+        assert np.array_equal(pyr.rows4, np.arange(16)) and np.array_equal(pyr.rows8, np.arange(8))
+        assert np.array_equal(pyr.row_index("f4", np.array([3, 0])), [3, 0])
+        for name, rows, missing in (("f4", [1, 3, 2], 3), ("f8", [1], 1), ("f4", [0], 0)):
+            with pytest.raises(ValueError, match=f"^{name} row {missing} is not stored"):
+                part.row_index(name, np.array(rows))
+
+    def test_fuse_on_the_kept_bands_equals_the_whole_pyramid(self):
+        rng = np.random.default_rng(14)
+        pyr = random_pyramid(rng)
+        values = np.zeros((16, 24))
+        values[5, 3] = values[13, 20] = 0.5  # stride-16 rows 1 and 3 are kept
+        hm = ForegroundHeatmap(values)
+        rows4, rows8 = np.r_[4:8, 12:16], np.r_[2:4, 6:8]
+        part = FeaturePyramid(pyr.f4[rows4], pyr.f8[rows8], pyr.f16, rows4, rows8)
+        assert msfe_fuse(part, hm, 0.1).tobytes() == msfe_fuse(pyr, hm, 0.1).tobytes()
+        short = FeaturePyramid(pyr.f4[rows4[1:]], pyr.f8[rows8], pyr.f16, rows4[1:], rows8)
+        with pytest.raises(ValueError, match="^f4 row 4 is not stored"):
+            msfe_fuse(short, hm, 0.1)
+        short = FeaturePyramid(pyr.f4[rows4], pyr.f8[rows8[:-1]], pyr.f16, rows4, rows8[:-1])
+        with pytest.raises(ValueError, match="^f8 row 7 is not stored"):
+            msfe_fuse(short, hm, 0.1)
+
+    @pytest.mark.parametrize("rows", [[2, 1], [1, 1], [-1], [16], [[1]]])
+    def test_bad_row_ids_rejected(self, rows):
+        pyr = random_pyramid(np.random.default_rng(15))
+        rows = np.array(rows)
+        with pytest.raises(ValueError, match="^rows4 must be ascending row ids below 16"):
+            FeaturePyramid(pyr.f4[: len(rows)], pyr.f8, pyr.f16, rows)
+
+    def test_stored_row_count_must_match_the_ids(self):
+        pyr = random_pyramid(np.random.default_rng(16))
+        with pytest.raises(ValueError, match="1:2:4 ratio.* for 2 stored f8 rows"):
+            FeaturePyramid(pyr.f4, pyr.f8[:3], pyr.f16, None, np.array([0, 1]))
+
+
 def whole_map_fuse(pyr, heatmap, beta):
     """msfe_fuse's formula on the whole pyramid, every stride-16 row included."""
     mask4 = threshold_filter(heatmap, beta).values

@@ -17,6 +17,7 @@ import fgbev.scene
 from fgbev.cli import main
 from fgbev.geometry import Box2D, Box3D, box_point_counts, project_box3d_to_box2d
 from fgbev.labels import DepthBinConfig, generate_hard_labels
+from fgbev.msfe import elliptical_gaussian_heatmap
 from fgbev.pci import frame_combination
 from fgbev.pipeline import (
     SWEEP_TOGGLES,
@@ -547,12 +548,28 @@ class TestPredictedHeatmap:
     and holds the bits of the whole-map norm."""
 
     def _check(self, frame, channels, seed):
+        """Both on the whole pyramid and on one storing only the rect_cells rows of f4."""
         cam = frame.cameras[0]
+        w, h = cam.image_width, cam.image_height
         clipped = project_box3d_to_box2d(cam, frame.boxes)
-        f4 = fgbev.scene.synth_feature_pyramid(cam, clipped, channels, seed).f4
         rects = [r for r in clipped if r is not None]
-        pred = fgbev.pipeline._predicted_heatmap(f4, cam.image_width, cam.image_height, rects)
-        assert pred.values.tobytes() == _whole_map_heatmap(f4).tobytes()
+        whole = fgbev.scene.synth_feature_pyramid(cam, clipped, channels, seed)
+        need = np.zeros(h // 4, dtype=bool)
+        for rows, _ in fgbev.scene.rect_cells(rects, w, h, 4):
+            need[rows] = True
+        part = fgbev.scene.synth_feature_pyramid(
+            cam, clipped, channels, seed, np.flatnonzero(need), np.arange(0)
+        )
+        for pyr in (whole, part):
+            pred = fgbev.pipeline._predicted_heatmap(pyr, w, h, rects)
+            assert pred.values.tobytes() == _whole_map_heatmap(whole.f4).tobytes()
+        if need.any():
+            need[np.flatnonzero(need)[-1]] = False
+            short = fgbev.scene.synth_feature_pyramid(
+                cam, clipped, channels, seed, np.flatnonzero(need), np.arange(0)
+            )
+            with pytest.raises(ValueError, match="^f4 row [0-9]+ is not stored"):
+                fgbev.pipeline._predicted_heatmap(short, w, h, rects)
         return rects
 
     @pytest.mark.parametrize("seed", range(1, 13))
@@ -604,6 +621,80 @@ class TestPredictedHeatmap:
             mag[0, 0] = 1.0
         bg = fgbev.scene.background_feature_level(256, 128, 4, 3)
         assert mag.tobytes() == np.linalg.norm(bg, axis=2).tobytes()
+
+
+def _rows_msfe_reads(target, rects, beta, width, height):
+    """The oracle: f4's and f8's rows under each stride-16 row whose 4-row band of the
+    thresholded target holds a non-zero cell, and f4's rows whose centers lie in a rect."""
+    kept = ((target.values >= beta) & (target.values > 0)).reshape(height // 16, -1).any(axis=1)
+    v = (np.arange(height // 4) + 0.5) * 4
+    need4 = np.repeat(kept, 4)
+    for r in rects:
+        need4 |= (r.y1 <= v) & (v <= r.y2)
+    return np.flatnonzero(need4), np.flatnonzero(np.repeat(kept, 2))
+
+
+class TestRowSubsetPyramid:
+    """prepare builds f4 and f8 only on the rows MSFE reads. Every stored row, and both
+    MSFE metrics, keep the bits of the whole pyramid; f16 stays whole."""
+
+    def _check(self, cfg, monkeypatch, boxes=None):
+        synth, built = fgbev.pipeline.synth_feature_pyramid, []
+        if boxes is not None:
+            scene = generate_scene(cfg.scene, cfg.seed)
+            frames = [*scene.frames[:-1], dataclasses.replace(scene.current, boxes=boxes)]
+            scene = dataclasses.replace(scene, frames=frames)
+            monkeypatch.setattr(fgbev.pipeline, "generate_scene", lambda *a: scene)
+        monkeypatch.setattr(
+            fgbev.pipeline, "synth_feature_pyramid",
+            lambda *a: built.append((a, synth(*a))) or built[-1][1],
+        )
+        metrics = fgbev.pipeline.prepare(cfg, {}).msfe_metrics
+        monkeypatch.setattr(fgbev.pipeline, "synth_feature_pyramid", lambda *a: synth(*a[:4]))
+        whole_metrics = fgbev.pipeline.prepare(cfg, {}).msfe_metrics
+        assert {k: np.float64(v).tobytes() for k, v in metrics.items()} == {
+            k: np.float64(v).tobytes() for k, v in whole_metrics.items()
+        }
+        ((args, part),) = built
+        cam, clipped = args[:2]
+        whole = synth(*args[:4])
+        w, h = cam.image_width, cam.image_height
+        rects = [r for r in clipped if r is not None]
+        target = elliptical_gaussian_heatmap(rects, h // 4, w // 4, 4)
+        want4, want8 = _rows_msfe_reads(target, rects, cfg.beta, w, h)
+        assert np.array_equal(part.rows4, want4) and np.array_equal(part.rows8, want8)
+        assert part.f4.tobytes() == whole.f4[want4].tobytes()
+        assert part.f8.tobytes() == whole.f8[want8].tobytes()
+        assert part.f16.tobytes() == whole.f16.tobytes()
+        return part, rects
+
+    @pytest.mark.parametrize("seed", range(1, 13))
+    def test_lib_large_scenes(self, seed, monkeypatch):
+        cfg = config_from_dict({**LIB_LARGE_16, "context_channels": 32, "seed": seed})
+        part, _ = self._check(cfg, monkeypatch)
+        assert 0 < len(part.rows4) < 512 // 4 and 0 < len(part.rows8) < 512 // 8
+
+    def test_default_config(self, monkeypatch):
+        part, _ = self._check(PipelineConfig(), monkeypatch)
+        assert len(part.rows8) > 0
+
+    def test_boxes_clipped_at_the_image_border(self, monkeypatch):
+        # One box straight ahead; the others cross the left and right borders and the bottom.
+        boxes = [Box3D(center=(x, y, 1.0), size=(2.0, 2.0, 2.0), yaw=0.0, visibility=4)
+                 for x, y in ((12.0, 0.0), (6.0, 6.0), (6.0, -6.0), (3.0, 0.0))]
+        part, rects = self._check(small_config(), monkeypatch, boxes)
+        assert min(r.x1 for r in rects) == 0.0
+        assert max(r.x2 for r in rects) >= SMALL_SCENE.image_width - 1
+        assert part.rows4[-1] == SMALL_SCENE.image_height // 4 - 1
+
+    def test_no_boxes(self, monkeypatch):
+        part, rects = self._check(small_config(), monkeypatch, [])
+        assert rects == []
+        assert len(part.rows4) == len(part.rows8) == 0
+
+    def test_beta_that_keeps_no_band(self, monkeypatch):
+        part, _ = self._check(PipelineConfig(beta=1.0), monkeypatch)
+        assert len(part.rows8) == 0 < len(part.rows4)
 
 
 @pytest.mark.parametrize("scene", [SMALL_SCENE, PipelineConfig().scene,
