@@ -11,8 +11,9 @@ $FGBEV_CONFIG_DIR when they do not resolve from the working directory.
 
 JSON output is json.dumps(obj, sort_keys=True, indent=2) plus a newline for
 every command. The pipeline's occupancy grids get those bytes from their
-arrays: 0.0 for a +0.0 cell, float.__repr__ for any other (-0.0 too); a grid
-holding NaN or an infinity goes through json.dumps.
+arrays: the text of an all-+0.0 grid of their shape, with float.__repr__ of
+each other cell (-0.0 too) spliced in at the offset its (row, col) fixes; a
+grid holding NaN or an infinity goes through json.dumps.
 """
 
 from __future__ import annotations
@@ -92,28 +93,33 @@ def _dump_result(result: PipelineResult, include_timing: bool = False) -> str:
     json's indenting encoder is pure Python, and the two grids hold 2 x 128 x
     128 floats by default, nearly all +0.0. Each grid goes through _dump as a
     placeholder; the grids' keys sort first, so the first two placeholders in
-    the text are theirs. An all-zero row is one shared string.
+    the text are theirs, and one split cuts the text around them.
     """
     fields = result.fields(include_timing)
     text = _dump({**fields, **dict.fromkeys(OCCUPANCY_FIELDS, "@grid")})
-    for key in OCCUPANCY_FIELDS:
-        text = text.replace('"@grid"', _grid_text(fields[key]), 1)
-    return text
+    head, middle, tail = text.split('"@grid"', 2)
+    first, second = (_grid_text(fields[key]) for key in OCCUPANCY_FIELDS)
+    return head + first + middle + second + tail
 
 
 def _grid_text(grid: np.ndarray) -> str:
-    """The text of one (H, W) float64 grid in _dump_result."""
+    """The text of one (H, W) float64 grid in _dump_result.
+
+    The text of an all-+0.0 grid of the same shape, with float.__repr__ of
+    each written cell (any non-zero one, and -0.0) spliced in over its "0.0":
+    cell (i, j) starts 14 + i * (11 * W + 12) + 11 * j characters in.
+    """
     if not np.isfinite(grid).all():
         return _dump(grid.tolist()).replace("\n", "\n  ")
     h, w = grid.shape
-    written = (grid != 0) | np.signbit(grid)
-    rows = [",\n      ".join(["0.0"] * w)] * h
-    for i in np.flatnonzero(written.any(axis=1)).tolist():
-        cells = ["0.0"] * w
-        for j, value in zip(np.flatnonzero(written[i]).tolist(), grid[i, written[i]].tolist()):
-            cells[j] = float.__repr__(value)
-        rows[i] = ",\n      ".join(cells)
-    return "[\n    [\n      " + "\n    ],\n    [\n      ".join(rows) + "\n    ]\n  ]"
+    row = "0.0" + ",\n      0.0" * (w - 1)
+    zeros = "[\n    [\n      " + "\n    ],\n    [\n      ".join([row] * h) + "\n    ]\n  ]"
+    i, j = np.nonzero((grid != 0) | np.signbit(grid))
+    starts = (14 + i * (11 * w + 12) + 11 * j).tolist()
+    parts = [None] * (2 * len(starts) + 1)
+    parts[::2] = [zeros[a + 3 : b] for a, b in zip([-3, *starts], [*starts, len(zeros)])]
+    parts[1::2] = map(float.__repr__, grid[i, j].tolist())
+    return "".join(parts)
 
 
 def _resolve_input(path_str: str, flag: str) -> Path:

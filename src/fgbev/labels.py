@@ -83,11 +83,17 @@ class DepthDistributionMap:
             raise ValueError(
                 f"depth map has {v.shape[2]} bins but config defines {self.bin_cfg.n_bins}"
             )
-        if np.any(v < 0) or not np.all(np.isfinite(v)):
+        # NaN fails v >= 0, and +inf is the one entry that passes it but is not finite.
+        if not (v >= 0).all():
             raise ValueError("depth distributions must be finite and nonnegative")
-        sums = v.sum(axis=2)
+        # A row sums to inf when it holds an inf or its finite entries overflow.
+        with np.errstate(over="ignore"):
+            sums = v.sum(axis=2)
         ok = np.abs(sums - 1.0) <= NORMALIZATION_TOL
         if not ok.all():
+            inf_rows = np.isinf(sums)
+            if inf_rows.any() and np.isinf(v[inf_rows]).any():
+                raise ValueError("depth distributions must be finite and nonnegative")
             bad = tuple(np.argwhere(~ok)[0].tolist())
             raise ValueError(f"cell {bad} sums to {sums[bad]:.6g}; expected 1")
         object.__setattr__(self, "values", v)

@@ -8,10 +8,12 @@ reuses the current frame's, which prepare keeps. teacher_branch: pseudo points
 from the prepared projection and PCI report from the counts -> teacher pooling
 -> shared encoding -> distillation loss. A sweep densifies once per fc_enabled
 value.
-The frustum stage only fixes the lift geometry; each pooling lifts the cells
-its own seg gate passes. Each BEV grid stores only its occupied cells: the
-one encoder encodes each grid's cells, the loss reads the teacher's cells,
-and the full occupancy grids are scattered out only for the result.
+The frustum stage only fixes the lift geometry; each pooling lifts only the
+(cell, bin) entries of non-zero weight in the cells its own seg gate passes,
+so the teacher lifts one bin of each hard-labelled cell. Each BEV grid
+stores only its occupied cells: the one encoder encodes each grid's cells,
+the loss reads the teacher's cells, and the full occupancy grids are
+scattered out only for the result.
 Deterministic per seed; each stage is timed with a monotonic clock.
 """
 

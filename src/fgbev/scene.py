@@ -501,24 +501,25 @@ def soft_labels_from_frame(
     ray_bins, ray_ok = depth_cfg.bin_indices(np.where(np.isfinite(entry), entry, 0.0))
     ray_ok &= np.isfinite(entry)
 
-    depth = np.full((h_f, w_f, n_bins), 1.0 / n_bins)
     seg = np.full((h_f, w_f), BACKGROUND_SEG_FLOOR)
-
     ray_fg = ~hard.valid_mask & ray_ok
     bins = np.where(ray_fg, ray_bins, hard.bins)
     peaked = bins >= 0
-    depth[peaked] = 0.0
-    depth[peaked, bins[peaked]] = 1.0
     seg[hard.foreground | ray_fg] = 1.0
 
+    # Each cell is noise * (a seeded random distribution) + (1 - noise) * (its
+    # clean row: one-hot at a peaked cell's bin, else uniform), built in the
+    # buffer the random draws fill; a bin the clean row leaves at 0 gets no sum.
     if noise > 0:
         rng = np.random.default_rng(seed)
-        raw = rng.uniform(0.0, 1.0, size=depth.shape)
-        raw /= raw.sum(axis=2, keepdims=True)
-        depth *= 1.0 - noise
-        raw *= noise
-        depth += raw
+        depth = rng.uniform(0.0, 1.0, size=(h_f, w_f, n_bins))
+        depth /= depth.sum(axis=2, keepdims=True)
+        depth *= noise
         seg = np.clip(seg + noise * rng.uniform(-0.3, 0.3, size=seg.shape), 0.0, 1.0)
+    else:
+        depth = np.zeros((h_f, w_f, n_bins))
+    np.add(depth, (1.0 / n_bins) * (1.0 - noise), out=depth, where=~peaked[..., None])
+    depth[peaked, bins[peaked]] += 1.0 - noise
 
     return DepthDistributionMap(depth, depth_cfg), SegmentationMap(seg), hard
 

@@ -3,11 +3,12 @@
 The frustum is one camera's lift geometry: each (feature cell, depth bin)
 pair back-projects to an ego-frame point at the bin-center depth. Pooling
 gates first: it finds the feature cells whose segmentation clears the
-threshold, lifts only their entries in (row, col, bin) lexicographic order,
-weights context features by depth probability times segmentation, and sums
-them into BEV cells. An entry of weight exactly 0 cannot change a sum, so it
-is dropped; the BEV grid stores only the cells that received an entry of
-non-zero weight, in row-major order, and every other cell is +0.0.
+threshold, weights each of their (cell, bin) entries by depth probability
+times segmentation, lifts only the entries of non-zero weight in (row, col,
+bin) lexicographic order, and sums their weighted context features into BEV
+cells. An entry of weight exactly 0 cannot change a sum, so it is never
+lifted; the BEV grid stores only the cells that received an entry of non-zero
+weight, in row-major order, and every other cell is +0.0.
 """
 
 from __future__ import annotations
@@ -168,9 +169,9 @@ class BevFeatureGrid:
 class Frustum:
     """Lift geometry of one camera: feature cells at `stride` times depth bins.
 
-    `entries` back-projects chosen cells; `rows`, `cols`, `bins` and `points`
-    are the whole table, every cell in (row, col, bin) lexicographic order,
-    built on first access.
+    `lift` back-projects chosen (cell, bin) entries; `rows`, `cols`, `bins` and
+    `points` are the whole table, every cell in (row, col, bin) lexicographic
+    order, built through `lift` on first access.
     """
 
     cam: CameraModel
@@ -183,32 +184,30 @@ class Frustum:
         object.__setattr__(self, "feature_shape", self.cam.feature_grid_shape(self.stride))
         object.__setattr__(self, "n_bins", self.bin_cfg.n_bins)
 
-    def entries(self, cell_rows: np.ndarray, cell_cols: np.ndarray):
-        """(rows, cols, bins, points) for every bin of the given cells, cell by cell.
+    def lift(self, rows: np.ndarray, cols: np.ndarray, bins: np.ndarray) -> np.ndarray:
+        """(N, 3) ego points of the entries (rows[k], cols[k], bins[k]).
 
         Feature cell (r, c) uses the pixel at the cell center, ((c+0.5)*stride,
-        (r+0.5)*stride), at each bin-center depth, so projecting the ego point
-        back into the camera recovers the source cell and bin. Each entry's
-        point depends only on its (row, col, bin), so a subset of cells gets
+        (r+0.5)*stride), at the bin-center depth, so projecting the ego point
+        back into the camera recovers the source cell and bin. Each point
+        depends only on its own (row, col, bin), so any subset of entries gets
         exactly the points the whole table holds for them.
         """
-        cam, stride, n_bins = self.cam, self.stride, self.n_bins
-        rows = np.repeat(cell_rows, n_bins)
-        cols = np.repeat(cell_cols, n_bins)
-        bins = np.tile(np.arange(n_bins), len(cell_rows))
+        cam, stride = self.cam, self.stride
         u = (cols + 0.5) * stride
         v = (rows + 0.5) * stride
         d = self.bin_cfg.bin_centers()[bins]
         x = (u - cam.cx) / cam.fx * d
         y = (v - cam.cy) / cam.fy * d
-        points = cam.cam_to_ego.apply(np.stack([x, y, d], axis=1))
-        return rows, cols, bins, points
+        return cam.cam_to_ego.apply(np.stack([x, y, d], axis=1))
 
     @functools.cached_property
     def _table(self):
-        h_f, w_f = self.feature_shape
-        r, c = np.meshgrid(np.arange(h_f), np.arange(w_f), indexing="ij")
-        return self.entries(r.ravel(), c.ravel())
+        h_f, w_f, n_bins = *self.feature_shape, self.n_bins
+        rows = np.repeat(np.arange(h_f), w_f * n_bins)
+        cols = np.tile(np.repeat(np.arange(w_f), n_bins), h_f)
+        bins = np.tile(np.arange(n_bins), h_f * w_f)
+        return rows, cols, bins, self.lift(rows, cols, bins)
 
     rows = property(lambda self: self._table[0])
     cols = property(lambda self: self._table[1])
@@ -242,10 +241,10 @@ def sa_bev_pool(
     An entry contributes depth(cell, bin) * seg(cell) * ctx(cell) to the BEV
     cell containing its ego point, but only when seg(cell) >= seg_threshold
     and the point lies inside the grid range; everything else is dropped.
-    Only the cells that pass the gate are lifted, in (row, col, bin) order,
-    and accumulation is summation in that order. An entry of weight 0 is
-    dropped too, so the grid stores the BEV cells that receive an entry of
-    non-zero weight.
+    The cells that pass the gate give one (cells, bins) weight array; only
+    its entries of non-zero weight are lifted, in (row, col, bin) order, and
+    accumulation is summation in that order. So the grid stores the BEV cells
+    that receive an entry of non-zero weight.
     """
     h_f, w_f = frustum.feature_shape
     if ctx.shape[:2] != (h_f, w_f):
@@ -259,13 +258,17 @@ def sa_bev_pool(
         raise ValueError(f"seg shape {seg.shape} != frustum cells {h_f}x{w_f}")
 
     channels = ctx.values.shape[2]
-    rows, cols, bins, points = frustum.entries(*np.nonzero(seg.values >= seg_threshold))
-    brow, bcol, ok = bev_cfg.cells_for_points(points)
-    weight = depth.values[rows, cols, bins] * seg.values[rows, cols]
+    gate_rows, gate_cols = np.nonzero(seg.values >= seg_threshold)
+    weights = depth.values[gate_rows, gate_cols]
+    weights *= seg.values[gate_rows, gate_cols][:, None]
     # An entry of weight exactly 0 adds +-0.0, which never changes a sum that starts at +0.0.
-    keep = ok & (weight != 0)
-    rows, cols, weight = rows[keep], cols[keep], weight[keep]
-    cells, inv = np.unique(brow[keep] * bev_cfg.grid_w + bcol[keep], return_inverse=True)
+    carried = weights != 0
+    weight = weights[carried]
+    cell, bins = np.nonzero(carried)
+    rows, cols = gate_rows[cell], gate_cols[cell]
+    brow, bcol, ok = bev_cfg.cells_for_points(frustum.lift(rows, cols, bins))
+    rows, cols, weight = rows[ok], cols[ok], weight[ok]
+    cells, inv = np.unique(brow[ok] * bev_cfg.grid_w + bcol[ok], return_inverse=True)
     contrib = ctx.values[rows, cols]
     contrib *= weight[:, None]
     # bincount adds each (cell, channel) bucket's weights in entry order from +0.0.

@@ -899,9 +899,35 @@ class TestResultWriter:
     @example(_result([[x] for x in EDGE_FLOATS], [[1.0]] * 7, {"@grid": 1.0}))
     @example(_result([[0.0, -0.0, 0.0], [0.0] * 3], [[0.0] * 3] * 2))
     def test_matches_json_dumps(self, result):
+        self.check(result)
+
+    @staticmethod
+    def check(result):
         for include_timing in (False, True):
             expected = _oracle(result.to_dict(include_timing))
             assert _dump_result(result, include_timing) == expected
+
+    @pytest.mark.parametrize("shape", [(3, 200), (200, 3)], ids=["3x200", "200x3"])
+    def test_matches_json_dumps_on_non_square_grids(self, shape):
+        # Each written cell's offset in the text depends on the grid's width.
+        rng = np.random.default_rng(shape[1])
+        written = rng.random((2, *shape)) < 0.05
+        student, teacher = np.where(written, rng.normal(0, 1, written.shape), 0.0)
+        student[0, 0], student[-1, -1], student[0, -1] = 0.5, 2.25, 5e-324
+        teacher[0, 0], teacher[-1, -1], teacher[-1, 0] = -0.0, -0.0, 1e16
+        self.check(_result(student, teacher, {"encode": 0.1}))
+
+    def test_matches_json_dumps_on_a_lib_large_result(self):
+        large = {
+            "scene": {"n_boxes": 40, "image_width": 1408, "image_height": 512, "n_frames": 9},
+            "bev": {"grid_h": 256, "grid_w": 256},
+            "context_channels": 32,
+            "encoder_kind": "box_blur",
+        }
+        result = run_pipeline(config_from_dict(large))
+        assert result.bev_occupancy_teacher.shape == (256, 256)
+        assert np.count_nonzero(result.bev_occupancy_teacher) > 0
+        self.check(result)
 
 
 class TestDump:

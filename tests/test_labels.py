@@ -66,6 +66,28 @@ class TestMapValidation:
         with pytest.raises(ValueError, match=r"cell \(0, 1\) sums to 0; expected 1"):
             DepthDistributionMap(depth, cfg)
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ([0.5, np.nan, 0.25, 0.25], "finite and nonnegative"),
+            ([0.5, -0.5, 0.5, 0.5], "finite and nonnegative"),
+            ([0.5, np.inf, 0.0, 0.0], "finite and nonnegative"),
+            ([1e308, 1e308, 0.0, 0.0], r"cell \(1, 0\) sums to inf; expected 1"),
+            ([0.5, 0.25, 0.125, 0.0], r"cell \(1, 0\) sums to 0.875; expected 1"),
+        ],
+        ids=["nan", "negative", "inf", "finite-overflow", "unnormalised"],
+    )
+    def test_depth_row_errors(self, row, message):
+        # Cell (0, 1) sums to 2, but a non-finite or negative entry anywhere names that first.
+        cfg = DepthBinConfig(1.0, 5.0, 1.0)
+        depth = np.full((2, 2, 4), 0.25)
+        depth[0, 1] = 0.5
+        depth[1, 0] = row
+        if message != "finite and nonnegative":
+            depth[0, 1] = 0.25
+        with pytest.raises(ValueError, match=message):
+            DepthDistributionMap(depth, cfg)
+
     @pytest.mark.parametrize("bins", [[[0, -2]], [[0, 4]], [[0.0, 1.0]]])
     def test_hard_labels_reject_bin_out_of_range(self, bins):
         # 4 bins, so the bins run from -1 (invalid) to 3; float bins are rejected too.

@@ -475,8 +475,8 @@ def test_traced_benchmark_counts_the_pool(threshold_as):
     tracing._count_pool(counts, args, kwargs, fgbev.pipeline.sa_bev_pool(*args, **kwargs))
 
     gate = prep.soft_seg.values >= cfg.seg_threshold
-    rows, cols, bins, points = prep.frustum.entries(*np.nonzero(gate))
-    brow, bcol, ok = cfg.bev.cells_for_points(points)
+    keep = gate[prep.frustum.rows, prep.frustum.cols]
+    brow, bcol, ok = cfg.bev.cells_for_points(prep.frustum.points[keep])
     n_bins = cfg.bins.n_bins
     assert counts["pool_entries"] == gate.size * n_bins
     assert 0 < counts["gate_passes"] == gate.sum() * n_bins < gate.size * n_bins

@@ -21,6 +21,7 @@ from fgbev.view_transform import (
     BevFeatureGrid,
     BevGridConfig,
     ContextFeatureMap,
+    Frustum,
     build_frustum,
     sa_bev_pool,
     teacher_bev,
@@ -244,10 +245,36 @@ class TestGateFirstLift:
             rng = np.random.default_rng(seed)
             gate = rng.random(frustum.feature_shape) < (0.0, 0.03, 0.3, 0.7, 1.0, 0.5)[seed]
             keep = gate[frustum.rows, frustum.cols]
-            got = frustum.entries(*np.nonzero(gate))
-            for have, table in zip(got, full):
-                assert have.dtype == table.dtype
-                assert have.tobytes() == table[keep].tobytes()
+            got = frustum.lift(*(table[keep] for table in full[:3]))
+            assert got.dtype == full[3].dtype
+            assert got.tobytes() == full[3][keep].tobytes()
+
+    @pytest.mark.parametrize("config", sorted(LIFT_CONFIGS))
+    def test_lift_of_any_entry_subset_is_its_table_rows_bitwise(self, config):
+        # Pooling lifts the non-zero-weight entries of the gated cells, as few as one.
+        cam = generate_scene(LIFT_CONFIGS[config], 0).current.cameras[0]
+        frustum = build_frustum(cam, DepthBinConfig(), 16)
+        rows, cols, bins, points = frustum.rows, frustum.cols, frustum.bins, frustum.points
+        rng = np.random.default_rng(11)
+        sizes = [*range(1, 8)] * 40 + [8, 31, 118, 119, 500, 4096]
+        for size in sizes:
+            pick = np.sort(rng.choice(len(frustum), size, replace=False))
+            got = frustum.lift(rows[pick], cols[pick], bins[pick])
+            assert got.shape == (size, 3)
+            assert got.tobytes() == points[pick].tobytes()
+
+    def test_lift_of_one_bin_per_cell_is_its_table_rows_bitwise(self):
+        # One-hot teacher cells leave exactly one non-zero-weight bin each.
+        cam = generate_scene(LIFT_CONFIGS["default"], 0).current.cameras[0]
+        frustum = build_frustum(cam, DepthBinConfig(), 16)
+        h_f, w_f = frustum.feature_shape
+        rng = np.random.default_rng(12)
+        for n_cells in (1, 2, 5, 60, h_f * w_f):
+            cell = np.sort(rng.choice(h_f * w_f, n_cells, replace=False))
+            pick = cell * frustum.n_bins + rng.integers(0, frustum.n_bins, n_cells)
+            r, c = np.divmod(cell, w_f)
+            got = frustum.lift(r, c, frustum.bins[pick])
+            assert got.tobytes() == frustum.points[pick].tobytes()
 
     def test_threshold_zero_lifts_every_cell_over_the_whole_grid(self):
         # From 10 m behind the grid, the bins reach across it and the wide
@@ -321,6 +348,64 @@ class TestZeroWeightEntries:
             occupancy = out.occupancy().ravel()[only_zero]
             assert occupancy.tobytes() == np.zeros(len(only_zero)).tobytes()
         assert skipped_only > 0
+
+
+class TestTeacherShapedPooling:
+    """Pooling on merged (one-hot where valid) labels lifts only the entries of non-zero weight."""
+
+    @staticmethod
+    def teacher_labels(rng, h, w, valid=0.8):
+        bins = rng.integers(0, BIN_CFG.n_bins, (h, w))
+        hard = HardLabels(bins, rng.random((h, w)) < valid, BIN_CFG)
+        return merge_labels(hard, *random_soft_labels(rng, h, w, BIN_CFG))
+
+    @pytest.mark.parametrize("thr", [0.0, 0.3])
+    def test_matches_oracle_and_lifts_only_non_zero_weights(self, thr, monkeypatch):
+        lifted = []
+        lift = Frustum.lift
+
+        def counting_lift(self, rows, cols, bins):
+            lifted.append(len(rows))
+            return lift(self, rows, cols, bins)
+
+        monkeypatch.setattr(Frustum, "lift", counting_lift)
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            h, w = int(rng.integers(2, 9)), int(rng.integers(2, 9))
+            frustum = random_lift_frustum(rng, h, w, BIN_CFG)
+            bev = BevGridConfig(range_xy=float(rng.uniform(4, 16)), grid_h=12, grid_w=10)
+            ctx = ContextFeatureMap(rng.normal(0, 1, (h, w, 3)))
+            depth, seg = self.teacher_labels(rng, h, w)
+            # The oracle walks the whole table, which is lifted once on first access.
+            want = oracles.pool_reference(ctx, depth, seg, frustum, bev, thr)
+            lifted.clear()
+            out = sa_bev_pool(ctx, depth, seg, frustum, bev, thr)
+            assert out.values.tobytes() == want.tobytes()
+            gated = seg.values >= thr
+            weight = depth.values * seg.values[..., None]
+            assert lifted == [int(np.count_nonzero(weight[gated]))]
+            assert lifted[0] < gated.sum() * BIN_CFG.n_bins
+
+    def test_single_non_zero_entry_at_threshold_zero(self):
+        # Every cell passes a 0 gate, but only one (cell, bin) entry has weight.
+        rng = np.random.default_rng(14)
+        frustum = random_lift_frustum(rng, 3, 5, BIN_CFG)
+        bev = BevGridConfig(range_xy=16.0, grid_h=12, grid_w=10, z_range=(-5.0, 5.0))
+        *_, ok = bev.cells_for_points(frustum.points)
+        k = int(np.flatnonzero(ok)[0])
+        r, c, b = frustum.rows[k], frustum.cols[k], frustum.bins[k]
+        depth = np.zeros((3, 5, BIN_CFG.n_bins))
+        depth[..., 0] = 1.0
+        depth[r, c] = np.eye(BIN_CFG.n_bins)[b]
+        seg = np.zeros((3, 5))
+        seg[r, c] = 0.75
+        depth, seg = DepthDistributionMap(depth, BIN_CFG), SegmentationMap(seg)
+        ctx = ContextFeatureMap(rng.normal(0, 1, (3, 5, 2)))
+        out = sa_bev_pool(ctx, depth, seg, frustum, bev, 0.0)
+        want = oracles.pool_reference(ctx, depth, seg, frustum, bev, 0.0)
+        assert out.values.tobytes() == want.tobytes()
+        assert len(out.cells) == 1
+        assert out.features.tobytes() == (0.75 * ctx.values[r, c]).tobytes()
 
 
 class TestStudentTeacher:
