@@ -13,6 +13,7 @@ conventions:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -111,7 +112,7 @@ class CameraModel:
         if self.image_width <= 0 or self.image_height <= 0:
             raise ValueError("image dimensions must be positive")
 
-    @property
+    @functools.cached_property
     def cam_to_ego(self) -> RigidTransform:
         return self.ego_to_cam.inverse()
 

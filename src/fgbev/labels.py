@@ -4,6 +4,12 @@ Hard labels are derived by projecting points into a camera and binning their
 depths on a feature-cell grid: each cell stores its winning point's depth bin,
 or -1 where no in-range point landed. Merging overlays hard labels onto soft
 (predicted) labels wherever a cell is valid.
+
+A depth map stores every cell by default. The pipeline's soft depth stores
+only the cells whose soft seg passes the pooling gate, and its merged depth
+those cells plus the hard-valid ones: together they hold every cell either
+gate can pass. Storing a subset selects rows and never changes one, so every
+stored weight has the bits of the whole-map build.
 """
 
 from __future__ import annotations
@@ -70,37 +76,72 @@ class DepthBinConfig:
 
 @dataclass(frozen=True)
 class DepthDistributionMap:
-    """Per-cell categorical depth distribution, shape (H_f, W_f, n_bins); every cell sums to 1."""
+    """Per-cell categorical depth distributions on an (H_f, W_f) grid; every stored row sums to 1.
+
+    By default every cell is stored and values is (H_f, W_f, n_bins). A map of some cells
+    gives `cells`, ascending flat cell ids (row * W_f + col), and the grid `shape`; values
+    is then (K, n_bins), row k the distribution of cell cells[k]. `shape` is read from
+    values when every cell is stored.
+    """
 
     values: np.ndarray
     bin_cfg: DepthBinConfig
+    cells: np.ndarray | None = None
+    shape: tuple[int, int] | None = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 3:
-            raise ValueError(f"depth map must be (H, W, n_bins), got shape {v.shape}")
-        if v.shape[2] != self.bin_cfg.n_bins:
+        if self.cells is None:
+            if v.ndim != 3:
+                raise ValueError(f"depth map must be (H, W, n_bins), got shape {v.shape}")
+            shape = v.shape[:2]
+        elif self.shape is None:
+            raise ValueError("a depth map of some cells needs the grid shape")
+        else:
+            cells = np.asarray(self.cells, dtype=np.intp)
+            shape = tuple(self.shape)
+            n = shape[0] * shape[1]
+            if cells.ndim != 1 or v.ndim != 2 or len(v) != len(cells):
+                raise ValueError(
+                    f"cells {cells.shape} and rows {v.shape} must be (K,) and (K, n_bins)"
+                )
+            if (np.diff(cells) <= 0).any() or ((cells < 0) | (cells >= n)).any():
+                raise ValueError(f"cells must be ascending flat cell ids below {n}")
+            object.__setattr__(self, "cells", cells)
+        if v.shape[-1] != self.bin_cfg.n_bins:
             raise ValueError(
-                f"depth map has {v.shape[2]} bins but config defines {self.bin_cfg.n_bins}"
+                f"depth map has {v.shape[-1]} bins but config defines {self.bin_cfg.n_bins}"
             )
-        # NaN fails v >= 0, and +inf is the one entry that passes it but is not finite.
-        if not (v >= 0).all():
+        rows = v.reshape(-1, v.shape[-1])
+        # NaN fails rows >= 0, and +inf is the one entry that passes it but is not finite.
+        if not (rows >= 0).all():
             raise ValueError("depth distributions must be finite and nonnegative")
         # A row sums to inf when it holds an inf or its finite entries overflow.
         with np.errstate(over="ignore"):
-            sums = v.sum(axis=2)
+            sums = rows.sum(axis=1)
         ok = np.abs(sums - 1.0) <= NORMALIZATION_TOL
         if not ok.all():
             inf_rows = np.isinf(sums)
-            if inf_rows.any() and np.isinf(v[inf_rows]).any():
+            if inf_rows.any() and np.isinf(rows[inf_rows]).any():
                 raise ValueError("depth distributions must be finite and nonnegative")
-            bad = tuple(np.argwhere(~ok)[0].tolist())
-            raise ValueError(f"cell {bad} sums to {sums[bad]:.6g}; expected 1")
+            k = int(np.argmin(ok))
+            cell = divmod(k if self.cells is None else int(self.cells[k]), shape[1])
+            raise ValueError(f"cell {cell} sums to {sums[k]:.6g}; expected 1")
         object.__setattr__(self, "values", v)
+        object.__setattr__(self, "shape", shape)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape[:2]
+    def gather(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """(N, n_bins), a new array: the distribution of each cell (rows[k], cols[k]).
+        ValueError names a cell the map does not store."""
+        if self.cells is None:
+            return self.values[rows, cols]
+        at = np.full(self.shape[0] * self.shape[1], -1)
+        at[self.cells] = np.arange(len(self.cells))
+        at = at[rows * self.shape[1] + cols]
+        if (at < 0).any():
+            k = np.argmax(at < 0)
+            raise ValueError(f"depth map does not store cell {(int(rows[k]), int(cols[k]))}")
+        return self.values[at]
 
 
 @dataclass(frozen=True)
@@ -218,7 +259,9 @@ def merge_labels(
     """Overlay hard labels onto soft labels wherever the valid mask is set.
 
     A valid cell takes its bin's one-hot depth and its foreground flag as
-    seg; every other cell keeps the soft labels.
+    seg; every other cell keeps the soft labels. The merged depth stores the
+    cells soft_depth stores plus the valid cells, each row copied or set
+    exactly, so every value keeps its bits.
     """
     if hard.shape != soft_depth.shape or hard.shape != soft_seg.shape:
         raise ValueError(
@@ -230,11 +273,19 @@ def merge_labels(
             f"bin config mismatch: hard {hard.bin_cfg} vs soft {soft_depth.bin_cfg}"
         )
     m = hard.valid_mask
-    merged_depth = soft_depth.values.copy()
-    merged_depth[m] = 0.0
-    merged_depth[m, hard.bins[m]] = 1.0
-    merged_seg = np.where(m, hard.foreground, soft_seg.values)
-    return (
-        DepthDistributionMap(merged_depth, hard.bin_cfg),
-        SegmentationMap(merged_seg),
-    )
+    (h, w), n_bins = hard.shape, hard.bin_cfg.n_bins
+    valid = m.ravel()
+    soft_cells = np.arange(h * w) if soft_depth.cells is None else soft_depth.cells
+    kept = ~valid[soft_cells]
+    stored = valid.copy()
+    stored[soft_cells] = True
+    cells = np.flatnonzero(stored)
+    at = np.cumsum(stored) - 1  # each stored cell's row in the merged depth
+    rows = np.zeros((len(cells), n_bins))
+    rows[at[soft_cells[kept]]] = soft_depth.values.reshape(-1, n_bins)[kept]
+    rows[at[valid], hard.bins[m]] = 1.0
+    if soft_depth.cells is None:
+        merged_depth = DepthDistributionMap(rows.reshape(h, w, n_bins), hard.bin_cfg)
+    else:
+        merged_depth = DepthDistributionMap(rows, hard.bin_cfg, cells, (h, w))
+    return merged_depth, SegmentationMap(np.where(m, hard.foreground, soft_seg.values))

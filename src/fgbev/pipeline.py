@@ -2,7 +2,8 @@
 
 prepare: scene -> one projection of the current boxes, the MSFE target, and synthetic
 features with f4 and f8 built only on the rows MSFE reads -> foreground fusion
-diagnostics -> soft labels -> frustum -> student pooling.
+diagnostics -> soft labels, whose depth map stores only the cells the seg gate
+passes -> frustum -> student pooling.
 densify: the teacher's cloud, its hard labels and per-box point counts; fc off
 reuses the current frame's, which prepare keeps. teacher_branch: pseudo points
 from the prepared projection and PCI report from the counts -> teacher pooling
@@ -10,7 +11,10 @@ from the prepared projection and PCI report from the counts -> teacher pooling
 value.
 The frustum stage only fixes the lift geometry; each pooling lifts only the
 (cell, bin) entries of non-zero weight in the cells its own seg gate passes,
-so the teacher lifts one bin of each hard-labelled cell. Each BEV grid
+so the teacher lifts one bin of each hard-labelled cell. The teacher's merged
+depth stores the soft depth's cells plus the hard-valid ones, which holds
+every cell its gate can pass; stored rows are only selected or copied, so
+every weight has the bits of the whole-map build. Each BEV grid
 stores only its occupied cells: the one encoder encodes each grid's cells,
 the loss reads the teacher's cells, and the full occupancy grids are
 scattered out only for the result.
@@ -253,7 +257,8 @@ def prepare(cfg: PipelineConfig, timing: dict) -> PreparedFrame:
 
     def soft_labels():
         depth, seg, hard = soft_labels_from_frame(
-            current, 0, pixels, cfg.bins, cfg.soft_label_noise, cfg.seed + 2, FEATURE_STRIDE
+            current, 0, pixels, cfg.bins, cfg.soft_label_noise, cfg.seed + 2, FEATURE_STRIDE,
+            cfg.seg_threshold,
         )
         counts = box_point_counts(current.boxes, current.lidar.points)
         return depth, seg, DensifiedCloud(current.lidar, hard, counts)

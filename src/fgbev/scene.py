@@ -479,6 +479,7 @@ def soft_labels_from_frame(
     noise: float,
     seed: int,
     feature_stride: int = 16,
+    seg_threshold: float | None = None,
 ) -> tuple[DepthDistributionMap, SegmentationMap, HardLabels]:
     """Simulate the predictions a well-trained depth/segmentation head would make.
 
@@ -489,6 +490,10 @@ def soft_labels_from_frame(
     Noise blends in a seeded random distribution and jitters segmentation.
     Also returns the frame's own hard labels, the ones the soft labels were
     built from. pixels is box_corner_pixels of the frame's boxes in that camera.
+
+    The depth map stores every cell, or with a seg_threshold only the cells
+    whose seg is >= it. The random draws are made for every cell either way,
+    so the seg noise and each stored row keep their bits.
     """
     if noise < 0:
         raise ValueError(f"noise must be nonnegative, got {noise}")
@@ -507,21 +512,31 @@ def soft_labels_from_frame(
     peaked = bins >= 0
     seg[hard.foreground | ray_fg] = 1.0
 
-    # Each cell is noise * (a seeded random distribution) + (1 - noise) * (its
-    # clean row: one-hot at a peaked cell's bin, else uniform), built in the
-    # buffer the random draws fill; a bin the clean row leaves at 0 gets no sum.
     if noise > 0:
         rng = np.random.default_rng(seed)
-        depth = rng.uniform(0.0, 1.0, size=(h_f, w_f, n_bins))
-        depth /= depth.sum(axis=2, keepdims=True)
-        depth *= noise
+        draws = rng.uniform(0.0, 1.0, size=(h_f * w_f, n_bins))
         seg = np.clip(seg + noise * rng.uniform(-0.3, 0.3, size=seg.shape), 0.0, 1.0)
+    cells = None if seg_threshold is None else np.flatnonzero(seg >= seg_threshold)
+    take = slice(None) if cells is None else cells
+    peaked, bins = peaked.ravel()[take], bins.ravel()[take]
+
+    # Each stored row is noise * (a seeded random distribution) + (1 - noise) *
+    # (its clean row: one-hot at a peaked cell's bin, else uniform), built in the
+    # buffer of its random draws; a bin the clean row leaves at 0 gets no sum.
+    if noise > 0:
+        depth = draws[take]
+        depth /= depth.sum(axis=1, keepdims=True)
+        depth *= noise
     else:
-        depth = np.zeros((h_f, w_f, n_bins))
-    np.add(depth, (1.0 / n_bins) * (1.0 - noise), out=depth, where=~peaked[..., None])
+        depth = np.zeros((len(peaked), n_bins))
+    np.add(depth, (1.0 / n_bins) * (1.0 - noise), out=depth, where=~peaked[:, None])
     depth[peaked, bins[peaked]] += 1.0 - noise
 
-    return DepthDistributionMap(depth, depth_cfg), SegmentationMap(seg), hard
+    if cells is None:
+        depth_map = DepthDistributionMap(depth.reshape(h_f, w_f, n_bins), depth_cfg)
+    else:
+        depth_map = DepthDistributionMap(depth, depth_cfg, cells, (h_f, w_f))
+    return depth_map, SegmentationMap(seg), hard
 
 
 # --------------------------------------------------------------------------

@@ -87,6 +87,16 @@ def project(cam, points):
     return u, v, depth, cam.in_image(u, v)
 
 
+def test_cam_to_ego_is_built_once_per_camera():
+    ego_to_cam = RigidTransform.from_yaw(0.4, (1.0, -2.0, 0.5))
+    cam = CameraModel(100.0, 100.0, 31.5, 15.5, ego_to_cam, 64, 32)
+    first = cam.cam_to_ego
+    assert cam.cam_to_ego is first
+    want = ego_to_cam.inverse()
+    assert first.rotation.tobytes() == want.rotation.tobytes()
+    assert first.translation.tobytes() == want.translation.tobytes()
+
+
 class TestProjectPoint:
     """One point at a time through project_points_unbounded and in_image."""
 

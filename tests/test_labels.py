@@ -245,3 +245,81 @@ class TestMergeLabels:
         with pytest.raises(ValueError, match="bin config"):
             merge_labels(hard, soft_d, soft_s)
 
+
+
+def partial(depth: DepthDistributionMap, cells) -> DepthDistributionMap:
+    """The rows of a whole map at the given ascending flat cells."""
+    rows = depth.values.reshape(-1, depth.bin_cfg.n_bins)[cells]
+    return DepthDistributionMap(rows, depth.bin_cfg, cells, depth.shape)
+
+
+class TestPartialDepthMap:
+    """A depth map of some cells: validated row by row, gathered by cell, and merged
+    without a whole-map copy."""
+
+    def setup_method(self):
+        self.cfg = DepthBinConfig(1.0, 9.0, 1.0)
+        self.rng = np.random.default_rng(28)
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.3, 0.7, 1.0])
+    def test_merge_matches_cell_oracle_at_every_stored_cell(self, threshold):
+        n_bins = self.cfg.n_bins
+        for _ in range(30):
+            hard = random_hard_labels(self.rng, 5, 6, self.cfg)
+            soft_d, soft_s = random_soft_labels(self.rng, 5, 6, self.cfg)
+            gate = soft_s.values >= threshold
+            got_d, got_s = merge_labels(hard, partial(soft_d, np.flatnonzero(gate)), soft_s)
+            want_d, want_s = oracles.merge_reference(hard, soft_d, soft_s)
+            assert np.array_equal(got_d.cells, np.flatnonzero(gate | hard.valid_mask))
+            want_rows = want_d.reshape(-1, n_bins)[got_d.cells]
+            assert got_d.values.tobytes() == want_rows.tobytes()
+            assert got_d.shape == (5, 6) and got_s.values.tobytes() == want_s.tobytes()
+
+    def test_merge_of_an_empty_map(self):
+        hard = HardLabels(np.full((3, 4), -1), np.zeros((3, 4), dtype=bool), self.cfg)
+        soft_d, soft_s = random_soft_labels(self.rng, 3, 4, self.cfg)
+        got_d, _ = merge_labels(hard, partial(soft_d, np.arange(0)), soft_s)
+        assert got_d.cells.shape == (0,) and got_d.values.shape == (0, self.cfg.n_bins)
+
+    def test_gather_returns_the_stored_rows(self):
+        soft_d, _ = random_soft_labels(self.rng, 4, 5, self.cfg)
+        part = partial(soft_d, np.array([1, 7, 8, 19]))
+        rows, cols = np.array([3, 1, 0]), np.array([4, 2, 1])
+        assert part.gather(rows, cols).tobytes() == soft_d.values[rows, cols].tobytes()
+        assert soft_d.gather(rows, cols).tobytes() == soft_d.values[rows, cols].tobytes()
+
+    def test_gather_names_a_cell_that_is_not_stored(self):
+        soft_d, _ = random_soft_labels(self.rng, 4, 5, self.cfg)
+        part = partial(soft_d, np.array([1, 7, 8, 19]))
+        with pytest.raises(ValueError, match=r"^depth map does not store cell \(1, 4\)$"):
+            part.gather(np.array([1, 1, 3]), np.array([2, 4, 4]))
+
+    def test_rows_are_validated_and_errors_name_the_grid_cell(self):
+        soft_d, _ = random_soft_labels(self.rng, 4, 5, self.cfg)
+        rows = soft_d.values.reshape(-1, self.cfg.n_bins)[[2, 13]].copy()
+        rows[1, 0] += 0.5
+        with pytest.raises(ValueError, match=r"cell \(2, 3\) sums to 1.5; expected 1"):
+            DepthDistributionMap(rows, self.cfg, np.array([2, 13]), (4, 5))
+        rows[1, 0] = -0.5
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            DepthDistributionMap(rows, self.cfg, np.array([2, 13]), (4, 5))
+
+    @pytest.mark.parametrize(
+        "cells, n_rows, message",
+        [
+            ([3, 3], 2, "ascending flat cell ids below 20"),
+            ([5, 2], 2, "ascending flat cell ids below 20"),
+            ([4, 20], 2, "ascending flat cell ids below 20"),
+            ([-1, 4], 2, "ascending flat cell ids below 20"),
+            ([1, 2, 3], 2, r"must be \(K,\) and \(K, n_bins\)"),
+        ],
+    )
+    def test_cells_must_be_ascending_ids_inside_the_grid(self, cells, n_rows, message):
+        rows = np.full((n_rows, self.cfg.n_bins), 1.0 / self.cfg.n_bins)
+        with pytest.raises(ValueError, match=message):
+            DepthDistributionMap(rows, self.cfg, np.array(cells), (4, 5))
+
+    def test_cells_need_the_grid_shape(self):
+        rows = np.full((1, self.cfg.n_bins), 1.0 / self.cfg.n_bins)
+        with pytest.raises(ValueError, match="needs the grid shape"):
+            DepthDistributionMap(rows, self.cfg, np.array([0]))

@@ -536,6 +536,52 @@ def test_lib_large_loss_equals_full_grid_oracles(seed, monkeypatch):
     assert math.isclose(result.loss, loss, rel_tol=1e-12)
 
 
+class TestGatedSoftDepth:
+    """prepare stores the soft depth only on the cells the seg gate passes, and the merge
+    adds the hard-valid cells. Every student and teacher grid keeps the bits of the
+    whole-map path."""
+
+    def _grids(self, cfg, rows):
+        prep = fgbev.pipeline.prepare(cfg, {})
+        grids = [prep.student]
+        for fc, ppa in rows:
+            row = dataclasses.replace(cfg, fc_enabled=fc, ppa_enabled=ppa)
+            dense = fgbev.pipeline.densify(row, prep, {})
+            grids.append(fgbev.pipeline.teacher_branch(row, prep, dense, {})[3])
+        return prep, grids
+
+    def _check(self, cfg, monkeypatch, rows=((True, True),)):
+        prep, gated = self._grids(cfg, rows)
+        gate = prep.soft_seg.values >= cfg.seg_threshold
+        assert np.array_equal(prep.soft_depth.cells, np.flatnonzero(gate))
+        soft = fgbev.scene.soft_labels_from_frame
+        monkeypatch.setattr(fgbev.pipeline, "soft_labels_from_frame", lambda *a: soft(*a[:-1]))
+        whole_prep, whole = self._grids(cfg, rows)
+        assert whole_prep.soft_depth.cells is None
+        for got, want in zip(gated, whole, strict=True):
+            assert got.cells.tobytes() == want.cells.tobytes()
+            assert got.features.tobytes() == want.features.tobytes()
+        return len(prep.soft_depth.cells) / gate.size
+
+    @pytest.mark.parametrize("seed", range(1, 13))
+    def test_lib_large_scenes(self, seed, monkeypatch):
+        cfg = config_from_dict({**LIB_LARGE_16, "context_channels": 32, "seed": seed})
+        assert 0 < self._check(cfg, monkeypatch) < 1
+
+    def test_default_config(self, monkeypatch):
+        assert 0 < self._check(PipelineConfig(), monkeypatch) < 1
+
+    def test_every_sweep_row(self, monkeypatch):
+        cfg = config_from_dict({"scene": {"dropout_fraction": 0.5, "n_frames": 4}})
+        rows = [(fc, ppa) for ppa in (False, True) for fc in (False, True)]
+        assert 0 < self._check(cfg, monkeypatch, rows) < 1
+
+    @pytest.mark.parametrize("threshold", [0.0, 1.0])
+    def test_extreme_thresholds(self, threshold, monkeypatch):
+        share = self._check(small_config(seg_threshold=threshold), monkeypatch)
+        assert (share == 1.0) == (threshold == 0.0)
+
+
 def _whole_map_heatmap(f4: np.ndarray) -> np.ndarray:
     """The oracle: the per-cell norm of all of f4, rescaled to [0, 1]."""
     mag = np.linalg.norm(f4, axis=2)

@@ -485,6 +485,23 @@ class TestSoftLabels:
         assert np.array_equal(a[0].values, b[0].values)
         assert np.array_equal(a[1].values, b[1].values)
 
+    @pytest.mark.parametrize("noise", [0.0, 0.05, 1.0])
+    @pytest.mark.parametrize("threshold", [0.0, 0.25, 1.0])
+    def test_a_threshold_stores_the_gated_rows_of_the_whole_map(self, scene, threshold, noise):
+        cfg, frame = DepthBinConfig(), scene.current
+        pixels = box_corner_pixels(frame.cameras[0], frame.boxes)
+        whole, seg, _ = soft_labels_from_frame(frame, 0, pixels, cfg, noise, 3)
+        part, part_seg, _ = soft_labels_from_frame(frame, 0, pixels, cfg, noise, 3, 16, threshold)
+        assert whole.cells is None and part.shape == whole.shape
+        assert part_seg.values.tobytes() == seg.values.tobytes()
+        assert np.array_equal(part.cells, np.flatnonzero(seg.values >= threshold))
+        want = whole.values.reshape(-1, cfg.n_bins)[part.cells]
+        assert part.values.tobytes() == want.tobytes()
+        if threshold == 0.0:
+            assert len(part.cells) == seg.values.size
+        elif threshold == 1.0 and noise == 0.0:
+            assert len(part.cells) > 0  # foreground seg is exactly 1.0, the threshold itself
+
     def test_negative_noise_rejected(self, scene):
         with pytest.raises(ValueError, match="noise"):
             soft_labels(scene.current, DepthBinConfig(), -0.1, seed=0)

@@ -443,6 +443,19 @@ class TestStudentTeacher:
         want = oracles.pool_reference(self.ctx, md, ms, self.frustum, self.bev, 0.3)
         assert np.abs(got.values - want).max() < 1e-9
 
+    def test_a_gated_cell_the_depth_map_does_not_store_is_named(self):
+        gate = np.flatnonzero(self.soft_seg.values >= 0.3)
+        rows = self.soft_depth.values.reshape(-1, BIN_CFG.n_bins)
+        part = DepthDistributionMap(rows[gate[1:]], BIN_CFG, gate[1:], (4, 8))
+        cell = tuple(int(i) for i in divmod(gate[0], 8))
+        with pytest.raises(ValueError, match=rf"does not store cell \({cell[0]}, {cell[1]}\)"):
+            sa_bev_pool(self.ctx, part, self.soft_seg, self.frustum, self.bev, 0.3)
+        whole = sa_bev_pool(self.ctx, self.soft_depth, self.soft_seg, self.frustum, self.bev, 0.3)
+        gated = DepthDistributionMap(rows[gate], BIN_CFG, gate, (4, 8))
+        got = sa_bev_pool(self.ctx, gated, self.soft_seg, self.frustum, self.bev, 0.3)
+        assert got.cells.tobytes() == whole.cells.tobytes()
+        assert got.features.tobytes() == whole.features.tobytes()
+
     def test_single_hard_cell_column_locality(self):
         from fgbev.labels import HardLabels
 
