@@ -81,7 +81,8 @@ class ForegroundHeatmap:
         v = np.asarray(self.values, dtype=np.float64)
         if v.ndim != 2:
             raise ValueError(f"heatmap must be 2-D, got shape {v.shape}")
-        if np.any(v < 0) or np.any(v > 1) or not np.all(np.isfinite(v)):
+        # One pass: NaN fails both comparisons, and each infinity fails one.
+        if not ((v >= 0) & (v <= 1)).all():
             raise ValueError("heatmap values must lie in [0, 1]")
         object.__setattr__(self, "values", v)
 

@@ -147,12 +147,15 @@ def inject_pseudo_points(
 
     Cells already valid (from real points, or an earlier pseudo point in the
     list) are left untouched; measured data outranks approximation. Pseudo
-    depths outside the bin range are skipped and logged.
+    depths outside the bin range are skipped and logged. hard is never
+    changed: the result is new labels when a point writes a cell, and hard
+    itself when none does. Such a point still counts in pci_statistics.
     """
     h_f, w_f = hard.shape
     bins = hard.bins.copy()
     foreground = hard.foreground.copy()
     cfg = hard.bin_cfg
+    written = False
     for p in pseudo:
         col = int(p.u // feature_stride)
         row = int(p.v // feature_stride)
@@ -175,4 +178,5 @@ def inject_pseudo_points(
             continue
         bins[row, col] = b
         foreground[row, col] = True
-    return HardLabels(bins, foreground, cfg)
+        written = True
+    return HardLabels(bins, foreground, cfg) if written else hard

@@ -3,12 +3,14 @@
 prepare: scene -> one projection of the current boxes, the MSFE target, and synthetic
 features with f4 and f8 built only on the rows MSFE reads -> foreground fusion
 diagnostics -> soft labels, whose depth map stores only the cells the seg gate
-passes -> frustum -> student pooling.
+passes -> frustum -> student pooling. A sweep prints no MSFE metrics, so its
+prepare draws no target, builds f4 and f8 on no rows and skips the diagnostics.
 densify: the teacher's cloud, its hard labels and per-box point counts; fc off
-reuses the current frame's, which prepare keeps. teacher_branch: pseudo points
-from the prepared projection and PCI report from the counts -> teacher pooling
--> shared encoding -> distillation loss. A sweep densifies once per fc_enabled
-value.
+reuses the current frame's, which prepare keeps. assign_pseudo: pseudo points
+from the prepared projection and PCI report from the counts. score_teacher:
+teacher pooling -> shared encoding -> distillation loss.
+A sweep densifies once per fc_enabled value and scores the teacher once per
+distinct final label set.
 The frustum stage only fixes the lift geometry; each pooling lifts only the
 (cell, bin) entries of non-zero weight in the cells its own seg gate passes,
 so the teacher lifts one bin of each hard-labelled cell. The teacher's merged
@@ -203,7 +205,8 @@ class DensifiedCloud(NamedTuple):
 @dataclass(frozen=True)
 class PreparedFrame:
     """Outputs of the stages the fc/ppa toggles leave untouched; raw is the current cloud's,
-    corners the current boxes' visible_corner_rects in camera 0."""
+    corners the current boxes' visible_corner_rects in camera 0. msfe_metrics is None when
+    prepare ran without the MSFE diagnostics."""
 
     scene: Scene
     corners: tuple[np.ndarray, np.ndarray]
@@ -212,12 +215,17 @@ class PreparedFrame:
     soft_seg: SegmentationMap
     frustum: Frustum
     student: BevFeatureGrid
-    msfe_metrics: dict
+    msfe_metrics: dict | None
     raw: DensifiedCloud
 
 
-def prepare(cfg: PipelineConfig, timing: dict) -> PreparedFrame:
-    """Scene, features, MSFE metrics, soft labels, frustum and student pooling."""
+def prepare(cfg: PipelineConfig, timing: dict, *, msfe: bool) -> PreparedFrame:
+    """Scene, features, MSFE metrics, soft labels, frustum and student pooling.
+
+    With msfe off the synth_features stage draws no heatmap target and builds f4 and f8
+    on no rows, the msfe stage does not run and msfe_metrics is None. f16, which pooling
+    reads, and every other output keep their bits: the target draws no random numbers.
+    """
     stage = functools.partial(_stage, timing)
     scene: Scene = stage("generate_scene", lambda: generate_scene(cfg.scene, cfg.seed))
     current = scene.current
@@ -229,6 +237,12 @@ def prepare(cfg: PipelineConfig, timing: dict) -> PreparedFrame:
         corners = visible_corner_rects(*pixels)
         clipped = clip_rects(cam, corners[0])
         rects = [r for r in clipped if r is not None]
+        if not msfe:
+            none = np.zeros(0, dtype=np.intp)
+            pyramid = synth_feature_pyramid(
+                cam, clipped, cfg.context_channels, cfg.seed + 1, none, none
+            )
+            return pixels, corners, rects, None, pyramid
         target = elliptical_gaussian_heatmap(
             rects, height // HEATMAP_STRIDE, width // HEATMAP_STRIDE, HEATMAP_STRIDE
         )
@@ -253,7 +267,7 @@ def prepare(cfg: PipelineConfig, timing: dict) -> PreparedFrame:
             "heatmap_focal_loss": gaussian_focal_loss(pred, target),
         }
 
-    msfe_metrics = stage("msfe", msfe_diag)
+    msfe_metrics = stage("msfe", msfe_diag) if msfe else None
 
     def soft_labels():
         depth, seg, hard = soft_labels_from_frame(
@@ -305,14 +319,12 @@ def densify(cfg: PipelineConfig, prep: PreparedFrame, timing: dict) -> Densified
     return DensifiedCloud(cloud, hard, counts)
 
 
-def teacher_branch(
+def assign_pseudo(
     cfg: PipelineConfig, prep: PreparedFrame, dense: DensifiedCloud, timing: dict
-) -> tuple[float, int, PciReport, BevFeatureGrid]:
-    """Assign pseudo points as cfg.ppa_enabled says, then pool and score the teacher.
-
-    dense is densify(cfg, prep, ...). Returns (loss, included cells, PCI
-    report, teacher grid); prep and dense are only read.
-    """
+) -> tuple[HardLabels, PciReport]:
+    """Assign pseudo points as cfg.ppa_enabled says: (the teacher's final hard labels,
+    PCI report). dense is densify(cfg, prep, ...); prep and dense are only read. The
+    labels are dense.hard itself when no pseudo point writes a cell."""
     stage = functools.partial(_stage, timing)
     current = prep.scene.current
 
@@ -327,27 +339,36 @@ def teacher_branch(
 
     pseudo, hard_final = stage("pseudo_points", ppa)
     report = stage("pci_report", lambda: pci_statistics(prep.raw.counts, dense.counts, pseudo))
+    return hard_final, report
+
+
+def score_teacher(
+    cfg: PipelineConfig, prep: PreparedFrame, hard: HardLabels, timing: dict
+) -> tuple[float, int, BevFeatureGrid]:
+    """Pool the teacher on hard, encode it with the student and score it: (loss, included
+    cells, teacher grid). Reads only hard's labels and the fields fc/ppa do not switch."""
+    stage = functools.partial(_stage, timing)
     teacher = stage(
         "teacher_pooling",
         lambda: teacher_bev(
-            prep.ctx, hard_final, prep.soft_depth, prep.soft_seg, prep.frustum,
+            prep.ctx, hard, prep.soft_depth, prep.soft_seg, prep.frustum,
             cfg.bev, cfg.seg_threshold,
         ),
     )
-
     encoder = get_encoder(cfg.encoder_kind)
     enc_student, enc_teacher = stage("encode", lambda: encode_joint(encoder, prep.student, teacher))
     loss, included = stage(
         "distill_loss", lambda: distillation_loss(enc_teacher, enc_student, cfg.eps)
     )
-    return loss, included, report, teacher
+    return loss, included, teacher
 
 
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
-    """Run one frame end to end: prepare, densify, then the teacher branch."""
+    """Run one frame end to end: prepare, densify, assign_pseudo, then score_teacher."""
     timing: dict[str, float] = {}
-    prep = prepare(cfg, timing)
-    loss, included, report, teacher = teacher_branch(cfg, prep, densify(cfg, prep, timing), timing)
+    prep = prepare(cfg, timing, msfe=True)
+    hard, report = assign_pseudo(cfg, prep, densify(cfg, prep, timing), timing)
+    loss, included, teacher = score_teacher(cfg, prep, hard, timing)
     return PipelineResult(
         loss=loss,
         included_cells=included,
@@ -364,10 +385,14 @@ SWEEP_TOGGLES = {"fc": "fc_enabled", "ppa": "ppa_enabled"}
 
 
 def ablation_sweep(base: PipelineConfig, toggles: list[str]) -> list[dict]:
-    """One prepare() and one densify() per fc_enabled value, then a teacher branch per
-    on/off combination of the named SWEEP_TOGGLES.
+    """One prepare() and one densify() per fc_enabled value, then assign_pseudo per on/off
+    combination of the named SWEEP_TOGGLES and score_teacher per distinct final label set.
 
     Row k sets toggle i's flag to bit i of k (all off first); other flags keep base's value.
+    The rows print no MSFE metrics, so prepare skips them. The teacher's score depends on
+    the row only through its final hard labels, so a row whose bins and foreground flags
+    equal an earlier row's reuses that row's loss and included cells; every row still
+    assigns its own pseudo points and reports its own PCI counts.
     Unknown or repeated names fail before any stage runs.
     """
     for k, name in enumerate(toggles):
@@ -375,15 +400,20 @@ def ablation_sweep(base: PipelineConfig, toggles: list[str]) -> list[dict]:
             raise ValueError(f"unknown toggle {name!r}; available: {sorted(SWEEP_TOGGLES)}")
         if name in toggles[:k]:
             raise ValueError(f"toggle {name!r} is given more than once")
-    prep = prepare(base, {})
+    prep = prepare(base, {}, msfe=False)
     clouds: dict[bool, DensifiedCloud] = {}
+    scores: dict[tuple[bytes, bytes], tuple[float, int]] = {}
     rows = []
     for mask in range(1 << len(toggles)):
         on = [name for k, name in enumerate(toggles) if mask >> k & 1]
         cfg = dataclasses.replace(base, **{SWEEP_TOGGLES[n]: n in on for n in toggles})
         if cfg.fc_enabled not in clouds:
             clouds[cfg.fc_enabled] = densify(cfg, prep, {})
-        loss, included, report, _ = teacher_branch(cfg, prep, clouds[cfg.fc_enabled], {})
+        hard, report = assign_pseudo(cfg, prep, clouds[cfg.fc_enabled], {})
+        labels = (hard.bins.tobytes(), hard.foreground.tobytes())
+        if labels not in scores:
+            scores[labels] = score_teacher(cfg, prep, hard, {})[:2]
+        loss, included = scores[labels]
         pci = dataclasses.asdict(report)
         rows.append({"toggles": on, "loss": loss, "included_cells": included, "pci_report": pci})
     return rows

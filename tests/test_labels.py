@@ -11,6 +11,7 @@ from fgbev.labels import (
     generate_hard_labels,
     merge_labels,
 )
+from fgbev.msfe import ForegroundHeatmap
 from fgbev.selfcheck import random_hard_labels, random_soft_labels
 
 
@@ -55,9 +56,20 @@ class TestMapValidation:
         with pytest.raises(ValueError, match="sums to"):
             DepthDistributionMap(bad, cfg)
 
-    def test_seg_range_enforced(self):
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            SegmentationMap(np.array([[0.5, 1.2]]))
+    @pytest.mark.parametrize("cls, name", [(SegmentationMap, "segmentation"),
+                                           (ForegroundHeatmap, "heatmap")])
+    @pytest.mark.parametrize(
+        "value, ok",
+        [(1.2, False), (np.nan, False), (np.inf, False), (-np.inf, False), (-1e-300, False),
+         (np.nextafter(1.0, 2.0), False), (-0.0, True), (0.0, True), (1.0, True)],
+    )
+    def test_unit_range_enforced(self, cls, name, value, ok):
+        values = np.array([[0.5, value]])
+        if ok:
+            assert cls(values).values.tobytes() == values.tobytes()
+        else:
+            with pytest.raises(ValueError, match=rf"^{name} values must lie in \[0, 1\]$"):
+                cls(values)
 
     def test_depth_rejects_all_zero_cell(self):
         cfg = DepthBinConfig(1.0, 5.0, 1.0)

@@ -481,22 +481,29 @@ class TestInjectPseudoPoints:
     def test_empty_cell_becomes_foreground_one_hot(self):
         hard = empty_hard_labels()
         out = inject_pseudo_points(hard, [PseudoPoint(40.0, 24.0, 10.2, 0)], 16)
+        assert out is not hard
         assert out.bins[1, 2] == 18
         assert out.foreground[1, 2]
         assert out.valid_mask.sum() == 1
+
+    def test_no_points_return_the_input(self):
+        hard = empty_hard_labels()
+        assert inject_pseudo_points(hard, [], 16) is hard
 
     def test_occupied_cell_untouched(self):
         bins = np.full((8, 16), -1)
         bins[1, 2] = 5
         hard = HardLabels(bins, np.zeros((8, 16), dtype=bool), DepthBinConfig())
-        out = inject_pseudo_points(hard, [PseudoPoint(40.0, 24.0, 10.2, 0)], 16)
-        assert np.array_equal(out.bins, hard.bins)
-        assert np.array_equal(out.foreground, hard.foreground)
+        # Two points, both on the measured cell: no cell is written, so the input comes back.
+        pseudo = [PseudoPoint(40.0, 24.0, 10.2, 0), PseudoPoint(33.0, 31.0, 20.0, 1)]
+        assert inject_pseudo_points(hard, pseudo, 16) is hard
+        assert np.array_equal(hard.bins, bins) and not hard.foreground.any()
 
     def test_out_of_range_depth_skipped(self):
         hard = empty_hard_labels()
-        out = inject_pseudo_points(hard, [PseudoPoint(40.0, 24.0, 99.0, 0)], 16)
-        assert not out.valid_mask.any()
+        pseudo = [PseudoPoint(40.0, 24.0, 99.0, 0), PseudoPoint(8.0, 8.0, 0.5, 1)]
+        out = inject_pseudo_points(hard, pseudo, 16)
+        assert out is hard and not out.valid_mask.any()
 
     def test_out_of_bounds_pixel_rejected(self):
         hard = empty_hard_labels()
@@ -511,6 +518,7 @@ class TestInjectPseudoPoints:
         bins = np.full((h, w), -1)
         bins[mask] = rng.integers(0, cfg.n_bins, int(mask.sum()))
         hard = HardLabels(bins, np.zeros((h, w), dtype=bool), cfg)
+        before = hard.bins.copy()
 
         pseudo = [
             PseudoPoint(
@@ -526,6 +534,8 @@ class TestInjectPseudoPoints:
         for p in pseudo:
             want[int(p.v // stride), int(p.u // stride)] = True
         assert np.array_equal(out.valid_mask, want)
+        assert out is not hard
+        assert np.array_equal(hard.bins, before) and not hard.foreground.any()
 
     def test_original_labels_not_mutated(self):
         hard = empty_hard_labels()

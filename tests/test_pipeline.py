@@ -16,7 +16,7 @@ import fgbev.pipeline
 import fgbev.scene
 from fgbev.cli import main
 from fgbev.geometry import Box2D, Box3D, box_point_counts, project_box3d_to_box2d
-from fgbev.labels import DepthBinConfig, generate_hard_labels
+from fgbev.labels import DepthBinConfig, HardLabels, generate_hard_labels
 from fgbev.msfe import elliptical_gaussian_heatmap
 from fgbev.pci import frame_combination
 from fgbev.pipeline import (
@@ -41,6 +41,15 @@ SMALL_SCENE = SceneConfig(
     image_width=256,
     image_height=128,
 )
+
+
+# lib-large with 16 channels: 40 boxes, 1408x512 images, 9 frames, a 256^2 grid, box blur.
+LIB_LARGE_16 = {
+    "scene": {"n_boxes": 40, "image_width": 1408, "image_height": 512, "n_frames": 9},
+    "bev": {"grid_h": 256, "grid_w": 256},
+    "context_channels": 16,
+    "encoder_kind": "box_blur",
+}
 
 
 # The stages run_pipeline times, whatever the fc/ppa toggles.
@@ -343,6 +352,29 @@ def dropout_sweep_base(seed=0):
     )
 
 
+def sweep_row_results(base, toggles):
+    """run_pipeline on each sweep row's config, in row order, and the number of distinct
+    final hard labels (bins and foreground flags) the rows' teachers pool."""
+    teacher_bev, label_sets, results = fgbev.pipeline.teacher_bev, set(), []
+
+    def recorded(ctx, hard, *args):
+        label_sets.add((hard.bins.tobytes(), hard.foreground.tobytes()))
+        return teacher_bev(ctx, hard, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fgbev.pipeline, "teacher_bev", recorded)
+        for mask in range(1 << len(toggles)):
+            flags = {SWEEP_TOGGLES[name]: bool(mask >> k & 1) for k, name in enumerate(toggles)}
+            results.append(run_pipeline(dataclasses.replace(base, **flags)))
+    return results, len(label_sets)
+
+
+# The MSFE diagnostics: run_pipeline prints their metrics, a sweep prints none.
+MSFE_CALLS = ("elliptical_gaussian_heatmap", "msfe_fuse", "gaussian_focal_loss", "_predicted_heatmap")
+# The teacher's pooling and scoring: once per run, and once per distinct label set per sweep.
+TEACHER_CALLS = ("teacher_bev", "encode_joint", "distillation_loss")
+
+
 def count_calls(monkeypatch, *names, module=fgbev.pipeline, calls=None):
     """Count the calls to each named function of module (into calls, when given)."""
     calls = collections.Counter() if calls is None else calls
@@ -366,7 +398,7 @@ class TestSweepSharesPrepare:
     def test_rows_equal_run_pipeline(self, toggles, monkeypatch):
         calls = count_calls(
             monkeypatch, "generate_scene", "build_frustum", "frame_combination",
-            "generate_hard_labels",
+            "generate_hard_labels", *MSFE_CALLS,
         )
         assigned, losses = set(), []
         for seed in range(8):
@@ -378,12 +410,15 @@ class TestSweepSharesPrepare:
             # the hard labels the soft labels were built from.
             fc_rows = "fc" in toggles or base.fc_enabled
             assert calls["frame_combination"] == calls["generate_hard_labels"] == fc_rows
+            assert all(calls[name] == 0 for name in MSFE_CALLS)
             assert len(rows) == 1 << len(toggles)
             losses.append(len({r["loss"] for r in rows}))
             for row in rows:
                 # A toggled flag is on exactly in the rows that name it; the rest keep base's value.
                 flags = {SWEEP_TOGGLES[name]: name in row["toggles"] for name in toggles}
+                calls.clear()
                 result = run_pipeline(dataclasses.replace(base, **flags))
+                assert all(calls[name] == 1 for name in MSFE_CALLS)
                 assert row["loss"] == result.loss
                 assert row["included_cells"] == result.included_cells
                 assert row["pci_report"] == dataclasses.asdict(result.pci_report)
@@ -393,6 +428,75 @@ class TestSweepSharesPrepare:
         assert assigned == ({False, True} if toggles else {True})
         # The toggles change the teacher.
         assert len(rows) == 1 or max(losses) > 1
+
+    def test_one_teacher_per_distinct_label_set(self, monkeypatch):
+        """Rows whose final hard labels are equal share one teacher pooling and score, and
+        every row still equals run_pipeline."""
+        calls = count_calls(monkeypatch, *TEACHER_CALLS)
+        per_seed = []
+        for seed in range(32):
+            base = dropout_sweep_base(seed)
+            calls.clear()
+            rows = ablation_sweep(base, ["fc", "ppa"])
+            teachers = [calls[name] for name in TEACHER_CALLS]
+            results, label_sets = sweep_row_results(base, ["fc", "ppa"])
+            assert teachers == [label_sets] * 3
+            for row, result in zip(rows, results, strict=True):
+                assert (row["loss"], row["included_cells"]) == (result.loss, result.included_cells)
+                assert row["pci_report"] == dataclasses.asdict(result.pci_report)
+            # Seeds where a ppa row keeps its labels: it reports assigned pseudo points, yet
+            # its loss is the loss of the row without ppa.
+            overcount = any(
+                row["pci_report"]["boxes_assigned_pseudo"] and row["loss"] == rows[k - 2]["loss"]
+                for k, row in enumerate(rows[2:], 2)
+            )
+            per_seed.append((label_sets, overcount))
+        assert {n for n, _ in per_seed} == {1, 2, 3, 4}
+        assert any(overcount for _, overcount in per_seed)
+
+    def test_label_sets_differing_only_in_foreground_score_apart(self, monkeypatch):
+        """A row whose depth bins equal an earlier row's but whose foreground flags do not
+        gets its own teacher."""
+        densify = fgbev.pipeline.densify
+
+        def flipped(cfg, prep, timing):
+            if not cfg.fc_enabled:
+                return densify(cfg, prep, timing)
+            raw = prep.raw
+            foreground = raw.hard.foreground.copy()
+            foreground[raw.hard.valid_mask] ^= True
+            hard = HardLabels(raw.hard.bins, foreground, raw.hard.bin_cfg)
+            return fgbev.pipeline.DensifiedCloud(raw.cloud, hard, raw.counts)
+
+        monkeypatch.setattr(fgbev.pipeline, "densify", flipped)
+        calls = count_calls(monkeypatch, *TEACHER_CALLS)
+        off, on = ablation_sweep(dropout_sweep_base(), ["fc"])
+        assert [calls[name] for name in TEACHER_CALLS] == [2] * 3
+        assert off["loss"] != on["loss"]
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [dropout_sweep_base(seed) for seed in range(8)]
+        + [config_from_dict({**LIB_LARGE_16, "context_channels": 32, "seed": 1})],
+        ids=[f"dropout-{seed}" for seed in range(8)] + ["lib-large-1"],
+    )
+    def test_prepare_without_msfe(self, cfg, monkeypatch):
+        """The sweep's prepare builds f4 and f8 on no rows and skips the MSFE stage; the
+        context features and the student grid keep every bit."""
+        synth, built = fgbev.pipeline.synth_feature_pyramid, []
+        monkeypatch.setattr(
+            fgbev.pipeline, "synth_feature_pyramid", lambda *a: built.append(synth(*a)) or built[-1]
+        )
+        calls = count_calls(monkeypatch, *MSFE_CALLS)
+        timing = {}
+        lean = fgbev.pipeline.prepare(cfg, timing, msfe=False)
+        assert calls == {} and "msfe" not in timing and lean.msfe_metrics is None
+        assert len(built[0].f4) == len(built[0].f8) == 0
+        full = fgbev.pipeline.prepare(cfg, {}, msfe=True)
+        assert all(calls[name] == 1 for name in MSFE_CALLS)
+        assert lean.ctx.values.tobytes() == full.ctx.values.tobytes()
+        assert lean.student.cells.tobytes() == full.student.cells.tobytes()
+        assert lean.student.features.tobytes() == full.student.features.tobytes()
 
     @pytest.mark.parametrize(
         "fc, ppa", [(False, False), (True, False), (False, True), (True, True)],
@@ -466,7 +570,7 @@ def test_traced_benchmark_counts_the_pool(threshold_as):
     """The traced benchmark's pooling counter reads the frustum and grid fgbev builds."""
     tracing = load_tracing()
     cfg = small_config(soft_label_noise=1.0)
-    prep = fgbev.pipeline.prepare(cfg, {})
+    prep = fgbev.pipeline.prepare(cfg, {}, msfe=True)
     args = (prep.ctx, prep.soft_depth, prep.soft_seg, prep.frustum, cfg.bev)
     kwargs = {"seg_threshold": cfg.seg_threshold}
     if threshold_as == "positional":
@@ -502,16 +606,10 @@ def test_traced_benchmark_metrics_enter_their_spans(capsys):
     spans = {*tracing.SELF_TIME_METRICS.values(), *tracing.CALL_METRICS.values()}
     assert sorted(span for span in spans if calls[0][span] == 0) == []
     assert calls[1]["pipeline.ablation_sweep"] == 1
-    assert calls[1]["distill.encode_joint"] == len(rows) == 4
-
-
-# lib-large with 16 channels: 40 boxes, 1408x512 images, 9 frames, a 256^2 grid, box blur.
-LIB_LARGE_16 = {
-    "scene": {"n_boxes": 40, "image_width": 1408, "image_height": 512, "n_frames": 9},
-    "bev": {"grid_h": 256, "grid_w": 256},
-    "context_channels": 16,
-    "encoder_kind": "box_blur",
-}
+    # The sweep encodes one teacher per distinct final label set, not one per row.
+    results, label_sets = sweep_row_results(PipelineConfig(), ["fc", "ppa"])
+    assert [row["loss"] for row in rows] == [result.loss for result in results]
+    assert calls[1]["distill.encode_joint"] == label_sets <= len(rows) == 4
 
 
 @pytest.mark.parametrize("seed", range(1, 13))
@@ -542,12 +640,13 @@ class TestGatedSoftDepth:
     whole-map path."""
 
     def _grids(self, cfg, rows):
-        prep = fgbev.pipeline.prepare(cfg, {})
+        prep = fgbev.pipeline.prepare(cfg, {}, msfe=True)
         grids = [prep.student]
         for fc, ppa in rows:
             row = dataclasses.replace(cfg, fc_enabled=fc, ppa_enabled=ppa)
             dense = fgbev.pipeline.densify(row, prep, {})
-            grids.append(fgbev.pipeline.teacher_branch(row, prep, dense, {})[3])
+            hard, _ = fgbev.pipeline.assign_pseudo(row, prep, dense, {})
+            grids.append(fgbev.pipeline.score_teacher(row, prep, hard, {})[2])
         return prep, grids
 
     def _check(self, cfg, monkeypatch, rows=((True, True),)):
@@ -695,9 +794,9 @@ class TestRowSubsetPyramid:
             fgbev.pipeline, "synth_feature_pyramid",
             lambda *a: built.append((a, synth(*a))) or built[-1][1],
         )
-        metrics = fgbev.pipeline.prepare(cfg, {}).msfe_metrics
+        metrics = fgbev.pipeline.prepare(cfg, {}, msfe=True).msfe_metrics
         monkeypatch.setattr(fgbev.pipeline, "synth_feature_pyramid", lambda *a: synth(*a[:4]))
-        whole_metrics = fgbev.pipeline.prepare(cfg, {}).msfe_metrics
+        whole_metrics = fgbev.pipeline.prepare(cfg, {}, msfe=True).msfe_metrics
         assert {k: np.float64(v).tobytes() for k, v in metrics.items()} == {
             k: np.float64(v).tobytes() for k, v in whole_metrics.items()
         }
@@ -750,7 +849,7 @@ class TestRowSubsetPyramid:
 def test_densified_counts_equal_whole_cloud_counts(scene, seed):
     """densify adds the carried-over points' counts to the current cloud's."""
     cfg = PipelineConfig(scene=scene, seed=seed)
-    prep = fgbev.pipeline.prepare(cfg, {})
+    prep = fgbev.pipeline.prepare(cfg, {}, msfe=True)
     dense = fgbev.pipeline.densify(cfg, prep, {})
     whole = box_point_counts(prep.scene.current.boxes, dense.cloud.points)
     assert np.array_equal(dense.counts, whole) and dense.counts.dtype == whole.dtype
