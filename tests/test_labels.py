@@ -56,6 +56,10 @@ class TestMapValidation:
         with pytest.raises(ValueError, match="sums to"):
             DepthDistributionMap(bad, cfg)
 
+    def test_seg_range_enforced(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            SegmentationMap(np.array([[0.5, 1.2]]))
+
     @pytest.mark.parametrize("cls, name", [(SegmentationMap, "segmentation"),
                                            (ForegroundHeatmap, "heatmap")])
     @pytest.mark.parametrize(
