@@ -182,8 +182,13 @@ def msfe_fuse(pyr: FeaturePyramid, heatmap: ForegroundHeatmap, beta: float) -> n
         raise ValueError(f"heatmap shape {heatmap.shape} must match f4 spatial {(4 * h, 4 * w)}")
     mask4, rows, band8, band4 = foreground_bands(heatmap, beta)
     mask4 = mask4[band4]
-    term8 = downsample(pyr.f8[pyr.row_index("f8", band8)] * downsample(mask4, 2)[:, :, None], 2)
-    term4 = downsample(pyr.f4[pyr.row_index("f4", band4)] * mask4[:, :, None], 4)
+    # Each gather is a copy, so it is gated in place, then pooled and dropped.
+    term8 = pyr.f8[pyr.row_index("f8", band8)]
+    term8 *= downsample(mask4, 2)[:, :, None]
+    term8 = downsample(term8, 2)
+    term4 = pyr.f4[pyr.row_index("f4", band4)]
+    term4 *= mask4[:, :, None]
+    term4 = downsample(term4, 4)
     fused = pyr.f16.copy()
     fused[rows] = fused[rows] + term8 + term4
     return fused

@@ -2,9 +2,10 @@
 
 prepare: scene -> one projection of the current boxes, the MSFE target, and synthetic
 features with f4 and f8 built only on the rows MSFE reads -> foreground fusion
-diagnostics -> soft labels, whose depth map stores only the cells the seg gate
-passes -> frustum -> student pooling. A sweep prints no MSFE metrics, so its
-prepare draws no target, builds f4 and f8 on no rows and skips the diagnostics.
+diagnostics, after which f4 and f8 are released -> soft labels, whose depth map stores
+only the cells the seg gate passes -> frustum -> student pooling. A sweep prints no MSFE
+metrics, so its prepare draws no target, builds f4 and f8 on no rows and skips the
+diagnostics.
 densify: the teacher's cloud, its hard labels and per-box point counts; fc off
 reuses the current frame's, which prepare keeps. assign_pseudo: pseudo points
 from the prepared projection and PCI report from the counts. score_teacher:
@@ -109,7 +110,8 @@ class PipelineConfig:
             entries,
             "depth cells of scene.image_width x image_height times bins.d_min/d_max/bin_size bins",
         )
-        # Pooling gathers an (entries, context_channels) array when every cell passes the gate.
+        # Pooling gathers every entry's context_channels, POOL_CHANNEL_BLOCK at a time, and
+        # sums them into a (cells, context_channels) array when every cell passes the gate.
         check_budget(entries * c, "pooled depth cells x bins x context_channels")
         check_budget(
             2 * self.bev.grid_h * self.bev.grid_w * c, "2 x bev.grid_h x grid_w x context_channels"
@@ -164,15 +166,16 @@ class PipelineResult:
         return out
 
 
-def _predicted_heatmap(pyr, width: int, height: int, rects: list) -> ForegroundHeatmap:
+def _predicted_heatmap(pyr, width: int, height: int, cells: list) -> ForegroundHeatmap:
     """Heatmap stand-in: per-cell feature magnitude rescaled to [0, 1].
 
-    pyr is synth_feature_pyramid's for boxes projecting to rects; outside their rect_cells f4
-    is the background. A cell's norm reads only its own channels, so norming those cells
-    (whose rows pyr must store) over the cached background magnitude gives the whole-map bits.
+    pyr is synth_feature_pyramid's for boxes whose drawn rects have the stride-4 rect_cells
+    `cells`; outside them f4 is the background. A cell's norm reads only its own channels, so
+    norming those cells (whose rows pyr must store) over the cached background magnitude
+    gives the whole-map bits.
     """
     mag = background_magnitude(width, height, HEATMAP_STRIDE, pyr.channels).copy()
-    for rows, cols in rect_cells(rects, width, height, HEATMAP_STRIDE):
+    for rows, cols in cells:
         at = pyr.row_index("f4", np.arange(rows.start, rows.stop))
         mag[rows, cols] = np.linalg.norm(pyr.f4[at, cols], axis=2)
     lo, hi = mag.min(), mag.max()
@@ -242,32 +245,35 @@ def prepare(cfg: PipelineConfig, timing: dict, *, msfe: bool) -> PreparedFrame:
             pyramid = synth_feature_pyramid(
                 cam, clipped, cfg.context_channels, cfg.seed + 1, none, none
             )
-            return pixels, corners, rects, None, pyramid
+            return pixels, corners, None, None, pyramid
         target = elliptical_gaussian_heatmap(
             rects, height // HEATMAP_STRIDE, width // HEATMAP_STRIDE, HEATMAP_STRIDE
         )
         # f4 and f8 only on the rows msfe_fuse and _predicted_heatmap read. A row mask, since
         # plain np.unique imports numpy.ma on its first call, 10-17 ms in a fresh process.
         _, _, rows8, band4 = foreground_bands(target, cfg.beta)
+        cells4 = rect_cells(rects, width, height, HEATMAP_STRIDE)
         need4 = np.zeros(height // HEATMAP_STRIDE, dtype=bool)
-        for rows in [band4, *(r for r, _ in rect_cells(rects, width, height, HEATMAP_STRIDE))]:
+        for rows in [band4, *(r for r, _ in cells4)]:
             need4[rows] = True
         pyramid = synth_feature_pyramid(
             cam, clipped, cfg.context_channels, cfg.seed + 1, np.flatnonzero(need4), rows8
         )
-        return pixels, corners, rects, target, pyramid
+        return pixels, corners, cells4, target, pyramid
 
-    pixels, corners, rects, target, pyramid = stage("synth_features", features)
+    pixels, corners, cells4, target, pyramid = stage("synth_features", features)
 
     def msfe_diag():
         fused = msfe_fuse(pyramid, target, cfg.beta)
-        pred = _predicted_heatmap(pyramid, width, height, rects)
+        pred = _predicted_heatmap(pyramid, width, height, cells4)
         return {
             "fused_l2": float(np.linalg.norm(fused)),
             "heatmap_focal_loss": gaussian_focal_loss(pred, target),
         }
 
     msfe_metrics = stage("msfe", msfe_diag) if msfe else None
+    ctx = ContextFeatureMap(pyramid.f16)
+    del pyramid  # frees f4 and f8 before pooling: the later stages read only f16, via ctx
 
     def soft_labels():
         depth, seg, hard = soft_labels_from_frame(
@@ -279,7 +285,6 @@ def prepare(cfg: PipelineConfig, timing: dict, *, msfe: bool) -> PreparedFrame:
 
     soft_depth, soft_seg, raw = stage("soft_labels", soft_labels)
     frustum = stage("frustum", lambda: build_frustum(cam, cfg.bins, FEATURE_STRIDE))
-    ctx = ContextFeatureMap(pyramid.f16)
     student = stage(
         "student_pooling",
         lambda: sa_bev_pool(ctx, soft_depth, soft_seg, frustum, cfg.bev, cfg.seg_threshold),

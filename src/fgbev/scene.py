@@ -62,6 +62,9 @@ MAX_FRAMES = 1000
 # Ten times the 6-camera nuScenes rig. Each camera adds a model to every frame
 # and a record to the scene file, with or without LiDAR points.
 MAX_CAMERAS = 64
+# Rows of one background level alive at once while background_magnitude norms it. 16
+# stride-4 rows of a 1408-pixel-wide, 32-channel level are 1.4 MB; the whole level is 11.5 MB.
+BACKGROUND_ROW_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -364,8 +367,17 @@ def background_feature_level(
 
 @functools.lru_cache(maxsize=4)
 def background_magnitude(width: int, height: int, stride: int, channels: int) -> np.ndarray:
-    """Read-only per-cell L2 norm of background_feature_level, computed once per process."""
-    mag = np.linalg.norm(background_feature_level(width, height, stride, channels), axis=2)
+    """Read-only per-cell L2 norm of background_feature_level, computed once per process.
+
+    The level is built and normed BACKGROUND_ROW_BLOCK rows at a time. A cell's norm reads
+    only its own channels and each row block has the whole level's bits, so every cell has
+    the bits of the whole-map norm while only one block of the level is alive.
+    """
+    mag = np.empty((height // stride, width // stride))
+    for start in range(0, len(mag), BACKGROUND_ROW_BLOCK):
+        rows = np.arange(start, min(start + BACKGROUND_ROW_BLOCK, len(mag)))
+        level = background_feature_level(width, height, stride, channels, rows)
+        mag[start : start + BACKGROUND_ROW_BLOCK] = np.linalg.norm(level, axis=2)
     mag.flags.writeable = False
     return mag
 

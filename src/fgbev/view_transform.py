@@ -29,6 +29,9 @@ from .labels import (
 )
 
 DEFAULT_SEG_THRESHOLD = 0.25
+# Context channels sa_bev_pool gathers, weights and sums at once: its (entries, channels)
+# temporaries are at most POOL_CHANNEL_BLOCK columns wide, whatever the channel count.
+POOL_CHANNEL_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -269,13 +272,20 @@ def sa_bev_pool(
     brow, bcol, ok = bev_cfg.cells_for_points(frustum.lift(rows, cols, bins))
     rows, cols, weight = rows[ok], cols[ok], weight[ok]
     cells, inv = np.unique(brow[ok] * bev_cfg.grid_w + bcol[ok], return_inverse=True)
-    contrib = ctx.values[rows, cols]
-    contrib *= weight[:, None]
-    # bincount adds each (cell, channel) bucket's weights in entry order from +0.0.
+    # bincount adds each (cell, channel) bucket's weights in entry order from +0.0, and a
+    # bucket lies in one channel block, so the blocks give every bucket the same sum.
     # One bincount per channel is bit-equal but 2-4x slower; add.reduceat is not bit-equal.
-    bucket = inv[:, None] * channels + np.arange(channels)
-    sums = np.bincount(bucket.ravel(), contrib.ravel(), minlength=len(cells) * channels)
-    return BevFeatureGrid(cells, sums.reshape(-1, channels), bev_cfg)
+    sums = np.empty((len(cells), channels))
+    bucket_width = 0
+    for lo in range(0, channels, POOL_CHANNEL_BLOCK):
+        width = min(POOL_CHANNEL_BLOCK, channels - lo)
+        if width != bucket_width:  # the first block, and a narrower last one
+            bucket_width, bucket = width, (inv[:, None] * width + np.arange(width)).ravel()
+        contrib = ctx.values[rows, cols, lo : lo + width]
+        contrib *= weight[:, None]
+        block = np.bincount(bucket, contrib.ravel(), minlength=len(cells) * width)
+        sums[:, lo : lo + width] = block.reshape(-1, width)
+    return BevFeatureGrid(cells, sums, bev_cfg)
 
 
 def teacher_bev(

@@ -4,6 +4,8 @@ import importlib.util
 import json
 import math
 import sys
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -498,6 +500,17 @@ class TestSweepSharesPrepare:
         assert lean.student.cells.tobytes() == full.student.cells.tobytes()
         assert lean.student.features.tobytes() == full.student.features.tobytes()
 
+    def test_stride4_rect_cells_once(self, monkeypatch):
+        """prepare finds the drawn boxes' stride-4 rect_cells once, for the stored f4 rows
+        and the predicted heatmap; without the MSFE diagnostics it needs none."""
+        calls = count_calls(monkeypatch, "rect_cells")
+        cfg = config_from_dict({**LIB_LARGE_16, "seed": 2})
+        fgbev.pipeline.prepare(cfg, {}, msfe=True)
+        assert calls == {"rect_cells": 1}
+        calls.clear()
+        fgbev.pipeline.prepare(cfg, {}, msfe=False)
+        assert calls == {}
+
     @pytest.mark.parametrize(
         "fc, ppa", [(False, False), (True, False), (False, True), (True, True)],
         ids=["none", "fc", "ppa", "fc-ppa"],
@@ -699,14 +712,15 @@ class TestPredictedHeatmap:
         clipped = project_box3d_to_box2d(cam, frame.boxes)
         rects = [r for r in clipped if r is not None]
         whole = fgbev.scene.synth_feature_pyramid(cam, clipped, channels, seed)
+        cells = fgbev.scene.rect_cells(rects, w, h, 4)
         need = np.zeros(h // 4, dtype=bool)
-        for rows, _ in fgbev.scene.rect_cells(rects, w, h, 4):
+        for rows, _ in cells:
             need[rows] = True
         part = fgbev.scene.synth_feature_pyramid(
             cam, clipped, channels, seed, np.flatnonzero(need), np.arange(0)
         )
         for pyr in (whole, part):
-            pred = fgbev.pipeline._predicted_heatmap(pyr, w, h, rects)
+            pred = fgbev.pipeline._predicted_heatmap(pyr, w, h, cells)
             assert pred.values.tobytes() == _whole_map_heatmap(whole.f4).tobytes()
         if need.any():
             need[np.flatnonzero(need)[-1]] = False
@@ -714,7 +728,7 @@ class TestPredictedHeatmap:
                 cam, clipped, channels, seed, np.flatnonzero(need), np.arange(0)
             )
             with pytest.raises(ValueError, match="^f4 row [0-9]+ is not stored"):
-                fgbev.pipeline._predicted_heatmap(short, w, h, rects)
+                fgbev.pipeline._predicted_heatmap(short, w, h, cells)
         return rects
 
     @pytest.mark.parametrize("seed", range(1, 13))
@@ -840,6 +854,56 @@ class TestRowSubsetPyramid:
     def test_beta_that_keeps_no_band(self, monkeypatch):
         part, _ = self._check(PipelineConfig(beta=1.0), monkeypatch)
         assert len(part.rows8) == 0 < len(part.rows4)
+
+
+def traced_peak(fn):
+    """(fn(), the peak bytes tracemalloc traced while it ran)."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTransientMemory:
+    """The lib-large hot path keeps its transient arrays bounded, with every output's bits."""
+
+    def test_background_norm_in_row_blocks(self):
+        # __wrapped__ skips the per-process cache; the whole level alone is 11.5 MB.
+        args = (1408, 512, 4, 32)
+        mag, peak = traced_peak(lambda: fgbev.scene.background_magnitude.__wrapped__(*args))
+        assert peak <= 4_000_000
+        whole = np.linalg.norm(fgbev.scene.background_feature_level(*args), axis=2)
+        assert mag.tobytes() == whole.tobytes() and not mag.flags.writeable
+
+    @pytest.mark.parametrize("seed", [1, 11])
+    def test_warm_lib_large_run(self, seed):
+        cfg = config_from_dict({**LIB_LARGE_16, "context_channels": 32, "seed": seed})
+        cold = run_pipeline(cfg)
+        warm, peak = traced_peak(lambda: run_pipeline(cfg))
+        assert peak <= 18_000_000
+        assert warm.to_dict() == cold.to_dict()
+
+    def test_pooling_runs_after_f4_and_f8_are_released(self, monkeypatch):
+        synth, pool = fgbev.pipeline.synth_feature_pyramid, fgbev.pipeline.sa_bev_pool
+        built, alive = [], []
+
+        def recording_synth(*args):
+            pyr = synth(*args)
+            built.append(weakref.ref(pyr))
+            return pyr
+
+        def checking_pool(*args):
+            alive.append(built[-1]() is not None)
+            return pool(*args)
+
+        monkeypatch.setattr(fgbev.pipeline, "synth_feature_pyramid", recording_synth)
+        monkeypatch.setattr(fgbev.pipeline, "sa_bev_pool", checking_pool)
+        cfg = config_from_dict({**LIB_LARGE_16, "seed": 3})
+        for msfe in (True, False):
+            prep = fgbev.pipeline.prepare(cfg, {}, msfe=msfe)
+            assert alive[-1] is False and prep.ctx.values.shape == (32, 88, 16)
 
 
 @pytest.mark.parametrize("scene", [SMALL_SCENE, PipelineConfig().scene,

@@ -18,6 +18,7 @@ from fgbev.selfcheck import (
     random_soft_labels,
 )
 from fgbev.view_transform import (
+    POOL_CHANNEL_BLOCK,
     BevFeatureGrid,
     BevGridConfig,
     ContextFeatureMap,
@@ -406,6 +407,37 @@ class TestTeacherShapedPooling:
         assert out.values.tobytes() == want.tobytes()
         assert len(out.cells) == 1
         assert out.features.tobytes() == (0.75 * ctx.values[r, c]).tobytes()
+
+
+class TestChannelBlocks:
+    """Pooling sums POOL_CHANNEL_BLOCK channels at a time; every bucket keeps its bits
+    whether the channels fill one block, several, or end in a partial block."""
+
+    B = POOL_CHANNEL_BLOCK
+
+    @pytest.mark.parametrize("channels", [1, B - 1, B, B + 1, 2 * B + 3])
+    @pytest.mark.parametrize("depth_kind", ["soft", "one-hot"])
+    def test_matches_oracle_bitwise(self, channels, depth_kind):
+        rng = np.random.default_rng(channels)
+        stored = 0
+        for _ in range(6):
+            h, w = int(rng.integers(2, 8)), int(rng.integers(2, 8))
+            frustum = random_lift_frustum(rng, h, w, BIN_CFG)
+            bev = BevGridConfig(
+                range_xy=float(rng.uniform(4, 16)), grid_h=12, grid_w=10, z_range=(-3, 3)
+            )
+            ctx = ContextFeatureMap(rng.normal(0, 1, (h, w, channels)))
+            if depth_kind == "soft":
+                depth, seg = random_soft_labels(rng, h, w, BIN_CFG)
+            else:  # the teacher's merged labels: one-hot depth on the hard-valid cells
+                depth, seg = TestTeacherShapedPooling.teacher_labels(rng, h, w)
+            thr = float(rng.uniform(0, 0.5))
+            got = sa_bev_pool(ctx, depth, seg, frustum, bev, thr)
+            want = oracles.pool_reference(ctx, depth, seg, frustum, bev, thr)
+            assert got.channels == channels
+            assert got.values.tobytes() == want.tobytes()
+            stored += len(got.cells)
+        assert stored > 0
 
 
 class TestStudentTeacher:
